@@ -11,6 +11,8 @@ Sweep verifiers report every argument whose value crosses its bound.  A
 comparison only counts as a violation when it fails by more than a
 relative slack of 1e-12; anything inside the band is flagged borderline
 instead, so float rounding can never manufacture or hide a violation.
+The sweeps sieve, evaluate and classify one window of SWEEP_WINDOW
+arguments at a time, so their peak memory does not depend on the range.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .divisors import divisor_sieve, incomplete_divisor_integral
+from .divisors import divisor_window, incomplete_divisor_integral
+from .products import _window_ranges
 
 __all__ = [
     "BoundReport",
@@ -48,6 +51,15 @@ ROBIN_C_ALTERNATE = Fraction(6483, 10000)
 EULER_GAMMA = 0.5772156649
 
 RELATIVE_SLACK = 1e-12
+
+# Arguments per window of the sweeps, chosen by timing 2**18, 2**19 and
+# 2**20 on sweeps to 1e7 and 1e8: narrower windows repeat the sieve's
+# loop over i <= sqrt(hi) more often, wider ones fall out of cache.
+SWEEP_WINDOW = 1 << 19
+
+# Largest upper end the sweeps accept.  Memory stays at one window, but
+# time grows slightly faster than the range (see README).
+SWEEP_MAX = 10**9
 
 _LN2 = math.log(2)
 
@@ -108,6 +120,18 @@ def _require_n(n: int, least: int):
         raise ValueError(f"n must be >= {least}, got {n}")
 
 
+def _require_sweep(lo: int, hi: int, least: int):
+    _require_n(lo, least)
+    if hi < lo:
+        raise ValueError(f"empty range [{lo}, {hi}]")
+    if hi > SWEEP_MAX:
+        raise ValueError(f"sweeps end at most at {SWEEP_MAX}, got {hi}")
+
+
+def _arguments(lo: int, hi: int) -> np.ndarray:
+    return np.arange(lo, hi + 1, dtype=np.float64)
+
+
 def nicolas_bound(n: int, c: Fraction | float = NICOLAS_C) -> float:
     """Upper bound for d(n), valid for n >= 3."""
     _require_n(n, 3)
@@ -162,6 +186,23 @@ def _upper_sweep(
     return reports
 
 
+def _windowed_upper_sweep(
+    lo: int,
+    hi: int,
+    sieved: str,
+    bound_values,
+    c: float,
+    quantity: str,
+    constants: dict,
+) -> list[BoundReport]:
+    reports = []
+    for wlo, whi in _window_ranges(lo, hi, SWEEP_WINDOW):
+        values = divisor_window(wlo, whi, sieved).astype(np.float64)
+        bounds = bound_values(_arguments(wlo, whi), c)
+        reports += _upper_sweep(wlo, values, bounds, quantity, constants)
+    return reports
+
+
 def verify_divisor_bound(
     lo: int = 3, hi: int = 10**6, c: Fraction | float = NICOLAS_C
 ) -> list[BoundReport]:
@@ -170,14 +211,11 @@ def verify_divisor_bound(
     Returns only the arguments that violate the bound or land inside the
     slack band; an empty list means the bound held everywhere.
     """
-    _require_n(lo, 3)
-    if hi < lo:
-        raise ValueError(f"empty range [{lo}, {hi}]")
-    d, _ = divisor_sieve(hi)
-    ns = np.arange(lo, hi + 1, dtype=np.float64)
-    bounds = _nicolas_values(ns, float(c))
+    _require_sweep(lo, hi, 3)
     constants = dict(_default_constants(), nicolas_c=Fraction(c))
-    return _upper_sweep(lo, d[lo:].astype(np.float64), bounds, "divisor_count", constants)
+    return _windowed_upper_sweep(
+        lo, hi, "d", _nicolas_values, float(c), "divisor_count", constants
+    )
 
 
 def verify_sigma_bound(
@@ -188,14 +226,11 @@ def verify_sigma_bound(
     With the default constant the sweep to 1e6 reports exactly one
     violation, at n = 12; with ROBIN_C_ALTERNATE it reports none.
     """
-    _require_n(lo, 3)
-    if hi < lo:
-        raise ValueError(f"empty range [{lo}, {hi}]")
-    _, sigma = divisor_sieve(hi)
-    ns = np.arange(lo, hi + 1, dtype=np.float64)
-    bounds = _robin_values(ns, float(c))
+    _require_sweep(lo, hi, 3)
     constants = dict(_default_constants(), robin_c=Fraction(c))
-    return _upper_sweep(lo, sigma[lo:].astype(np.float64), bounds, "divisor_sum", constants)
+    return _windowed_upper_sweep(
+        lo, hi, "sigma", _robin_values, float(c), "divisor_sum", constants
+    )
 
 
 def verify_integral_bracket(
@@ -277,12 +312,17 @@ def nicolas_monotonicity_check(lo: int = 114, hi: int = 10**6) -> bool:
     """True iff nicolas_bound(n+1) > nicolas_bound(n) for every integer
     n in [lo, hi).  The bound is increasing from n = 114 on, so lo must
     be at least 114."""
-    _require_n(lo, 114)
-    if hi <= lo:
+    _require_sweep(lo, hi, 114)
+    if hi == lo:
         raise ValueError(f"empty range [{lo}, {hi})")
-    ns = np.arange(lo, hi + 1, dtype=np.float64)
-    vals = _nicolas_values(ns, float(NICOLAS_C))
-    return bool(np.all(np.diff(vals) > 0.0))
+    last = -math.inf
+    for wlo, whi in _window_ranges(lo, hi, SWEEP_WINDOW):
+        vals = _nicolas_values(_arguments(wlo, whi), float(NICOLAS_C))
+        # the first value is compared with the previous window's last
+        if not (vals[0] > last and np.all(np.diff(vals) > 0.0)):
+            return False
+        last = vals[-1]
+    return True
 
 
 def nicolas_floor_check(lo: int = 3, hi: int = 10**6, floor: float = 114.1) -> bool:
@@ -290,12 +330,11 @@ def nicolas_floor_check(lo: int = 3, hi: int = 10**6, floor: float = 114.1) -> b
 
     The bound reaches its minimum near n = 114 yet stays above 114.1.
     """
-    _require_n(lo, 3)
-    if hi < lo:
-        raise ValueError(f"empty range [{lo}, {hi}]")
-    ns = np.arange(lo, hi + 1, dtype=np.float64)
-    vals = _nicolas_values(ns, float(NICOLAS_C))
-    return bool(np.all(vals > floor))
+    _require_sweep(lo, hi, 3)
+    return all(
+        np.all(_nicolas_values(_arguments(wlo, whi), float(NICOLAS_C)) > floor)
+        for wlo, whi in _window_ranges(lo, hi, SWEEP_WINDOW)
+    )
 
 
 def reference_densities(n: int) -> dict:

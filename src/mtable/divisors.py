@@ -1,10 +1,11 @@
 """Exact divisor arithmetic.
 
 Single-value routines enumerate divisors by trial division up to sqrt(k);
-ranged routines sieve d(m) and sigma(m) for every m up to a limit in one
-pass.  The incomplete divisor count d(k; x) restricts to divisors <= x,
-and its integral over [1, k] has the closed form k*d(k) - sigma(k), which
-this module can cross-check against the raw step-function sum.
+the ranged routine sieves d(m) or sigma(m) for every m in a window
+[lo, hi] in one pass, so long ranges are swept window by window.  The
+incomplete divisor count d(k; x) restricts to divisors <= x, and its
+integral over [1, k] has the closed form k*d(k) - sigma(k), which this
+module can cross-check against the raw step-function sum.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Literal
 
 import numpy as np
 
@@ -22,6 +24,7 @@ __all__ = [
     "divisor_sum",
     "incomplete_divisor_count",
     "divisor_sieve",
+    "divisor_window",
     "incomplete_divisor_integral",
 ]
 
@@ -104,27 +107,54 @@ def incomplete_divisor_count(k: int, x: float) -> int:
     return sum(1 for m in _divisor_tuple(k) if m <= x)
 
 
+def divisor_window(
+    lo: int, hi: int, quantity: Literal["d", "sigma"] = "d"
+) -> np.ndarray:
+    """d(m) (int32) or sigma(m) (int64) for every m in [lo, hi]; index j
+    holds m = lo + j, and m = 0, when the window holds it, reads 0.
+
+    One pass over divisor pairs (i, m/i) with i <= sqrt(m): each
+    i <= sqrt(hi) strides its multiples m >= max(lo, i*(i+1)), adding the
+    pair once, and adds itself once at m = i*i.  Memory is the one output
+    array whatever lo is, so ranges of any length can be swept window by
+    window.
+    """
+    if not 0 <= lo <= hi:
+        raise ValueError(f"window [{lo}, {hi}] must satisfy 0 <= lo <= hi")
+    if quantity not in ("d", "sigma"):
+        raise ValueError(f"quantity must be 'd' or 'sigma', got {quantity!r}")
+    sums = quantity == "sigma"
+    out = np.zeros(hi - lo + 1, dtype=np.int64 if sums else np.int32)
+    for i in range(1, math.isqrt(hi) + 1):
+        # perfect square: i pairs with itself, counted once
+        if i * i >= lo:
+            out[i * i - lo] += i if sums else 1
+        # first multiple of i in the window above i*i
+        start = max(i * (i + 1), -(-lo // i) * i)
+        if start > hi:
+            continue
+        if sums:
+            # i + m/i for the multiples m = start, start + i, ..., <= hi
+            out[start - lo :: i] += np.arange(
+                start // i + i, hi // i + i + 1, dtype=np.int64
+            )
+        else:
+            out[start - lo :: i] += 2
+    return out
+
+
 @lru_cache(maxsize=4)
 def divisor_sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """(d, sigma) arrays for every m in [1, limit], index 0 unused.
 
-    One pass over divisor pairs (i, m/i) with i <= sqrt(m), so each i
-    strides only from i*i upward.  Arrays are returned read-only because
-    they are cached and shared between callers.
+    divisor_window over [0, limit], once per quantity.  Arrays are
+    returned read-only because they are cached and shared between
+    callers.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    d = np.zeros(limit + 1, dtype=np.int64)
-    sigma = np.zeros(limit + 1, dtype=np.int64)
-    for i in range(1, math.isqrt(limit) + 1):
-        # perfect square: i pairs with itself, counted once
-        d[i * i] += 1
-        sigma[i * i] += i
-        start = i * (i + 1)
-        if start <= limit:
-            d[start :: i] += 2
-            cof = np.arange(i + 1, limit // i + 1, dtype=np.int64)
-            sigma[start :: i] += i + cof
+    d = divisor_window(0, limit, "d")
+    sigma = divisor_window(0, limit, "sigma")
     d.setflags(write=False)
     sigma.setflags(write=False)
     return d, sigma

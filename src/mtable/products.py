@@ -106,9 +106,10 @@ def count_distinct_dense(n: int) -> int:
     return int(np.count_nonzero(seen))
 
 
-def _window_ranges(n: int, width: int) -> list[tuple[int, int]]:
-    top = n * n
-    return [(lo, min(lo + width - 1, top)) for lo in range(1, top + 1, width)]
+def _window_ranges(lo: int, hi: int, width: int) -> list[tuple[int, int]]:
+    """Consecutive windows of width values covering [lo, hi]; the last
+    one may be shorter."""
+    return [(start, min(start + width - 1, hi)) for start in range(lo, hi + 1, width)]
 
 
 def _count_window(args: tuple[int, int, int]) -> int:
@@ -143,7 +144,7 @@ def count_distinct_segmented(
         raise ValueError(
             f"segment_bits must be >= {SEGMENT_BITS_MIN}, got {segment_bits}"
         )
-    jobs = [(n, lo, hi) for lo, hi in _window_ranges(n, segment_bits)]
+    jobs = [(n, lo, hi) for lo, hi in _window_ranges(1, n * n, segment_bits)]
     if parallel and len(jobs) > 1:
         workers = min(len(jobs), os.cpu_count() or 1, _MAX_WORKERS)
         with Pool(processes=workers) as pool:

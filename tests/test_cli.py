@@ -6,6 +6,7 @@ import re
 import pytest
 
 from mtable import cli
+from mtable.bounds import SWEEP_MAX
 from mtable.products import count_distinct_dense
 
 
@@ -133,6 +134,17 @@ def test_verify_divisor_bound_clean(capsys):
     )
     assert code == 0
     assert json.loads(out)["violated_count"] == 0
+
+
+def test_verify_sweeps_reject_max_above_cap(capsys):
+    # rejected before any window is sieved, so this returns at once
+    for suite in ("divisor-bound", "sigma-bound", "monotonicity"):
+        code, out, err = run(
+            capsys, "verify", "--suite", suite, "--max", str(SWEEP_MAX + 1)
+        )
+        assert code == 2, suite
+        assert out == ""
+        assert str(SWEEP_MAX) in err
 
 
 def test_verify_identities(capsys):

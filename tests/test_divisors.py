@@ -1,5 +1,7 @@
 """Divisor arithmetic against brute-force oracles."""
 
+import math
+
 import pytest
 
 from mtable.divisors import (
@@ -8,6 +10,7 @@ from mtable.divisors import (
     divisor_list,
     divisor_sieve,
     divisor_sum,
+    divisor_window,
     incomplete_divisor_count,
     incomplete_divisor_integral,
 )
@@ -107,6 +110,32 @@ def test_sieve_arrays_read_only():
 def test_sieve_rejects_bad_limit():
     with pytest.raises(ValueError):
         divisor_sieve(0)
+
+
+def test_window_kernel_matches_scalar_routines():
+    # windows starting at 0, at 1, at a square (31^2, where i = 31 adds
+    # itself once), at 31*32 (where i = 31 starts striding) and at an
+    # arbitrary value; each ends one past lo and at a perfect square
+    for lo in (0, 1, 961, 992, 12345):
+        square = (math.isqrt(lo) + 20) ** 2
+        for hi in (lo, lo + 1, square):
+            d = divisor_window(lo, hi)
+            sigma = divisor_window(lo, hi, "sigma")
+            assert d.dtype == "int32" and sigma.dtype == "int64"
+            assert len(d) == len(sigma) == hi - lo + 1
+            for m in range(max(lo, 1), hi + 1):
+                assert d[m - lo] == divisor_count(m), (lo, hi, m)
+                assert sigma[m - lo] == divisor_sum(m), (lo, hi, m)
+            if lo == 0:
+                assert d[0] == sigma[0] == 0
+
+
+def test_window_kernel_rejects_bad_windows():
+    for lo, hi in ((-1, 5), (10, 9)):
+        with pytest.raises(ValueError):
+            divisor_window(lo, hi)
+    with pytest.raises(ValueError):
+        divisor_window(1, 10, "phi")
 
 
 def test_integral_closed_form():

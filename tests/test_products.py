@@ -43,7 +43,7 @@ def test_dense_rejects_out_of_range():
 
 def test_window_ranges_partition():
     for n in (10, 300, 2000):
-        ranges = _window_ranges(n, SEGMENT_BITS_MIN)
+        ranges = _window_ranges(1, n * n, SEGMENT_BITS_MIN)
         assert ranges[0][0] == 1
         assert ranges[-1][1] == n * n
         for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
