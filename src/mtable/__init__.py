@@ -30,6 +30,7 @@ from .products import (
     census,
     count_distinct_dense,
     count_distinct_segmented,
+    distinct_count_prefix,
 )
 from .bounds import (
     BoundReport,
@@ -40,13 +41,16 @@ from .bounds import (
     nicolas_bound,
     nicolas_floor_check,
     nicolas_monotonicity_check,
+    nicolas_shape_check,
     reference_densities,
     robin_bound,
+    verify_bracket_sweep,
     verify_divisor_bound,
     verify_integral_bracket,
     verify_mean_bound,
     verify_sigma_bound,
     verify_theorem_lower_bound,
+    verify_theorem_sweep,
 )
 from .series import (
     SeriesComparison,
@@ -77,6 +81,7 @@ __all__ = [
     "census",
     "count_distinct_dense",
     "count_distinct_segmented",
+    "distinct_count_prefix",
     "BoundReport",
     "EULER_GAMMA",
     "NICOLAS_C",
@@ -85,13 +90,16 @@ __all__ = [
     "nicolas_bound",
     "nicolas_floor_check",
     "nicolas_monotonicity_check",
+    "nicolas_shape_check",
     "reference_densities",
     "robin_bound",
+    "verify_bracket_sweep",
     "verify_divisor_bound",
     "verify_integral_bracket",
     "verify_mean_bound",
     "verify_sigma_bound",
     "verify_theorem_lower_bound",
+    "verify_theorem_sweep",
     "SeriesComparison",
     "verify_square_identity",
     "zeta_partial",

@@ -13,6 +13,10 @@ relative slack of 1e-12; anything inside the band is flagged borderline
 instead, so float rounding can never manufacture or hide a violation.
 The sweeps sieve, evaluate and classify one window of SWEEP_WINDOW
 arguments at a time, so their peak memory does not depend on the range.
+The bracket sweep screens each window with vectorised bounds and hands
+every argument near a bracket edge to the scalar check, so its reports
+are exactly those of the scalar check run at every argument; the theorem
+sweep takes every M(n) from one prefix count.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .divisors import divisor_window, incomplete_divisor_integral
-from .products import _window_ranges
+from .products import _window_ranges, distinct_count_prefix
 
 __all__ = [
     "BoundReport",
@@ -33,10 +37,13 @@ __all__ = [
     "verify_divisor_bound",
     "verify_sigma_bound",
     "verify_integral_bracket",
+    "verify_bracket_sweep",
     "verify_theorem_lower_bound",
     "verify_mean_bound",
+    "verify_theorem_sweep",
     "nicolas_monotonicity_check",
     "nicolas_floor_check",
+    "nicolas_shape_check",
     "reference_densities",
 ]
 
@@ -56,6 +63,15 @@ RELATIVE_SLACK = 1e-12
 # 2**20 on sweeps to 1e7 and 1e8: narrower windows repeat the sieve's
 # loop over i <= sqrt(hi) more often, wider ones fall out of cache.
 SWEEP_WINDOW = 1 << 19
+
+# Relative band in which the bracket sweep re-decides a vectorised margin
+# with the scalar verify_integral_bracket.  numpy's and math's log and
+# exp differ in the last bits (the two forms of the bounds differed by
+# at most 2.7e-15 relative on [3, 1e5] and 4.5e-15 on 2e5 random
+# arguments below 1e9), so a margin from the vectorised bounds can differ
+# from the scalar one by a few ulps of the terms it is built from; a band
+# of 1e-9 of those terms covers that many times over.
+BRACKET_SCREEN = 1e-9
 
 # Largest upper end the sweeps accept.  Memory stays at one window, but
 # time grows slightly faster than the range (see README).
@@ -260,6 +276,47 @@ def verify_integral_bracket(
     )
 
 
+def verify_bracket_sweep(
+    lo: int = 3,
+    hi: int = 10**4,
+    robin_c: Fraction | float = ROBIN_C,
+    nicolas_c: Fraction | float = NICOLAS_C,
+) -> list[BoundReport]:
+    """The violated or borderline reports of verify_integral_bracket over
+    every k in [lo, hi]; an empty range gives an empty list.
+
+    Each window of SWEEP_WINDOW arguments is sieved for d and sigma, so
+    k*d(k) - sigma(k) is exact (int64), and its margins are computed from
+    the vectorised bounds.  Every k whose margin lies within the slack
+    plus BRACKET_SCREEN of the bounds' terms is re-decided by
+    verify_integral_bracket itself, so reports, margins and verdicts are
+    those of the scalar check.
+    """
+    _require_n(lo, 3)
+    if hi < lo:
+        return []
+    _require_sweep(lo, hi, 3)
+    reports = []
+    for wlo, whi in _window_ranges(lo, hi, SWEEP_WINDOW):
+        ks = np.arange(wlo, whi + 1, dtype=np.int64)
+        middle = (
+            ks * divisor_window(wlo, whi, "d") - divisor_window(wlo, whi, "sigma")
+        ).astype(np.float64)
+        kf = ks.astype(np.float64)
+        robin = _robin_values(kf, float(robin_c))
+        nicolas = kf * _nicolas_values(kf, float(nicolas_c))
+        # the scalar check's operations, in its order
+        margins = np.minimum(middle - (2.0 * kf - robin), (nicolas - kf - 1.0) - middle)
+        band = RELATIVE_SLACK * np.maximum(np.abs(middle), 1.0) + BRACKET_SCREEN * (
+            np.abs(robin) + np.abs(nicolas) + kf
+        )
+        for idx in np.nonzero(margins <= band)[0]:
+            r = verify_integral_bracket(wlo + int(idx), robin_c, nicolas_c)
+            if r.violated or r.borderline:
+                reports.append(r)
+    return reports
+
+
 def verify_theorem_lower_bound(n: int, m: int) -> BoundReport:
     """Check M(n) >= n^2 / nicolas_bound(n^2), for n >= 2.
 
@@ -308,21 +365,58 @@ def verify_mean_bound(n: int, m: int) -> BoundReport:
     )
 
 
+def verify_theorem_sweep(hi: int = 500) -> list[BoundReport]:
+    """The violated or borderline reports of verify_theorem_lower_bound
+    and verify_mean_bound over every n in [2, hi]; hi < 2 gives an empty
+    list.
+
+    Every M(n) comes from one distinct_count_prefix pass, so hi may be
+    at most products.PREFIX_N_MAX.
+    """
+    if hi < 2:
+        return []
+    counts = distinct_count_prefix(hi)
+    reports = []
+    for n in range(2, hi + 1):
+        m = int(counts[n])
+        for check in (verify_theorem_lower_bound, verify_mean_bound):
+            r = check(n, m)
+            if r.violated or r.borderline:
+                reports.append(r)
+    return reports
+
+
+def _nicolas_shape(
+    lo: int, hi: int, rising_from: int, floor: float
+) -> tuple[bool, bool]:
+    # (bound strictly increasing on [rising_from, hi], bound > floor on
+    # [lo, hi]), evaluating each window of [lo, hi] once
+    increasing = above = True
+    last = -math.inf
+    for wlo, whi in _window_ranges(lo, hi, SWEEP_WINDOW):
+        vals = _nicolas_values(_arguments(wlo, whi), float(NICOLAS_C))
+        above = above and bool(np.all(vals > floor))
+        if increasing and whi >= rising_from:
+            rising = vals[max(rising_from - wlo, 0) :]
+            # the first value is compared with the previous window's last
+            increasing = bool(rising[0] > last and np.all(np.diff(rising) > 0.0))
+            last = rising[-1]
+    return increasing, above
+
+
+def _require_rising(lo: int, hi: int):
+    _require_sweep(lo, hi, 114)
+    if hi == lo:
+        raise ValueError(f"empty range [{lo}, {hi})")
+
+
 def nicolas_monotonicity_check(lo: int = 114, hi: int = 10**6) -> bool:
     """True iff nicolas_bound(n+1) > nicolas_bound(n) for every integer
     n in [lo, hi).  The bound is increasing from n = 114 on, so lo must
     be at least 114."""
-    _require_sweep(lo, hi, 114)
-    if hi == lo:
-        raise ValueError(f"empty range [{lo}, {hi})")
-    last = -math.inf
-    for wlo, whi in _window_ranges(lo, hi, SWEEP_WINDOW):
-        vals = _nicolas_values(_arguments(wlo, whi), float(NICOLAS_C))
-        # the first value is compared with the previous window's last
-        if not (vals[0] > last and np.all(np.diff(vals) > 0.0)):
-            return False
-        last = vals[-1]
-    return True
+    _require_rising(lo, hi)
+    # no floor: every value is above -inf
+    return _nicolas_shape(lo, hi, lo, -math.inf)[0]
 
 
 def nicolas_floor_check(lo: int = 3, hi: int = 10**6, floor: float = 114.1) -> bool:
@@ -331,10 +425,15 @@ def nicolas_floor_check(lo: int = 3, hi: int = 10**6, floor: float = 114.1) -> b
     The bound reaches its minimum near n = 114 yet stays above 114.1.
     """
     _require_sweep(lo, hi, 3)
-    return all(
-        np.all(_nicolas_values(_arguments(wlo, whi), float(NICOLAS_C)) > floor)
-        for wlo, whi in _window_ranges(lo, hi, SWEEP_WINDOW)
-    )
+    # no rising range: it would start past hi
+    return _nicolas_shape(lo, hi, hi + 1, floor)[1]
+
+
+def nicolas_shape_check(hi: int = 10**6, floor: float = 114.1) -> tuple[bool, bool]:
+    """(nicolas_monotonicity_check(114, hi), nicolas_floor_check(3, hi,
+    floor)) from one evaluation of the bound over [3, hi]."""
+    _require_rising(114, hi)
+    return _nicolas_shape(3, hi, 114, floor)
 
 
 def reference_densities(n: int) -> dict:

@@ -166,13 +166,10 @@ def _print_census_text(points: list[products.TableCensus]):
 
 def _cmd_count(args, cfg: RunConfig) -> int:
     forced = args.parallel or args.segment_bits is not None
-    algorithm = (
-        "segmented" if forced or args.n > products.DENSE_AUTO_MAX else "dense"
-    )
     point = products.census(
         [args.n],
         None,
-        algorithm=algorithm,
+        algorithm="segmented" if forced else "auto",
         segment_bits=cfg.segment_bits,
         parallel=args.parallel,
     )[0]
@@ -396,20 +393,6 @@ def _identity_reports(n_max: int) -> list[bnd.BoundReport]:
     return reports
 
 
-def _theorem_reports(n_max: int) -> list[bnd.BoundReport]:
-    reports = []
-    for n in range(2, n_max + 1):
-        if n <= products.DENSE_AUTO_MAX:
-            m = products.count_distinct_dense(n)
-        else:
-            m = products.count_distinct_segmented(n)
-        for check in (bnd.verify_theorem_lower_bound, bnd.verify_mean_bound):
-            r = check(n, m)
-            if r.violated or r.borderline:
-                reports.append(r)
-    return reports
-
-
 def _cmd_verify(args, cfg: RunConfig) -> int:
     suite = args.suite
     hi = args.max if args.max is not None else _SUITE_DEFAULT_MAX[suite]
@@ -426,20 +409,12 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
         reports = bnd.verify_sigma_bound(3, hi, args.robin_c)
     elif suite == "theorem":
         header.update(lo=2, hi=hi)
-        reports = _theorem_reports(hi)
+        reports = bnd.verify_theorem_sweep(hi)
     elif suite == "bracket":
         header.update(lo=3, hi=hi)
-        reports = [
-            r
-            for r in (
-                bnd.verify_integral_bracket(k, robin_c=args.robin_c)
-                for k in range(3, hi + 1)
-            )
-            if r.violated or r.borderline
-        ]
+        reports = bnd.verify_bracket_sweep(3, hi, args.robin_c)
     else:  # monotonicity
-        increasing = bnd.nicolas_monotonicity_check(114, hi)
-        above_floor = bnd.nicolas_floor_check(3, hi)
+        increasing, above_floor = bnd.nicolas_shape_check(hi)
         ok = increasing and above_floor
         if cfg.format == "json":
             print(_to_json(

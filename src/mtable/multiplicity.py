@@ -31,13 +31,6 @@ __all__ = [
 # Full-table arrays hold n*n + 1 int64 entries; 4096 keeps that under 135 MB.
 TABLE_N_MAX = 4096
 
-# table_sum_checks switches from per-k divisor enumeration to per-row
-# product enumeration above this n (the divisor route is O(n^2 sqrt(n))).
-_DIVISORWISE_MAX = 64
-
-# Row sums in the product-wise route stay within int64 for n up to 1e5.
-_SUM_CHECK_N_MAX = 100_000
-
 
 @dataclass(frozen=True)
 class MultiplicityRecord:
@@ -166,35 +159,14 @@ def table_multiplicities_formula(n: int) -> np.ndarray:
     return counts
 
 
-def table_sum_checks(
-    n: int, method: Literal["auto", "divisor", "product"] = "auto"
-) -> tuple[int, int]:
+def table_sum_checks(n: int) -> tuple[int, int]:
     """(sum of k * multiplicity, sum of multiplicities) over the n-table.
 
-    Both sums are accumulated exactly and should equal (n*(n+1)/2)^2 and
-    n^2 respectively; callers compare against those closed forms.  The
-    divisor route walks every k in [1, n*n], the product route walks
-    every row, and 'auto' picks by size.
+    Both sums are taken exactly over table_multiplicities(n) and should
+    equal (n*(n+1)/2)^2 and n^2 respectively; callers compare against
+    those closed forms.  n is limited to TABLE_N_MAX, where the weighted
+    sum is still far inside int64.
     """
-    if not 1 <= n <= _SUM_CHECK_N_MAX:
-        raise ValueError(f"n must be in [1, {_SUM_CHECK_N_MAX}], got {n}")
-    if method == "auto":
-        method = "divisor" if n <= _DIVISORWISE_MAX else "product"
-    if method == "divisor":
-        plain = 0
-        weighted = 0
-        for k in range(1, n * n + 1):
-            m = multiplicity_direct(n, k)
-            plain += m
-            weighted += k * m
-        return weighted, plain
-    if method == "product":
-        row = np.arange(1, n + 1, dtype=np.int64)
-        plain = 0
-        weighted = 0
-        for a in range(1, n + 1):
-            products = a * row
-            plain += products.size
-            weighted += int(products.sum())
-        return weighted, plain
-    raise ValueError(f"method must be 'auto', 'divisor' or 'product', got {method!r}")
+    counts = table_multiplicities(n)
+    ks = np.arange(counts.size, dtype=np.int64)
+    return int(np.dot(ks, counts)), int(counts.sum())

@@ -4,7 +4,9 @@ M(n) is the number of distinct values a*b with 1 <= a, b <= n.  The dense
 counter marks one bitmap of size n*n + 1; the segmented counter sweeps the
 product range in fixed-size windows so memory stays bounded, and its
 windows are independent, which makes the parallel variant a plain map over
-windows followed by an integer sum.  Either way the count is exact.
+windows followed by an integer sum.  Either way the count is exact.  The
+prefix counter gives M(1), ..., M(N) from one bitmap by counting, row by
+row, only the products that are new in that row.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "TableCensus",
     "count_distinct_dense",
     "count_distinct_segmented",
+    "distinct_count_prefix",
     "census",
     "load_cache",
     "save_cache",
@@ -38,6 +41,10 @@ DENSE_AUTO_MAX = 8192
 # value (numpy bool), not one bit, so the top of this range needs real
 # memory; an allocation failure redirects to the segmented variant.
 DENSE_N_MAX = 1 << 17
+
+# Largest N distinct_count_prefix accepts: its bitmap holds N*N + 1 bytes,
+# 64 MiB at N = 8192, where the whole prefix takes about half a second.
+PREFIX_N_MAX = 8192
 
 # Window length (number of product values per window) for the segmented
 # sweep, and the smallest length accepted.
@@ -104,6 +111,25 @@ def count_distinct_dense(n: int) -> int:
     for a in range(1, n + 1):
         seen[a * a : a * n + 1 : a] = True
     return int(np.count_nonzero(seen))
+
+
+def distinct_count_prefix(n_max: int) -> np.ndarray:
+    """M(n) for every n in [0, n_max] (int64, M(0) = 0), in one pass.
+
+    The n-table is the (n-1)-table plus the row n*1, ..., n*n, so M(n) is
+    M(n-1) plus the number of products in that row not seen before.  One
+    bitmap over [0, n_max^2] remembers every product seen so far; each
+    row costs one strided read and one strided write.
+    """
+    if not 1 <= n_max <= PREFIX_N_MAX:
+        raise ValueError(f"n_max must be in [1, {PREFIX_N_MAX}], got {n_max}")
+    seen = np.zeros(n_max * n_max + 1, dtype=bool)
+    counts = np.zeros(n_max + 1, dtype=np.int64)
+    for n in range(1, n_max + 1):
+        row = seen[n : n * n + 1 : n]
+        counts[n] = counts[n - 1] + row.size - np.count_nonzero(row)
+        row[:] = True
+    return counts
 
 
 def _window_ranges(lo: int, hi: int, width: int) -> list[tuple[int, int]]:

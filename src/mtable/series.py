@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .divisors import divisor_sieve
+from .divisors import divisor_window
 from .multiplicity import table_multiplicities
 
 __all__ = [
@@ -32,6 +32,12 @@ __all__ = [
 # Grid enumeration is O(n^2) terms; this cap keeps one identity check
 # near a second.
 IDENTITY_N_MAX = 2000
+
+# Largest truncation point zeta_square_truncation accepts.  It holds
+# several arrays of k_max values at once (d, its float64 copy, the
+# arguments and their power terms): at 1e7 the process peaked at about
+# 370 MB and the call took 0.7 s.
+TRUNCATION_K_MAX = 10**7
 
 _BLOCK = 1 << 20
 _ROW_BLOCK = 128
@@ -196,14 +202,14 @@ def zeta_square_truncation(s: float, k_max: int) -> dict:
 
     Returns {"partial", "reference", "gap"}; the gap shrinks as the
     truncation point grows.  Requires real s >= 1.5 (convergence slows
-    badly below that) and k_max >= 10.
+    badly below that) and 10 <= k_max <= TRUNCATION_K_MAX.
     """
     s = float(s)
     if s < 1.5:
         raise ValueError(f"s must be >= 1.5, got {s}")
-    if k_max < 10:
-        raise ValueError(f"k_max must be >= 10, got {k_max}")
-    d, _ = divisor_sieve(k_max)
+    if not 10 <= k_max <= TRUNCATION_K_MAX:
+        raise ValueError(f"k_max must be in [10, {TRUNCATION_K_MAX}], got {k_max}")
+    d = divisor_window(0, k_max, "d")
     ks = np.arange(1, k_max + 1, dtype=np.float64)
     partial = _compensated_sum(d[1:].astype(np.float64) * _power_terms(ks, complex(s)))
     reference = _zeta_reference(s) ** 2

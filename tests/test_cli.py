@@ -7,7 +7,7 @@ import pytest
 
 from mtable import cli
 from mtable.bounds import SWEEP_MAX
-from mtable.products import count_distinct_dense
+from mtable.products import PREFIX_N_MAX, count_distinct_dense
 
 
 def run(capsys, *argv):
@@ -145,6 +145,35 @@ def test_verify_sweeps_reject_max_above_cap(capsys):
         assert code == 2, suite
         assert out == ""
         assert str(SWEEP_MAX) in err
+
+
+def test_verify_theorem_and_bracket_reject_max_above_cap(capsys):
+    # rejected before M(n) is counted or a window is sieved
+    for suite, top in (("theorem", PREFIX_N_MAX), ("bracket", SWEEP_MAX)):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--max", str(top + 1))
+        assert code == 2, suite
+        assert out == ""
+        assert str(top) in err
+
+
+def test_verify_theorem_and_bracket_empty_range_clean(capsys):
+    for suite in ("theorem", "bracket"):
+        code, out, _ = run(
+            capsys, "verify", "--suite", suite, "--max", "1", "--format", "json"
+        )
+        assert code == 0, suite
+        assert json.loads(out)["violations"] == []
+
+
+def test_verify_bracket_flags_with_low_constant(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--suite", "bracket", "--max", "1000", "--robin-c", "-1",
+        "--format", "json",
+    )
+    assert code == 1
+    row = json.loads(out)
+    assert [v["argument"] for v in row["violations"]] == [3, 4, 5, 6, 7, 9, 11, 13, 17, 19]
+    assert row["violated_count"] == 10
 
 
 def test_verify_identities(capsys):

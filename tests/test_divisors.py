@@ -1,6 +1,7 @@
 """Divisor arithmetic against brute-force oracles."""
 
 import math
+import random
 
 import pytest
 
@@ -149,3 +150,30 @@ def test_integral_step_sum_sweep():
     # function and raises on any disagreement with k*d(k) - sigma(k)
     for k in range(1, 3001):
         incomplete_divisor_integral(k, verify=True)
+
+
+def trial_divisors(k):
+    # plain trial division up to sqrt(k)
+    small = [i for i in range(1, math.isqrt(k) + 1) if k % i == 0]
+    return small + [k // i for i in reversed(small) if i * i != k]
+
+
+def test_factorised_divisors_match_trial_division():
+    for k in range(1, 10**4 + 1):
+        assert divisor_list(k) == trial_divisors(k), k
+    rng = random.Random(20240611)
+    for k in [rng.randrange(1, 10**9) for _ in range(100)]:
+        assert divisor_list(k) == trial_divisors(k), k
+
+
+def test_factorised_divisors_large_k():
+    # 999983 is the largest prime below 1e6 and 999999999989 the largest
+    # below 1e12; prime powers have closed-form divisor lists
+    for k in (999983**2, 999999999989):
+        assert divisor_list(k) == trial_divisors(k), k
+    assert divisor_list(999983**2) == [1, 999983, 999983**2]
+    assert divisor_list(999999999989) == [1, 999999999989]
+    assert divisor_list(2**62) == [2**j for j in range(63)]
+    assert divisor_list(10**14) == sorted(
+        2**a * 5**b for a in range(15) for b in range(15)
+    )

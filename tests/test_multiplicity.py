@@ -19,6 +19,16 @@ from mtable.multiplicity import (
 )
 
 
+def divisor_route_sums(n):
+    # the sums by direct divisor enumeration at every k in [1, n*n]
+    weighted = plain = 0
+    for k in range(1, n * n + 1):
+        m = multiplicity_direct(n, k)
+        plain += m
+        weighted += k * m
+    return weighted, plain
+
+
 def brute_table(n):
     return Counter(a * b for a in range(1, n + 1) for b in range(1, n + 1))
 
@@ -121,14 +131,14 @@ def test_sum_checks_closed_forms():
 
 
 def test_sum_checks_routes_agree():
-    # 64/65 straddles the internal route switch
     for n in (1, 7, 64, 65, 200):
-        assert table_sum_checks(n, "divisor") == table_sum_checks(n, "product")
+        assert table_sum_checks(n) == divisor_route_sums(n)
 
 
-def test_sum_checks_rejects_bad_method():
-    with pytest.raises(ValueError):
-        table_sum_checks(10, "fast")
+def test_sum_checks_rejects_oversize():
+    for n in (0, TABLE_N_MAX + 1):
+        with pytest.raises(ValueError):
+            table_sum_checks(n)
 
 
 def test_record_compute():

@@ -1,10 +1,12 @@
 """Distinct-product counting: dense vs segmented routes, census, cache."""
 
 import pytest
+from test_acceptance import CENSUS_COUNTS
 
 from mtable.products import (
     DENSE_AUTO_MAX,
     DENSE_N_MAX,
+    PREFIX_N_MAX,
     SEGMENT_BITS_DEFAULT,
     SEGMENT_BITS_MIN,
     TableCensus,
@@ -13,6 +15,7 @@ from mtable.products import (
     census,
     count_distinct_dense,
     count_distinct_segmented,
+    distinct_count_prefix,
     load_cache,
     save_cache,
 )
@@ -161,3 +164,22 @@ def test_load_cache_rejects_malformed(tmp_path, body):
     path.write_text(body)
     with pytest.raises(_CacheError):
         load_cache(path)
+
+
+def test_prefix_matches_dense():
+    counts = distinct_count_prefix(300)
+    assert len(counts) == 301 and counts[0] == 0
+    for n in range(1, 301):
+        assert counts[n] == count_distinct_dense(n), n
+
+
+def test_prefix_matches_census_counts():
+    counts = distinct_count_prefix(max(CENSUS_COUNTS))
+    for n, m in CENSUS_COUNTS.items():
+        assert counts[n] == m, n
+
+
+def test_prefix_rejects_out_of_range():
+    for n_max in (0, PREFIX_N_MAX + 1):
+        with pytest.raises(ValueError):
+            distinct_count_prefix(n_max)

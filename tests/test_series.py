@@ -93,3 +93,8 @@ def test_zeta_reference_summed_path():
     assert series._zeta_reference(3.0) == pytest.approx(
         1.2020569031595943, rel=1e-12
     )
+
+
+def test_truncation_rejects_k_max_above_cap():
+    with pytest.raises(ValueError):
+        series.zeta_square_truncation(2, series.TRUNCATION_K_MAX + 1)
