@@ -7,28 +7,23 @@ sweeps for all of them.
 """
 
 from .divisors import (
-    DivisorProfile,
     divisor_count,
     divisor_list,
-    divisor_sieve,
     divisor_sum,
     incomplete_divisor_count,
     incomplete_divisor_integral,
 )
 from .multiplicity import (
-    MultiplicityRecord,
     boundary_indicator,
     multiplicity_direct,
     multiplicity_formula,
     table_multiplicities,
-    table_multiplicities_formula,
     table_sum_checks,
     universal_multiplicity,
 )
 from .products import (
     TableCensus,
     census,
-    count_distinct_dense,
     count_distinct_segmented,
     distinct_count_prefix,
 )
@@ -62,24 +57,19 @@ from .series import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DivisorProfile",
     "divisor_count",
     "divisor_list",
-    "divisor_sieve",
     "divisor_sum",
     "incomplete_divisor_count",
     "incomplete_divisor_integral",
-    "MultiplicityRecord",
     "boundary_indicator",
     "multiplicity_direct",
     "multiplicity_formula",
     "table_multiplicities",
-    "table_multiplicities_formula",
     "table_sum_checks",
     "universal_multiplicity",
     "TableCensus",
     "census",
-    "count_distinct_dense",
     "count_distinct_segmented",
     "distinct_count_prefix",
     "BoundReport",

@@ -37,10 +37,8 @@ _SUITE_DEFAULT_MAX = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str
     format: str
     segment_bits: int
-    parallel: bool
     cache_path: str | None
 
     def __post_init__(self):
@@ -125,7 +123,6 @@ def _census_rows(points: list[products.TableCensus]) -> list[dict]:
             "m": p.distinct_count,
             "density": p.density,
             "mean_multiplicity": p.mean_multiplicity,
-            "algorithm": p.algorithm,
             "elapsed": p.elapsed,
         }
         for p in points
@@ -144,7 +141,7 @@ def _print_census_csv(points: list[products.TableCensus]):
 def _print_census_text(points: list[products.TableCensus]):
     print(
         f"{'n':>8} {'m':>14} {'density':>14} {'mean_mult':>14} "
-        f"{'erdos_ref':>12} {'ford_ref':>12}  algorithm"
+        f"{'erdos_ref':>12} {'ford_ref':>12}  elapsed"
     )
     for p in points:
         if p.n >= 3:
@@ -156,7 +153,7 @@ def _print_census_text(points: list[products.TableCensus]):
         print(
             f"{p.n:>8} {p.distinct_count:>14} {_ffmt(p.density):>14} "
             f"{_ffmt(p.mean_multiplicity):>14} {erdos:>12} {ford:>12}  "
-            f"{p.algorithm} ({p.elapsed:.3f}s)"
+            f"{p.elapsed:.3f}s"
         )
     print(
         f"# reference curves use exponent {bnd.ERDOS_EXPONENT:.4f}; the "
@@ -165,13 +162,8 @@ def _print_census_text(points: list[products.TableCensus]):
 
 
 def _cmd_count(args, cfg: RunConfig) -> int:
-    forced = args.parallel or args.segment_bits is not None
     point = products.census(
-        [args.n],
-        None,
-        algorithm="segmented" if forced else "auto",
-        segment_bits=cfg.segment_bits,
-        parallel=args.parallel,
+        [args.n], None, segment_bits=cfg.segment_bits, parallel=args.parallel
     )[0]
     if cfg.format == "json":
         print(_to_json(_census_rows([point])[0]))
@@ -181,7 +173,7 @@ def _cmd_count(args, cfg: RunConfig) -> int:
         print(
             f"M({point.n}) = {point.distinct_count}  density {_ffmt(point.density)}  "
             f"mean multiplicity {_ffmt(point.mean_multiplicity)}  "
-            f"[{point.algorithm}, {point.elapsed:.3f}s]"
+            f"[{point.elapsed:.3f}s]"
         )
     return 0
 
@@ -190,13 +182,8 @@ def _cmd_census(args, cfg: RunConfig) -> int:
     n_values = [int(part) for part in args.n_list.split(",") if part.strip()]
     if not n_values:
         raise ValueError("--n-list must contain at least one integer")
-    forced = args.parallel or args.segment_bits is not None
     points = products.census(
-        n_values,
-        cfg.cache_path,
-        algorithm="segmented" if forced else "auto",
-        segment_bits=cfg.segment_bits,
-        parallel=args.parallel,
+        n_values, cfg.cache_path, segment_bits=cfg.segment_bits, parallel=args.parallel
     )
     if cfg.format == "json":
         print(_to_json({"rows": _census_rows(points)}))
@@ -356,6 +343,10 @@ def _cmd_series(args, cfg: RunConfig) -> int:
 
 
 def _identity_reports(n_max: int) -> list[bnd.BoundReport]:
+    # every n up to n_max is checked, so reject an oversize table before
+    # the smaller ones run
+    if n_max > series.IDENTITY_N_MAX:
+        raise ValueError(f"n must be in [1, {series.IDENTITY_N_MAX}], got {n_max}")
     reports = []
     for n in range(1, n_max + 1):
         weighted, plain = table_sum_checks(n)
@@ -535,12 +526,10 @@ def run(argv: list[str] | None = None) -> int:
     try:
         given_bits = getattr(args, "segment_bits", None)
         cfg = RunConfig(
-            command=args.command,
             format=args.format,
             segment_bits=(
                 given_bits if given_bits is not None else products.SEGMENT_BITS_DEFAULT
             ),
-            parallel=getattr(args, "parallel", False),
             cache_path=getattr(args, "cache", None),
         )
         return _HANDLERS[args.command](args, cfg)

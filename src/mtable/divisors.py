@@ -13,19 +13,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
 
 import numpy as np
 
 __all__ = [
-    "DivisorProfile",
     "divisor_list",
     "divisor_count",
     "divisor_sum",
     "incomplete_divisor_count",
-    "divisor_sieve",
     "divisor_window",
     "incomplete_divisor_integral",
 ]
@@ -38,39 +35,6 @@ __all__ = [
 # near 2**63 whose two largest prime factors are both near its square
 # root.
 MAX_K = 2**63 - 1
-
-
-@dataclass(frozen=True)
-class DivisorProfile:
-    """All divisors of one integer, with the count and sum precomputed.
-
-    Direct construction checks that the tuple is ascending, bracketed by
-    1 and k, made of actual divisors, and consistent with d and sigma;
-    completeness is not re-derived, so build through from_k unless the
-    full divisor tuple is already known.
-    """
-
-    k: int
-    divisors: tuple[int, ...]
-    d: int
-    sigma: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
-        if list(self.divisors) != sorted(set(self.divisors)):
-            raise ValueError("divisors must be strictly ascending")
-        if not self.divisors or self.divisors[0] != 1 or self.divisors[-1] != self.k:
-            raise ValueError("divisors must start at 1 and end at k")
-        if any(self.k % m for m in self.divisors):
-            raise ValueError("divisors must all divide k")
-        if self.d != len(self.divisors) or self.sigma != sum(self.divisors):
-            raise ValueError("d/sigma inconsistent with the divisor tuple")
-
-    @classmethod
-    def from_k(cls, k: int) -> "DivisorProfile":
-        divs = _divisor_tuple(k)
-        return cls(k=k, divisors=divs, d=len(divs), sigma=sum(divs))
 
 
 def _wheel():
@@ -175,23 +139,6 @@ def divisor_window(
         else:
             out[start - lo :: i] += 2
     return out
-
-
-@lru_cache(maxsize=4)
-def divisor_sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """(d, sigma) arrays for every m in [1, limit], index 0 unused.
-
-    divisor_window over [0, limit], once per quantity.  Arrays are
-    returned read-only because they are cached and shared between
-    callers.
-    """
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    d = divisor_window(0, limit, "d")
-    sigma = divisor_window(0, limit, "sigma")
-    d.setflags(write=False)
-    sigma.setflags(write=False)
-    return d, sigma
 
 
 def _step_sum(divisors: tuple[int, ...]) -> int:

@@ -10,44 +10,21 @@ that domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal
-
 import numpy as np
 
 from .divisors import _divisor_tuple, divisor_count, incomplete_divisor_count
 
 __all__ = [
-    "MultiplicityRecord",
     "multiplicity_direct",
     "multiplicity_formula",
     "boundary_indicator",
     "universal_multiplicity",
     "table_multiplicities",
-    "table_multiplicities_formula",
     "table_sum_checks",
 ]
 
 # Full-table arrays hold n*n + 1 int64 entries; 4096 keeps that under 135 MB.
 TABLE_N_MAX = 4096
-
-
-@dataclass(frozen=True)
-class MultiplicityRecord:
-    n: int
-    k: int
-    count: int
-    method: Literal["direct", "formula"]
-
-    @classmethod
-    def compute(cls, n: int, k: int, method: str) -> "MultiplicityRecord":
-        if method == "direct":
-            count = multiplicity_direct(n, k)
-        elif method == "formula":
-            count = multiplicity_formula(n, k)
-        else:
-            raise ValueError(f"method must be 'direct' or 'formula', got {method!r}")
-        return cls(n=n, k=k, count=count, method=method)
 
 
 def _check_args(n: int, k: int):
@@ -68,20 +45,10 @@ def multiplicity_direct(n: int, k: int) -> int:
 
 
 def boundary_indicator(n: int, k: int) -> int:
-    """1 if n divides k, else 0.
-
-    Evaluated both as the floor difference floor(k/n) - floor((k-1)/n)
-    and as a direct divisibility test; the two must agree.
-    """
+    """1 if n divides k, else 0: the floor difference
+    floor(k/n) - floor((k-1)/n)."""
     _check_args(n, k)
-    by_floor = k // n - (k - 1) // n
-    by_division = 1 if k % n == 0 else 0
-    if by_floor != by_division:
-        raise RuntimeError(
-            f"floor-difference {by_floor} disagrees with divisibility "
-            f"{by_division} at n={n}, k={k}"
-        )
-    return by_floor
+    return k // n - (k - 1) // n
 
 
 def multiplicity_formula(n: int, k: int) -> int:
@@ -138,24 +105,6 @@ def table_multiplicities(n: int) -> np.ndarray:
     counts = np.zeros(n * n + 1, dtype=np.int64)
     for a in range(1, n + 1):
         counts[a : a * n + 1 : a] += 1
-    return counts
-
-
-def table_multiplicities_formula(n: int) -> np.ndarray:
-    """Same table as table_multiplicities, via the closed form.
-
-    For each a <= n: +1 at every multiple of a (the d(k; n) term), -1 at
-    multiples of a that are >= a*n (the d(k; k/n) term, using the exact
-    a*n <= k test), and +1 at multiples of n (the boundary indicator).
-    All three passes are integer strided writes, so the result is exact.
-    """
-    _check_table_n(n)
-    top = n * n
-    counts = np.zeros(top + 1, dtype=np.int64)
-    for a in range(1, n + 1):
-        counts[a :: a] += 1
-        counts[a * n :: a] -= 1
-    counts[n :: n] += 1
     return counts
 
 

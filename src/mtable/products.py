@@ -1,12 +1,11 @@
 """Counting distinct products in an n-by-n multiplication table.
 
-M(n) is the number of distinct values a*b with 1 <= a, b <= n.  The dense
-counter marks one bitmap of size n*n + 1; the segmented counter sweeps the
-product range in fixed-size windows so memory stays bounded, and its
-windows are independent, which makes the parallel variant a plain map over
-windows followed by an integer sum.  Either way the count is exact.  The
-prefix counter gives M(1), ..., M(N) from one bitmap by counting, row by
-row, only the products that are new in that row.
+M(n) is the number of distinct values a*b with 1 <= a, b <= n.  The
+segmented counter sweeps the product range in fixed-size windows so
+memory stays bounded, and its windows are independent, which makes the
+parallel variant a plain map over windows followed by an integer sum; the
+count is exact.  The prefix counter gives M(1), ..., M(N) from one bitmap
+by counting, row by row, only the products that are new in that row.
 """
 
 from __future__ import annotations
@@ -15,32 +14,23 @@ import csv
 import math
 import os
 import time
+import uuid
 import warnings
 from dataclasses import dataclass
 from multiprocessing import Pool
 from pathlib import Path
-from typing import Iterable, Literal
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "TableCensus",
-    "count_distinct_dense",
     "count_distinct_segmented",
     "distinct_count_prefix",
     "census",
     "load_cache",
     "save_cache",
 ]
-
-# Census and the CLI pick the dense bitmap up to here and switch to the
-# segmented sweep above.
-DENSE_AUTO_MAX = 8192
-
-# Policy guard for the dense route.  The mark array uses one byte per
-# value (numpy bool), not one bit, so the top of this range needs real
-# memory; an allocation failure redirects to the segmented variant.
-DENSE_N_MAX = 1 << 17
 
 # Largest N distinct_count_prefix accepts: its bitmap holds N*N + 1 bytes,
 # 64 MiB at N = 8192, where the whole prefix takes about half a second.
@@ -62,7 +52,6 @@ class TableCensus:
     distinct_count: int
     density: float
     mean_multiplicity: float
-    algorithm: Literal["dense", "segmented"]
     elapsed: float
 
     def __post_init__(self):
@@ -74,43 +63,15 @@ class TableCensus:
             )
 
     @classmethod
-    def from_count(
-        cls, n: int, m: int, algorithm: str, elapsed: float
-    ) -> "TableCensus":
+    def from_count(cls, n: int, m: int, elapsed: float) -> "TableCensus":
         square = n * n
         return cls(
             n=n,
             distinct_count=m,
             density=m / square,
             mean_multiplicity=square / m,
-            algorithm=algorithm,
             elapsed=elapsed,
         )
-
-
-def count_distinct_dense(n: int) -> int:
-    """M(n) by marking every product in one bitmap.
-
-    Only the upper triangle a <= b is visited: row a marks a*a, a*(a+1),
-    ..., a*n, one strided write per row.
-    """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    if n > DENSE_N_MAX:
-        raise ValueError(
-            f"n={n} exceeds the dense bitmap policy (n <= {DENSE_N_MAX}); "
-            f"use count_distinct_segmented"
-        )
-    try:
-        seen = np.zeros(n * n + 1, dtype=bool)
-    except MemoryError:
-        raise MemoryError(
-            f"cannot allocate the dense bitmap for n={n}; "
-            f"use count_distinct_segmented"
-        ) from None
-    for a in range(1, n + 1):
-        seen[a * a : a * n + 1 : a] = True
-    return int(np.count_nonzero(seen))
 
 
 def distinct_count_prefix(n_max: int) -> np.ndarray:
@@ -212,26 +173,39 @@ def load_cache(path: str | Path) -> dict[int, int]:
 
 
 def save_cache(path: str | Path, entries: dict[int, int]):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "m"])
-        for n in sorted(entries):
-            writer.writerow([n, entries[n]])
+    """Write entries as a census cache CSV, replacing path atomically.
+
+    The rows go to a temporary file in path's directory, which then
+    replaces path in one rename; a crash or a failed write leaves the
+    previous cache as it was, and a concurrent reader sees either the
+    old file or the new one, never a partial write.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["n", "m"])
+            for n in sorted(entries):
+                writer.writerow([n, entries[n]])
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def census(
     n_values: Iterable[int],
     cache_path: str | Path | None = None,
     *,
-    algorithm: Literal["auto", "dense", "segmented"] = "auto",
     segment_bits: int = SEGMENT_BITS_DEFAULT,
     parallel: bool = False,
 ) -> list[TableCensus]:
     """Census points for each n, using (and updating) an optional cache.
 
     The cache stores n,m pairs only; density and mean multiplicity are
-    always rederived, and the algorithm choice never changes a stored
-    value.  A cache that fails to parse is recomputed and overwritten.
+    always rederived, and the window length and pool never change a
+    stored value.  A cache that fails to parse is recomputed and
+    overwritten.
     """
     cached: dict[int, int] = {}
     if cache_path is not None and os.path.exists(cache_path):
@@ -245,20 +219,14 @@ def census(
             cached = {}
     out = []
     for n in n_values:
-        if algorithm == "auto":
-            chosen = "dense" if n <= DENSE_AUTO_MAX else "segmented"
-        else:
-            chosen = algorithm
         start = time.perf_counter()
         if n in cached:
             m = cached[n]
-        elif chosen == "dense":
-            m = count_distinct_dense(n)
         else:
             m = count_distinct_segmented(n, segment_bits, parallel)
         elapsed = time.perf_counter() - start
         cached[n] = m
-        out.append(TableCensus.from_count(n, m, chosen, elapsed))
+        out.append(TableCensus.from_count(n, m, elapsed))
     if cache_path is not None:
         save_cache(cache_path, cached)
     return out

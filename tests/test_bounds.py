@@ -4,10 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from oracles import count_distinct_dense
 
 from mtable import bounds
 from mtable.divisors import divisor_count
-from mtable.products import count_distinct_dense
 
 # frozen binary64 values of the exp-route evaluation
 NICOLAS_KNOWN = {

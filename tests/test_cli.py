@@ -2,12 +2,14 @@
 
 import json
 import re
+import time
 
 import pytest
+from oracles import count_distinct_dense
 
-from mtable import cli
+from mtable import cli, series
 from mtable.bounds import SWEEP_MAX
-from mtable.products import PREFIX_N_MAX, count_distinct_dense
+from mtable.products import PREFIX_N_MAX
 
 
 def run(capsys, *argv):
@@ -22,7 +24,6 @@ def test_count_json(capsys):
     row = json.loads(out)
     assert row["n"] == 100
     assert row["m"] == 2906
-    assert row["algorithm"] == "dense"
 
 
 def test_format_flag_position_invariant(capsys):
@@ -62,7 +63,6 @@ def test_count_forced_segmented(capsys):
     assert code == 0
     row = json.loads(out)
     assert row["m"] == count_distinct_dense(300)
-    assert row["algorithm"] == "segmented"
 
 
 def test_segment_bits_floor(capsys):
@@ -182,6 +182,19 @@ def test_verify_identities(capsys):
     )
     assert code == 0
     assert json.loads(out)["violations"] == []
+
+
+def test_verify_identities_rejects_n_above_cap(capsys):
+    # both spellings of the table size are rejected before the smaller
+    # tables are checked, so this returns at once
+    top = series.IDENTITY_N_MAX
+    for flag in ("--n", "--max"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--suite", "identities", flag, str(top + 1))
+        assert time.perf_counter() - start < 1.0, flag
+        assert code == 2, flag
+        assert out == ""
+        assert str(top) in err
 
 
 def test_verify_monotonicity(capsys):

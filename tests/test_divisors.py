@@ -6,10 +6,8 @@ import random
 import pytest
 
 from mtable.divisors import (
-    DivisorProfile,
     divisor_count,
     divisor_list,
-    divisor_sieve,
     divisor_sum,
     divisor_window,
     incomplete_divisor_count,
@@ -52,20 +50,6 @@ def test_rejects_nonpositive():
             divisor_list(bad)
 
 
-def test_profile_consistent():
-    p = DivisorProfile.from_k(60)
-    assert p.divisors == (1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60)
-    assert p.d == 12
-    assert p.sigma == 168
-
-
-def test_profile_rejects_non_divisors():
-    with pytest.raises(ValueError):
-        DivisorProfile(k=6, divisors=(1, 4, 6), d=3, sigma=11)
-    with pytest.raises(ValueError):
-        DivisorProfile(k=6, divisors=(1, 2, 3, 6), d=5, sigma=12)
-
-
 def test_incomplete_count_boundaries():
     assert incomplete_divisor_count(12, 0.5) == 0
     assert incomplete_divisor_count(12, 1) == 1
@@ -87,7 +71,7 @@ def test_incomplete_count_matches_brute_force():
 
 def test_sieve_matches_scalar_routines():
     limit = 5000
-    d, sigma = divisor_sieve(limit)
+    d, sigma = divisor_window(0, limit, "d"), divisor_window(0, limit, "sigma")
     assert d[0] == sigma[0] == 0
     for k in range(1, limit + 1):
         assert d[k] == divisor_count(k), k
@@ -95,22 +79,11 @@ def test_sieve_matches_scalar_routines():
 
 
 def test_sieve_large_spot_values():
-    d, sigma = divisor_sieve(10**6)
+    d, sigma = divisor_window(0, 10**6, "d"), divisor_window(0, 10**6, "sigma")
     # a prime, a highly composite number, and the top of the range
     assert d[999983] == 2 and sigma[999983] == 999984
     assert d[720720] == 240 and sigma[720720] == 3249792
     assert d[10**6] == 49 and sigma[10**6] == 2480437
-
-
-def test_sieve_arrays_read_only():
-    d, _ = divisor_sieve(100)
-    with pytest.raises(ValueError):
-        d[5] = 0
-
-
-def test_sieve_rejects_bad_limit():
-    with pytest.raises(ValueError):
-        divisor_sieve(0)
 
 
 def test_window_kernel_matches_scalar_routines():

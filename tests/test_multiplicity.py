@@ -4,16 +4,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from oracles import table_multiplicities_formula
 
 from mtable.divisors import divisor_count, divisor_list, incomplete_divisor_count
 from mtable.multiplicity import (
     TABLE_N_MAX,
-    MultiplicityRecord,
     boundary_indicator,
     multiplicity_direct,
     multiplicity_formula,
     table_multiplicities,
-    table_multiplicities_formula,
     table_sum_checks,
     universal_multiplicity,
 )
@@ -73,6 +72,13 @@ def test_boundary_indicator():
     assert boundary_indicator(5, 12) == 0
     assert boundary_indicator(1, 1) == 1
     assert boundary_indicator(7, 13) == 0
+
+
+def test_boundary_indicator_floor_form_matches_modulo():
+    # floor(k/n) - floor((k-1)/n) against the divisibility test k % n == 0
+    for n in range(1, 201):
+        for k in range(1, 201):
+            assert boundary_indicator(n, k) == (1 if k % n == 0 else 0), (n, k)
 
 
 def test_rejects_nonpositive_arguments():
@@ -139,11 +145,3 @@ def test_sum_checks_rejects_oversize():
     for n in (0, TABLE_N_MAX + 1):
         with pytest.raises(ValueError):
             table_sum_checks(n)
-
-
-def test_record_compute():
-    rec = MultiplicityRecord.compute(6, 12, "formula")
-    assert rec == MultiplicityRecord(n=6, k=12, count=4, method="formula")
-    assert MultiplicityRecord.compute(6, 12, "direct").count == 4
-    with pytest.raises(ValueError):
-        MultiplicityRecord.compute(6, 12, "guess")

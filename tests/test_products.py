@@ -1,11 +1,13 @@
-"""Distinct-product counting: dense vs segmented routes, census, cache."""
+"""Distinct-product counting: segmented route vs the dense oracle, census, cache."""
+
+import csv
 
 import pytest
+from oracles import count_distinct_dense
 from test_acceptance import CENSUS_COUNTS
 
+from mtable import products
 from mtable.products import (
-    DENSE_AUTO_MAX,
-    DENSE_N_MAX,
     PREFIX_N_MAX,
     SEGMENT_BITS_DEFAULT,
     SEGMENT_BITS_MIN,
@@ -13,7 +15,6 @@ from mtable.products import (
     _CacheError,
     _window_ranges,
     census,
-    count_distinct_dense,
     count_distinct_segmented,
     distinct_count_prefix,
     load_cache,
@@ -35,13 +36,6 @@ def test_dense_known_counts():
 def test_dense_matches_brute_force():
     for n in range(1, 101):
         assert count_distinct_dense(n) == brute_count(n), n
-
-
-def test_dense_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        count_distinct_dense(0)
-    with pytest.raises(ValueError):
-        count_distinct_dense(DENSE_N_MAX + 1)
 
 
 def test_window_ranges_partition():
@@ -79,7 +73,6 @@ def test_census_point_fields():
     assert point.distinct_count == 2906
     assert point.density == 2906 / 10000
     assert point.mean_multiplicity == 10000 / 2906
-    assert point.algorithm == "dense"
     assert point.elapsed >= 0.0
 
 
@@ -89,23 +82,16 @@ def test_census_trivial_table():
     assert point.density == 1.0
 
 
-def test_census_switches_to_segmented():
-    (point,) = census([DENSE_AUTO_MAX + 1])
-    assert point.algorithm == "segmented"
-    assert 2 * point.n - 1 <= point.distinct_count <= point.n * point.n
-
-
-def test_census_forced_segmented():
-    (point,) = census([100], algorithm="segmented")
-    assert point.algorithm == "segmented"
-    assert point.distinct_count == 2906
+def test_census_matches_dense_oracle():
+    for point in census([1, 2, 8192]):
+        assert point.distinct_count == count_distinct_dense(point.n), point.n
 
 
 def test_census_rejects_implausible_count():
     with pytest.raises(ValueError):
-        TableCensus.from_count(10, 9, "dense", 0.0)
+        TableCensus.from_count(10, 9, 0.0)
     with pytest.raises(ValueError):
-        TableCensus.from_count(10, 101, "dense", 0.0)
+        TableCensus.from_count(10, 101, 0.0)
 
 
 def test_cache_round_trip(tmp_path):
@@ -113,6 +99,30 @@ def test_cache_round_trip(tmp_path):
     save_cache(path, {100: 2906, 10: 42})
     assert path.read_text() == "n,m\n10,42\n100,2906\n"
     assert load_cache(path) == {10: 42, 100: 2906}
+
+
+def test_save_cache_failure_keeps_previous_file(tmp_path, monkeypatch):
+    # a write that fails after the header must leave the old cache
+    # intact and no temporary file beside it
+    path = tmp_path / "census.csv"
+    save_cache(path, {10: 42})
+    before = path.read_bytes()
+    real_writer = csv.writer
+
+    class FailingWriter:
+        def __init__(self, fh):
+            self.inner = real_writer(fh)
+
+        def writerow(self, row):
+            if row != ["n", "m"]:
+                raise OSError("disk full")
+            self.inner.writerow(row)
+
+    monkeypatch.setattr(products.csv, "writer", FailingWriter)
+    with pytest.raises(OSError, match="disk full"):
+        save_cache(path, {10: 42, 100: 2906})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["census.csv"]
 
 
 def test_census_extends_cache(tmp_path):

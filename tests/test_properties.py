@@ -4,10 +4,11 @@ import math
 
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from oracles import count_distinct_dense
 
 from mtable.divisors import divisor_count, divisor_sum, incomplete_divisor_count
 from mtable.multiplicity import multiplicity_direct, multiplicity_formula
-from mtable.products import count_distinct_dense, count_distinct_segmented
+from mtable.products import count_distinct_segmented
 from mtable.series import zeta_partial
 
 

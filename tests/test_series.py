@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from oracles import zeta_square_truncation_partial
 
 from mtable import series
 
@@ -72,6 +73,15 @@ def test_truncation_at_even_reference():
     out = series.zeta_square_truncation(2, 10**4)
     assert out["reference"] == (math.pi**2 / 6) ** 2
     assert out["gap"] == pytest.approx(0.0011362769787996996, rel=1e-10)
+
+
+@pytest.mark.parametrize("k_max", [10, 12345, 2**20, 2**20 + 1, 3 * 2**20 + 7, 10**7])
+def test_truncation_blocks_match_whole_array_sum(k_max):
+    # block by block gives math.fsum the same block partials as one
+    # pass over whole-length arrays, so the sums are bit-identical
+    for s in (1.5, 2, 3.7):
+        got = series.zeta_square_truncation(s, k_max)["partial"]
+        assert got == zeta_square_truncation_partial(s, k_max), (s, k_max)
 
 
 def test_truncation_validation():
