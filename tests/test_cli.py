@@ -240,3 +240,81 @@ def test_unknown_suite_is_usage_error(capsys):
 def test_missing_subcommand_is_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 2
+
+
+# Exact stdout and exit code of commands whose checks live in the library;
+# any change to a byte of these is a change of the command's output.
+GOLDEN = [
+    (
+        ("bounds", "--k", "12", "--format", "json"),
+        1,
+        '{"k": 12, "d": 6, "sigma": 28, "nicolas_bound": 370.5129025252, '
+        '"robin_bound": 27.9998200541, "divisor_margin": 364.5129025252, '
+        '"sigma_margin": -0.0001799459, "integral": 44, '
+        '"bracket_lower": -3.9998200541, "bracket_upper": 4433.1548303022, '
+        '"bracket_margin": 47.9998200541, "robin_c": "3241/5000", '
+        '"violations": [{"argument": 12, "quantity": "divisor_sum", "value": 28, '
+        '"bound": 27.9998200541, "margin": -0.0001799459, "violated": true, '
+        '"borderline": false}]}\n',
+    ),
+    (
+        ("bounds", "--k", "12"),
+        1,
+        "k = 12\n"
+        "d(k) = 6  nicolas bound = 370.5129025252  margin = 364.5129025252\n"
+        "sigma(k) = 28  robin bound = 27.9998200541  margin = -0.0001799459 "
+        "(c = 3241/5000)\n"
+        "k*d(k) - sigma(k) = 44 in (-3.9998200541, 4433.1548303022)  "
+        "margin = 47.9998200541\n"
+        "VIOLATION divisor_sum at n=12: value 28 vs bound 27.9998200541 "
+        "(margin -0.0001799459)\n",
+    ),
+    (
+        ("bounds", "--k", "12", "--robin-c", "6483/10000", "--format", "json"),
+        0,
+        '{"k": 12, "d": 6, "sigma": 28, "nicolas_bound": 370.5129025252, '
+        '"robin_bound": 28.0011383948, "divisor_margin": 364.5129025252, '
+        '"sigma_margin": 0.0011383948, "integral": 44, '
+        '"bracket_lower": -4.0011383948, "bracket_upper": 4433.1548303022, '
+        '"bracket_margin": 48.0011383948, "robin_c": "6483/10000", '
+        '"violations": []}\n',
+    ),
+    (
+        ("series", "--s", "2,3", "--n", "50", "--format", "json"),
+        0,
+        '{"s_re": 2.0000000000, "s_im": 3.0000000000, "n": 50, '
+        '"grid_re": 0.6155380005, "grid_im": -0.1759515890, '
+        '"zeta_squared_re": 0.6155380005, "zeta_squared_im": -0.1759515890, '
+        '"multiplicity_re": 0.6155380005, "multiplicity_im": -0.1759515890, '
+        '"max_abs_deviation": 0.0000000000, "tolerance": 0.0000000006, '
+        '"ok": true}\n',
+    ),
+    (
+        ("series", "--s", "0", "--n", "20"),
+        0,
+        "s = 0j, n = 20\n"
+        "grid sum            = (400+0j)\n"
+        "zeta partial squared = (400+0j)\n"
+        "multiplicity sum    = (400+0j)\n"
+        "max deviation 0.000e+00 (tolerance 0.000e+00) -> ok\n",
+    ),
+    (
+        ("verify", "--suite", "identities", "--n", "3", "--format", "json"),
+        0,
+        '{"suite": "identities", "max_n": 3, "violations": [], '
+        '"violated_count": 0, "borderline_count": 0}\n',
+    ),
+    (
+        ("verify", "--suite", "identities", "--n", "3"),
+        0,
+        "suite identities, max_n 3\n0 violation(s), 0 borderline\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, stdout", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN]
+)
+def test_golden_bytes(capsys, argv, exit_code, stdout):
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (exit_code, stdout)
