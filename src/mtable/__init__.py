@@ -33,12 +33,14 @@ from .bounds import (
     NICOLAS_C,
     ROBIN_C,
     ROBIN_C_ALTERNATE,
+    divisor_bound_at,
     nicolas_bound,
     nicolas_floor_check,
     nicolas_monotonicity_check,
     nicolas_shape_check,
     reference_densities,
     robin_bound,
+    sigma_bound_at,
     verify_bracket_sweep,
     verify_divisor_bound,
     verify_integral_bracket,
@@ -49,6 +51,7 @@ from .bounds import (
 )
 from .series import (
     SeriesComparison,
+    verify_identities_sweep,
     verify_square_identity,
     zeta_partial,
     zeta_square_truncation,
@@ -77,12 +80,14 @@ __all__ = [
     "NICOLAS_C",
     "ROBIN_C",
     "ROBIN_C_ALTERNATE",
+    "divisor_bound_at",
     "nicolas_bound",
     "nicolas_floor_check",
     "nicolas_monotonicity_check",
     "nicolas_shape_check",
     "reference_densities",
     "robin_bound",
+    "sigma_bound_at",
     "verify_bracket_sweep",
     "verify_divisor_bound",
     "verify_integral_bracket",
@@ -91,6 +96,7 @@ __all__ = [
     "verify_theorem_lower_bound",
     "verify_theorem_sweep",
     "SeriesComparison",
+    "verify_identities_sweep",
     "verify_square_identity",
     "zeta_partial",
     "zeta_square_truncation",

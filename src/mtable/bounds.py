@@ -7,7 +7,8 @@ Two classical effective bounds are implemented with fixed constants:
     robin_bound(n)   = e**gamma * n * ln ln n + c * n / ln ln n,
         c = 3241/5000, compared against sigma(n), n >= 3.
 
-Sweep verifiers report every argument whose value crosses its bound.  A
+Sweep verifiers report every argument whose value crosses its bound, and
+divisor_bound_at and sigma_bound_at make the same check at one argument.  A
 comparison only counts as a violation when it fails by more than a
 relative slack of 1e-12; anything inside the band is flagged borderline
 instead, so float rounding can never manufacture or hide a violation.
@@ -27,7 +28,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .divisors import divisor_window, incomplete_divisor_integral
+from .divisors import (
+    divisor_count, divisor_sum, divisor_window, incomplete_divisor_integral,
+)
 from .products import _window_ranges, distinct_count_prefix
 
 __all__ = [
@@ -36,6 +39,8 @@ __all__ = [
     "robin_bound",
     "verify_divisor_bound",
     "verify_sigma_bound",
+    "divisor_bound_at",
+    "sigma_bound_at",
     "verify_integral_bracket",
     "verify_bracket_sweep",
     "verify_theorem_lower_bound",
@@ -173,6 +178,23 @@ def _robin_values(ns: np.ndarray, c: float) -> np.ndarray:
     return math.exp(EULER_GAMMA) * ns * loglogs + c * ns / loglogs
 
 
+def _upper_report(
+    argument: int, quantity: str, value: int, bound: float, constants: dict
+) -> BoundReport:
+    margin = bound - value
+    violated, borderline = _classify_upper(margin, bound)
+    return BoundReport(
+        argument=argument,
+        quantity=quantity,
+        value=value,
+        bound=bound,
+        margin=margin,
+        violated=violated,
+        borderline=borderline,
+        constants_used=constants,
+    )
+
+
 def _upper_sweep(
     lo: int,
     values: np.ndarray,
@@ -182,24 +204,12 @@ def _upper_sweep(
 ) -> list[BoundReport]:
     margins = bounds - values
     slack = RELATIVE_SLACK * np.maximum(1.0, np.abs(bounds))
-    flagged = np.nonzero(margins <= slack)[0]
-    reports = []
-    for idx in flagged:
-        margin = float(margins[idx])
-        violated, borderline = _classify_upper(margin, float(bounds[idx]))
-        reports.append(
-            BoundReport(
-                argument=lo + int(idx),
-                quantity=quantity,
-                value=int(values[idx]),
-                bound=float(bounds[idx]),
-                margin=margin,
-                violated=violated,
-                borderline=borderline,
-                constants_used=constants,
-            )
+    return [
+        _upper_report(
+            lo + int(idx), quantity, int(values[idx]), float(bounds[idx]), constants
         )
-    return reports
+        for idx in np.nonzero(margins <= slack)[0]
+    ]
 
 
 def _windowed_upper_sweep(
@@ -247,6 +257,24 @@ def verify_sigma_bound(
     return _windowed_upper_sweep(
         lo, hi, "sigma", _robin_values, float(c), "divisor_sum", constants
     )
+
+
+def divisor_bound_at(k: int, c: Fraction | float = NICOLAS_C) -> BoundReport:
+    """The check of verify_divisor_bound at the one argument k >= 3,
+    returned whether or not it is flagged.  Its bound is nicolas_bound(k),
+    which can differ from the sweep's vectorised value in the last bits."""
+    constants = dict(_default_constants(), nicolas_c=Fraction(c))
+    return _upper_report(
+        k, "divisor_count", divisor_count(k), nicolas_bound(k, c), constants
+    )
+
+
+def sigma_bound_at(k: int, c: Fraction | float = ROBIN_C) -> BoundReport:
+    """The check of verify_sigma_bound at the one argument k >= 3,
+    returned whether or not it is flagged.  Its bound is robin_bound(k),
+    which can differ from the sweep's vectorised value in the last bits."""
+    constants = dict(_default_constants(), robin_c=Fraction(c))
+    return _upper_report(k, "divisor_sum", divisor_sum(k), robin_bound(k, c), constants)
 
 
 def verify_integral_bracket(
@@ -350,19 +378,7 @@ def verify_mean_bound(n: int, m: int) -> BoundReport:
     cap = nicolas_bound(n * n)
     if max(12.0, cap) != cap:
         raise RuntimeError(f"nicolas_bound({n * n}) = {cap} fell below 12")
-    value = n * n
-    bound = m * cap
-    margin = bound - value
-    violated, borderline = _classify_upper(margin, bound)
-    return BoundReport(
-        argument=n,
-        quantity="table_count",
-        value=value,
-        bound=bound,
-        margin=margin,
-        violated=violated,
-        borderline=borderline,
-    )
+    return _upper_report(n, "table_count", n * n, m * cap, _default_constants())
 
 
 def verify_theorem_sweep(hi: int = 500) -> list[BoundReport]:

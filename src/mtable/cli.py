@@ -16,15 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bounds as bnd
 from . import products, series
-from .divisors import divisor_count, divisor_sum
-from .multiplicity import multiplicity_direct, multiplicity_formula, table_sum_checks
+from .multiplicity import multiplicity_direct, multiplicity_formula
 
-_IDENTITY_EXPONENTS = (0, -1, 2, 3, 2 + 3j)
 _SUITE_DEFAULT_MAX = {
     "identities": 25,
     "divisor-bound": 10**6,
@@ -33,20 +30,6 @@ _SUITE_DEFAULT_MAX = {
     "bracket": 10**4,
     "monotonicity": 10**6,
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    format: str
-    segment_bits: int
-    cache_path: str | None
-
-    def __post_init__(self):
-        if self.segment_bits < products.SEGMENT_BITS_MIN:
-            raise ValueError(
-                f"--segment-bits must be >= {products.SEGMENT_BITS_MIN}, "
-                f"got {self.segment_bits}"
-            )
 
 
 def _ffmt(x: float) -> str:
@@ -98,10 +81,10 @@ def _report_line(r: bnd.BoundReport) -> str:
     )
 
 
-def _emit_reports(cfg: RunConfig, header: dict, reports: list[bnd.BoundReport]) -> int:
+def _emit_reports(fmt: str, header: dict, reports: list[bnd.BoundReport]) -> int:
     violated = sum(1 for r in reports if r.violated)
     borderline = sum(1 for r in reports if r.borderline)
-    if cfg.format == "json":
+    if fmt == "json":
         payload = dict(header)
         payload["violations"] = [_report_dict(r) for r in reports]
         payload["violated_count"] = violated
@@ -161,13 +144,13 @@ def _print_census_text(points: list[products.TableCensus]):
     )
 
 
-def _cmd_count(args, cfg: RunConfig) -> int:
+def _cmd_count(args) -> int:
     point = products.census(
-        [args.n], None, segment_bits=cfg.segment_bits, parallel=args.parallel
+        [args.n], None, segment_bits=args.segment_bits, parallel=args.parallel
     )[0]
-    if cfg.format == "json":
+    if args.format == "json":
         print(_to_json(_census_rows([point])[0]))
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         _print_census_csv([point])
     else:
         print(
@@ -178,27 +161,27 @@ def _cmd_count(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_census(args, cfg: RunConfig) -> int:
+def _cmd_census(args) -> int:
     n_values = [int(part) for part in args.n_list.split(",") if part.strip()]
     if not n_values:
         raise ValueError("--n-list must contain at least one integer")
     points = products.census(
-        n_values, cfg.cache_path, segment_bits=cfg.segment_bits, parallel=args.parallel
+        n_values, args.cache, segment_bits=args.segment_bits, parallel=args.parallel
     )
-    if cfg.format == "json":
+    if args.format == "json":
         print(_to_json({"rows": _census_rows(points)}))
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         _print_census_csv(points)
     else:
         _print_census_text(points)
     return 0
 
 
-def _cmd_multiplicity(args, cfg: RunConfig) -> int:
+def _cmd_multiplicity(args) -> int:
     if args.method in ("direct", "formula"):
         fn = multiplicity_direct if args.method == "direct" else multiplicity_formula
         count = fn(args.n, args.k)
-        if cfg.format == "json":
+        if args.format == "json":
             print(_to_json(
                 {"n": args.n, "k": args.k, "method": args.method, "count": count}
             ))
@@ -211,7 +194,7 @@ def _cmd_multiplicity(args, cfg: RunConfig) -> int:
     direct = multiplicity_direct(args.n, args.k)
     formula = multiplicity_formula(args.n, args.k)
     agree = direct == formula
-    if cfg.format == "json":
+    if args.format == "json":
         print(_to_json(
             {
                 "n": args.n,
@@ -230,44 +213,23 @@ def _cmd_multiplicity(args, cfg: RunConfig) -> int:
     return 0 if agree else 1
 
 
-def _cmd_bounds(args, cfg: RunConfig) -> int:
+def _cmd_bounds(args) -> int:
     k = args.k
     robin_c = args.robin_c
-    d = divisor_count(k)
-    sigma = divisor_sum(k)
-    nb = bnd.nicolas_bound(k)
-    rb = bnd.robin_bound(k, robin_c)
+    d = bnd.divisor_bound_at(k)
+    sigma = bnd.sigma_bound_at(k, robin_c)
     bracket = bnd.verify_integral_bracket(k, robin_c=robin_c)
-    reports = []
-    for value, bound, quantity, constants in (
-        (d, nb, "divisor_count", bnd._default_constants()),
-        (sigma, rb, "divisor_sum", dict(bnd._default_constants(), robin_c=robin_c)),
-    ):
-        margin = bound - value
-        violated, borderline = bnd._classify_upper(margin, bound)
-        reports.append(
-            bnd.BoundReport(
-                argument=k,
-                quantity=quantity,
-                value=value,
-                bound=bound,
-                margin=margin,
-                violated=violated,
-                borderline=borderline,
-                constants_used=constants,
-            )
-        )
-    reports.append(bracket)
+    reports = [d, sigma, bracket]
     flagged = [r for r in reports if r.violated or r.borderline]
-    if cfg.format == "json":
+    if args.format == "json":
         payload = {
             "k": k,
-            "d": d,
-            "sigma": sigma,
-            "nicolas_bound": nb,
-            "robin_bound": rb,
-            "divisor_margin": nb - d,
-            "sigma_margin": rb - sigma,
+            "d": d.value,
+            "sigma": sigma.value,
+            "nicolas_bound": d.bound,
+            "robin_bound": sigma.bound,
+            "divisor_margin": d.margin,
+            "sigma_margin": sigma.margin,
             "integral": int(bracket.value),
             "bracket_lower": bracket.bound[0],
             "bracket_upper": bracket.bound[1],
@@ -278,10 +240,13 @@ def _cmd_bounds(args, cfg: RunConfig) -> int:
         print(_to_json(payload))
     else:
         print(f"k = {k}")
-        print(f"d(k) = {d}  nicolas bound = {_ffmt(nb)}  margin = {_ffmt(nb - d)}")
         print(
-            f"sigma(k) = {sigma}  robin bound = {_ffmt(rb)}  "
-            f"margin = {_ffmt(rb - sigma)} (c = {robin_c})"
+            f"d(k) = {d.value}  nicolas bound = {_ffmt(d.bound)}  "
+            f"margin = {_ffmt(d.margin)}"
+        )
+        print(
+            f"sigma(k) = {sigma.value}  robin bound = {_ffmt(sigma.bound)}  "
+            f"margin = {_ffmt(sigma.margin)} (c = {robin_c})"
         )
         print(
             f"k*d(k) - sigma(k) = {int(bracket.value)} in "
@@ -302,18 +267,10 @@ def _parse_s(text: str) -> complex:
     raise ValueError(f"--s expects RE or RE,IM, got {text!r}")
 
 
-def _identity_tolerance(cmp: series.SeriesComparison) -> float:
-    if cmp.s in (0, -1):
-        return 0.0
-    return 1e-9 * abs(cmp.zeta_partial_squared)
-
-
-def _cmd_series(args, cfg: RunConfig) -> int:
+def _cmd_series(args) -> int:
     s = _parse_s(args.s)
     cmp = series.verify_square_identity(s, args.n)
-    tol = _identity_tolerance(cmp)
-    ok = cmp.max_abs_deviation <= tol
-    if cfg.format == "json":
+    if args.format == "json":
         print(_to_json(
             {
                 "s_re": s.real,
@@ -326,8 +283,8 @@ def _cmd_series(args, cfg: RunConfig) -> int:
                 "multiplicity_re": cmp.multiplicity_sum.real,
                 "multiplicity_im": cmp.multiplicity_sum.imag,
                 "max_abs_deviation": cmp.max_abs_deviation,
-                "tolerance": tol,
-                "ok": ok,
+                "tolerance": cmp.tolerance,
+                "ok": cmp.ok,
             }
         ))
     else:
@@ -337,61 +294,18 @@ def _cmd_series(args, cfg: RunConfig) -> int:
         print(f"multiplicity sum    = {cmp.multiplicity_sum}")
         print(
             f"max deviation {cmp.max_abs_deviation:.3e} "
-            f"(tolerance {tol:.3e}) -> {'ok' if ok else 'FAIL'}"
+            f"(tolerance {cmp.tolerance:.3e}) -> {'ok' if cmp.ok else 'FAIL'}"
         )
-    return 0 if ok else 1
+    return 0 if cmp.ok else 1
 
 
-def _identity_reports(n_max: int) -> list[bnd.BoundReport]:
-    # every n up to n_max is checked, so reject an oversize table before
-    # the smaller ones run
-    if n_max > series.IDENTITY_N_MAX:
-        raise ValueError(f"n must be in [1, {series.IDENTITY_N_MAX}], got {n_max}")
-    reports = []
-    for n in range(1, n_max + 1):
-        weighted, plain = table_sum_checks(n)
-        for quantity, got, expected in (
-            ("table_sum", plain, n * n),
-            ("table_sum_weighted", weighted, (n * (n + 1) // 2) ** 2),
-        ):
-            if got != expected:
-                reports.append(
-                    bnd.BoundReport(
-                        argument=n,
-                        quantity=quantity,
-                        value=float(got),
-                        bound=float(expected),
-                        margin=float(expected - got),
-                        violated=True,
-                        borderline=False,
-                    )
-                )
-        for s in _IDENTITY_EXPONENTS:
-            cmp = series.verify_square_identity(s, n)
-            tol = _identity_tolerance(cmp)
-            if cmp.max_abs_deviation > tol:
-                reports.append(
-                    bnd.BoundReport(
-                        argument=n,
-                        quantity=f"square_identity_s_{s}",
-                        value=cmp.max_abs_deviation,
-                        bound=tol,
-                        margin=tol - cmp.max_abs_deviation,
-                        violated=True,
-                        borderline=False,
-                    )
-                )
-    return reports
-
-
-def _cmd_verify(args, cfg: RunConfig) -> int:
+def _cmd_verify(args) -> int:
     suite = args.suite
     hi = args.max if args.max is not None else _SUITE_DEFAULT_MAX[suite]
     header: dict = {"suite": suite}
     if suite == "identities":
-        hi = args.n if args.n is not None else hi
         header["max_n"] = hi
-        reports = _identity_reports(hi)
+        reports = series.verify_identities_sweep(hi)
     elif suite == "divisor-bound":
         header.update(lo=3, hi=hi, nicolas_c=str(bnd.NICOLAS_C))
         reports = bnd.verify_divisor_bound(3, hi)
@@ -407,7 +321,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
     else:  # monotonicity
         increasing, above_floor = bnd.nicolas_shape_check(hi)
         ok = increasing and above_floor
-        if cfg.format == "json":
+        if args.format == "json":
             print(_to_json(
                 {
                     "suite": suite,
@@ -426,7 +340,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
             print(f"nicolas bound > 114.1 on [3, {hi}]: "
                   f"{'yes' if above_floor else 'NO'}")
         return 0 if ok else 1
-    return _emit_reports(cfg, header, reports)
+    return _emit_reports(args.format, header, reports)
 
 
 def _add_format_flag(p: argparse.ArgumentParser, root: bool = False):
@@ -452,8 +366,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_format_flag(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument(
-        "--segment-bits", type=int, default=None,
-        help=f"window length in values (default {products.SEGMENT_BITS_DEFAULT})",
+        "--segment-bits", type=int, default=products.SEGMENT_BITS_DEFAULT,
+        help="window length in values (default %(default)s)",
     )
     p.add_argument("--parallel", action="store_true")
 
@@ -468,8 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", required=True, help="comma-separated n values")
     p.add_argument("--cache", default=None, help="CSV cache path (columns n,m)")
     p.add_argument(
-        "--segment-bits", type=int, default=None,
-        help=f"window length in values (default {products.SEGMENT_BITS_DEFAULT})",
+        "--segment-bits", type=int, default=products.SEGMENT_BITS_DEFAULT,
+        help="window length in values (default %(default)s)",
     )
     p.add_argument("--parallel", action="store_true")
 
@@ -487,8 +401,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "monotonicity",
         ),
     )
-    p.add_argument("--max", type=int, default=None, help="upper end of the sweep")
-    p.add_argument("--n", type=int, default=None, help="identities: highest table size")
+    p.add_argument(
+        "--max", "--n", dest="max", type=int, default=None,
+        help="upper end of the sweep (identities: highest table size)",
+    )
     p.add_argument("--robin-c", type=Fraction, default=bnd.ROBIN_C)
 
     p = sub.add_parser("bounds", help="bounds and bracket at one argument")
@@ -524,15 +440,7 @@ def run(argv: list[str] | None = None) -> int:
         print("error: csv output is only available for count and census", file=sys.stderr)
         return 2
     try:
-        given_bits = getattr(args, "segment_bits", None)
-        cfg = RunConfig(
-            format=args.format,
-            segment_bits=(
-                given_bits if given_bits is not None else products.SEGMENT_BITS_DEFAULT
-            ),
-            cache_path=getattr(args, "cache", None),
-        )
-        return _HANDLERS[args.command](args, cfg)
+        return _HANDLERS[args.command](args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -99,6 +99,13 @@ def _window_ranges(lo: int, hi: int, width: int) -> list[tuple[int, int]]:
     return [(start, min(start + width - 1, hi)) for start in range(lo, hi + 1, width)]
 
 
+def _require_segment_bits(segment_bits: int):
+    if segment_bits < SEGMENT_BITS_MIN:
+        raise ValueError(
+            f"segment_bits must be >= {SEGMENT_BITS_MIN}, got {segment_bits}"
+        )
+
+
 def _count_window(args: tuple[int, int, int]) -> int:
     """Distinct products of the n-table that land in [lo, hi]."""
     n, lo, hi = args
@@ -127,10 +134,7 @@ def count_distinct_segmented(
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    if segment_bits < SEGMENT_BITS_MIN:
-        raise ValueError(
-            f"segment_bits must be >= {SEGMENT_BITS_MIN}, got {segment_bits}"
-        )
+    _require_segment_bits(segment_bits)
     jobs = [(n, lo, hi) for lo, hi in _window_ranges(1, n * n, segment_bits)]
     if parallel and len(jobs) > 1:
         workers = min(len(jobs), os.cpu_count() or 1, _MAX_WORKERS)
@@ -204,9 +208,11 @@ def census(
 
     The cache stores n,m pairs only; density and mean multiplicity are
     always rederived, and the window length and pool never change a
-    stored value.  A cache that fails to parse is recomputed and
-    overwritten.
+    stored value.  segment_bits is checked on entry, also when every n
+    is cached.  The cache file is written only when some n was computed;
+    a cache that fails to parse is recomputed and overwritten.
     """
+    _require_segment_bits(segment_bits)
     cached: dict[int, int] = {}
     if cache_path is not None and os.path.exists(cache_path):
         try:
@@ -218,15 +224,15 @@ def census(
             )
             cached = {}
     out = []
+    computed = False
     for n in n_values:
         start = time.perf_counter()
         if n in cached:
             m = cached[n]
         else:
-            m = count_distinct_segmented(n, segment_bits, parallel)
-        elapsed = time.perf_counter() - start
-        cached[n] = m
-        out.append(TableCensus.from_count(n, m, elapsed))
-    if cache_path is not None:
+            m = cached[n] = count_distinct_segmented(n, segment_bits, parallel)
+            computed = True
+        out.append(TableCensus.from_count(n, m, time.perf_counter() - start))
+    if cache_path is not None and computed:
         save_cache(cache_path, cached)
     return out

@@ -51,7 +51,12 @@ def test_bound_constants():
 
 
 def test_bounds_reject_small_arguments():
-    for fn in (bounds.nicolas_bound, bounds.robin_bound):
+    for fn in (
+        bounds.nicolas_bound,
+        bounds.robin_bound,
+        bounds.divisor_bound_at,
+        bounds.sigma_bound_at,
+    ):
         for bad in (0, 1, 2):
             with pytest.raises(ValueError):
                 fn(bad)
@@ -77,6 +82,33 @@ def test_sigma_bound_flags_12():
     assert r.bound == ROBIN_KNOWN[12]
     assert r.constants_used["robin_c"] == bounds.ROBIN_C
     assert r.constants_used["gamma"] == bounds.EULER_GAMMA
+
+
+def test_scalar_bound_checks_match_sweeps():
+    # wherever the sigma sweep flags, its report is sigma_bound_at's,
+    # field for field
+    flagged = set()
+    for c in (bounds.ROBIN_C, -1):
+        for r in bounds.verify_sigma_bound(3, 1000, c):
+            assert bounds.sigma_bound_at(r.argument, c) == r
+            flagged.add(r.argument)
+    assert 12 in flagged and len(flagged) > 100
+    # the divisor sweep flags nothing on [3, 1000], and neither does the
+    # scalar divisor check at those arguments
+    assert bounds.verify_divisor_bound(3, 1000) == []
+    for k in flagged:
+        r = bounds.divisor_bound_at(k)
+        assert (r.argument, r.quantity, r.value) == (k, "divisor_count", divisor_count(k))
+        assert r.bound == bounds.nicolas_bound(k)
+        assert r.margin == r.bound - r.value
+        assert not (r.violated or r.borderline)
+        assert r.constants_used["nicolas_c"] == bounds.NICOLAS_C
+    unflagged = [k for k in range(3, 1001, 37) if k not in flagged]
+    assert len(unflagged) > 10
+    for k in unflagged:
+        for r in (bounds.divisor_bound_at(k), bounds.sigma_bound_at(k, -1)):
+            assert r.margin == r.bound - r.value > 0
+            assert not (r.violated or r.borderline)
 
 
 def test_sigma_bound_alternate_constant_clean():

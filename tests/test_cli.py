@@ -128,6 +128,32 @@ def test_verify_sigma_exit_code(capsys):
     assert row["violations"][0]["argument"] == 12
 
 
+def test_verify_n_spells_max(capsys):
+    # --n is another spelling of --max for every suite
+    _, by_max, _ = run(capsys, "verify", "--suite", "sigma-bound", "--max", "100")
+    code, by_n, _ = run(capsys, "verify", "--suite", "sigma-bound", "--n", "100")
+    assert code == 1
+    assert by_n == by_max
+    assert "hi 100" in by_n
+
+
+def test_verify_identities_reports_failure(capsys, monkeypatch):
+    checks = series.table_sum_checks
+
+    def short_by_one(n):
+        weighted, plain = checks(n)
+        return weighted, plain - 1
+
+    monkeypatch.setattr(series, "table_sum_checks", short_by_one)
+    code, out, _ = run(
+        capsys, "verify", "--suite", "identities", "--n", "2", "--format", "json"
+    )
+    assert code == 1
+    row = json.loads(out)
+    assert [v["quantity"] for v in row["violations"]] == ["table_sum", "table_sum"]
+    assert row["violated_count"] == 2
+
+
 def test_verify_divisor_bound_clean(capsys):
     code, out, _ = run(
         capsys, "verify", "--suite", "divisor-bound", "--max", "5000", "--format", "json"
@@ -187,14 +213,15 @@ def test_verify_identities(capsys):
 def test_verify_identities_rejects_n_above_cap(capsys):
     # both spellings of the table size are rejected before the smaller
     # tables are checked, so this returns at once
-    top = series.IDENTITY_N_MAX
-    for flag in ("--n", "--max"):
-        start = time.perf_counter()
-        code, out, err = run(capsys, "verify", "--suite", "identities", flag, str(top + 1))
-        assert time.perf_counter() - start < 1.0, flag
-        assert code == 2, flag
-        assert out == ""
-        assert str(top) in err
+    top = series.IDENTITY_SWEEP_N_MAX
+    for n in (top + 1, series.IDENTITY_N_MAX + 1):
+        for flag in ("--n", "--max"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "verify", "--suite", "identities", flag, str(n))
+            assert time.perf_counter() - start < 1.0, (n, flag)
+            assert code == 2, (n, flag)
+            assert out == ""
+            assert str(top) in err
 
 
 def test_verify_monotonicity(capsys):

@@ -133,6 +133,29 @@ def test_census_extends_cache(tmp_path):
     assert load_cache(path) == {10: 42, 50: 800, 100: 2906}
 
 
+def test_read_only_census_leaves_cache_untouched(tmp_path):
+    path = tmp_path / "census.csv"
+    census([10, 50], cache_path=path)
+    before = path.stat()
+    data = path.read_bytes()
+    census([10, 50], cache_path=path)
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert path.read_bytes() == data
+    # a run that computes a new n still writes the file
+    census([10, 50, 100], cache_path=path)
+    assert path.stat().st_ino != before.st_ino
+    assert load_cache(path) == {10: 42, 50: 800, 100: 2906}
+
+
+def test_census_rejects_small_window_when_cached(tmp_path):
+    # checked on entry, not only when a count runs
+    path = tmp_path / "census.csv"
+    census([10], cache_path=path)
+    with pytest.raises(ValueError, match=str(SEGMENT_BITS_MIN)):
+        census([10], cache_path=path, segment_bits=SEGMENT_BITS_MIN - 1)
+
+
 def test_census_trusts_stored_counts(tmp_path):
     # the cache stores raw counts only; a plausible entry is not
     # second-guessed, so a stale value survives until it is deleted

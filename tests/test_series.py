@@ -48,6 +48,50 @@ def test_identity_float_exponents():
         assert cmp.max_abs_deviation <= 1e-12 * abs(cmp.zeta_partial_squared), s
 
 
+def test_identity_tolerance_and_verdict(monkeypatch):
+    for s in (0, -1):
+        cmp = series.verify_square_identity(s, 30)
+        assert (cmp.tolerance, cmp.ok) == (0.0, True)
+    for s in (2, 2 + 3j):
+        cmp = series.verify_square_identity(s, 30)
+        assert cmp.tolerance == 1e-9 * abs(cmp.zeta_partial_squared) > 0
+        assert cmp.ok is True
+    # a grid route off by 1e-6 fails the 1e-9 relative tolerance
+    grid_sum = series._grid_sum
+    monkeypatch.setattr(series, "_grid_sum", lambda s, n: grid_sum(s, n) + 1e-6)
+    cmp = series.verify_square_identity(2, 30)
+    assert cmp.max_abs_deviation > cmp.tolerance
+    assert cmp.ok is False
+    # and the identities sweep reports it at every float exponent
+    reports = series.verify_identities_sweep(1)
+    assert [r.quantity for r in reports] == [
+        "square_identity_s_2",
+        "square_identity_s_3",
+        "square_identity_s_(2+3j)",
+    ]
+    for r in reports:
+        assert r.violated and r.margin == r.bound - r.value < 0
+
+
+def test_identities_sweep_reports_table_sum_failure(monkeypatch):
+    # the plain table sum comes back one short at every n
+    checks = series.table_sum_checks
+
+    def short_by_one(n):
+        weighted, plain = checks(n)
+        return weighted, plain - 1
+
+    monkeypatch.setattr(series, "table_sum_checks", short_by_one)
+    reports = series.verify_identities_sweep(2)
+    assert [(r.argument, r.quantity) for r in reports] == [
+        (1, "table_sum"),
+        (2, "table_sum"),
+    ]
+    r = reports[1]
+    assert (r.value, r.bound, r.margin) == (3.0, 4.0, 1.0)
+    assert r.violated and not r.borderline
+
+
 def test_identity_rejects_oversize_table():
     with pytest.raises(ValueError):
         series.verify_square_identity(2, series.IDENTITY_N_MAX + 1)
