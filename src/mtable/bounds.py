@@ -259,13 +259,12 @@ def verify_sigma_bound(
     )
 
 
-def divisor_bound_at(k: int, c: Fraction | float = NICOLAS_C) -> BoundReport:
+def divisor_bound_at(k: int) -> BoundReport:
     """The check of verify_divisor_bound at the one argument k >= 3,
     returned whether or not it is flagged.  Its bound is nicolas_bound(k),
     which can differ from the sweep's vectorised value in the last bits."""
-    constants = dict(_default_constants(), nicolas_c=Fraction(c))
     return _upper_report(
-        k, "divisor_count", divisor_count(k), nicolas_bound(k, c), constants
+        k, "divisor_count", divisor_count(k), nicolas_bound(k), _default_constants()
     )
 
 

@@ -85,12 +85,19 @@ def test_sigma_bound_flags_12():
 
 
 def test_scalar_bound_checks_match_sweeps():
-    # wherever the sigma sweep flags, its report is sigma_bound_at's,
-    # field for field
+    # wherever the sigma sweep flags, sigma_bound_at gives the same report;
+    # its bound is robin_bound's, which may differ from the sweep's
+    # vectorised bound in the last bits
     flagged = set()
     for c in (bounds.ROBIN_C, -1):
         for r in bounds.verify_sigma_bound(3, 1000, c):
-            assert bounds.sigma_bound_at(r.argument, c) == r
+            s = bounds.sigma_bound_at(r.argument, c)
+            fields = ("argument", "quantity", "value", "constants_used")
+            fields += ("violated", "borderline")
+            assert [getattr(s, f) for f in fields] == [getattr(r, f) for f in fields]
+            assert s.bound == bounds.robin_bound(r.argument, c)
+            assert s.margin == s.bound - s.value
+            assert s.bound == pytest.approx(r.bound, rel=1e-14, abs=0)
             flagged.add(r.argument)
     assert 12 in flagged and len(flagged) > 100
     # the divisor sweep flags nothing on [3, 1000], and neither does the
