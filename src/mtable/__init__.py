@@ -19,7 +19,6 @@ from .multiplicity import (
     multiplicity_formula,
     table_multiplicities,
     table_sum_checks,
-    universal_multiplicity,
 )
 from .products import (
     TableCensus,
@@ -70,7 +69,6 @@ __all__ = [
     "multiplicity_formula",
     "table_multiplicities",
     "table_sum_checks",
-    "universal_multiplicity",
     "TableCensus",
     "census",
     "count_distinct_segmented",

@@ -310,7 +310,7 @@ def verify_bracket_sweep(
     nicolas_c: Fraction | float = NICOLAS_C,
 ) -> list[BoundReport]:
     """The violated or borderline reports of verify_integral_bracket over
-    every k in [lo, hi]; an empty range gives an empty list.
+    every k in [lo, hi]; an empty range is rejected.
 
     Each window of SWEEP_WINDOW arguments is sieved for d and sigma, so
     k*d(k) - sigma(k) is exact (int64), and its margins are computed from
@@ -319,9 +319,6 @@ def verify_bracket_sweep(
     verify_integral_bracket itself, so reports, margins and verdicts are
     those of the scalar check.
     """
-    _require_n(lo, 3)
-    if hi < lo:
-        return []
     _require_sweep(lo, hi, 3)
     reports = []
     for wlo, whi in _window_ranges(lo, hi, SWEEP_WINDOW):
@@ -382,14 +379,13 @@ def verify_mean_bound(n: int, m: int) -> BoundReport:
 
 def verify_theorem_sweep(hi: int = 500) -> list[BoundReport]:
     """The violated or borderline reports of verify_theorem_lower_bound
-    and verify_mean_bound over every n in [2, hi]; hi < 2 gives an empty
-    list.
+    and verify_mean_bound over every n in [2, hi]; hi < 2 is rejected.
 
     Every M(n) comes from one distinct_count_prefix pass, so hi may be
     at most products.PREFIX_N_MAX.
     """
     if hi < 2:
-        return []
+        raise ValueError(f"empty range [2, {hi}]")
     counts = distinct_count_prefix(hi)
     reports = []
     for n in range(2, hi + 1):

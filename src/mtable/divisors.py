@@ -5,8 +5,7 @@ wheel and build its divisors from the prime powers; the ranged routine
 sieves d(m) or sigma(m) for every m in a window [lo, hi] in one pass, so
 long ranges are swept window by window.  The
 incomplete divisor count d(k; x) restricts to divisors <= x, and its
-integral over [1, k] has the closed form k*d(k) - sigma(k), which this
-module can cross-check against the raw step-function sum.
+integral over [1, k] has the closed form k*d(k) - sigma(k).
 """
 
 from __future__ import annotations
@@ -141,24 +140,7 @@ def divisor_window(
     return out
 
 
-def _step_sum(divisors: tuple[int, ...]) -> int:
-    # sum of (d_{i+1} - d_i) * i over consecutive divisor pairs; this is
-    # the area under the step function counting divisors <= x on [1, k]
-    return sum((divisors[i + 1] - divisors[i]) * (i + 1) for i in range(len(divisors) - 1))
-
-
-def incomplete_divisor_integral(k: int, *, verify: bool = False) -> int:
-    """Integral of d(k; x) over x in [1, k], which equals k*d(k) - sigma(k).
-
-    With verify=True the step-function sum is evaluated independently and
-    any disagreement with the closed form raises.
-    """
+def incomplete_divisor_integral(k: int) -> int:
+    """Integral of d(k; x) over x in [1, k], which equals k*d(k) - sigma(k)."""
     divs = _divisor_tuple(k)
-    value = k * len(divs) - sum(divs)
-    if verify:
-        steps = _step_sum(divs)
-        if steps != value:
-            raise RuntimeError(
-                f"step sum {steps} != k*d(k) - sigma(k) = {value} at k={k}"
-            )
-    return value
+    return k * len(divs) - sum(divs)

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .divisors import _divisor_tuple, divisor_count, incomplete_divisor_count
+from .divisors import _divisor_tuple, incomplete_divisor_count
 
 __all__ = [
     "multiplicity_direct",
     "multiplicity_formula",
     "boundary_indicator",
-    "universal_multiplicity",
     "table_multiplicities",
     "table_sum_checks",
 ]
@@ -67,27 +66,6 @@ def multiplicity_formula(n: int, k: int) -> int:
     within = incomplete_divisor_count(k, n)
     below_quotient = sum(1 for a in _divisor_tuple(k) if a * n <= k)
     return within - below_quotient + boundary_indicator(n, k)
-
-
-def universal_multiplicity(k: int, *, verify: bool = False) -> int:
-    """Multiplicity of k once the table is large enough to stop growing.
-
-    For n >= k every divisor pair of k fits, so the count equals d(k).
-    verify=True re-derives the value by direct enumeration at n = k and
-    n = k + 1 and checks stabilization.
-    """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    d = divisor_count(k)
-    if verify:
-        at_k = multiplicity_direct(k, k)
-        past_k = multiplicity_direct(k + 1, k)
-        if not (at_k == past_k == d):
-            raise RuntimeError(
-                f"multiplicity failed to stabilize at d(k): "
-                f"k={k}, d={d}, at n=k: {at_k}, at n=k+1: {past_k}"
-            )
-    return d
 
 
 def _check_table_n(n: int):

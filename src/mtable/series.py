@@ -198,10 +198,13 @@ def verify_square_identity(s: complex, n: int) -> SeriesComparison:
 def verify_identities_sweep(n_max: int) -> list[BoundReport]:
     """Violated reports of the exact table sums and of the square identity
     at each of the exponents 0, -1, 2, 3 and 2+3j, over every table size
-    n in [1, n_max]; n_max < 1 gives an empty list.
+    n in [1, n_max].
 
-    n_max above IDENTITY_SWEEP_N_MAX is rejected before any table runs.
+    n_max below 1 or above IDENTITY_SWEEP_N_MAX is rejected before any
+    table runs.
     """
+    if n_max < 1:
+        raise ValueError(f"empty range [1, {n_max}]")
     if n_max > IDENTITY_SWEEP_N_MAX:
         raise ValueError(
             f"the identities sweep ends at most at n = {IDENTITY_SWEEP_N_MAX}, "

@@ -7,11 +7,12 @@ kept here because nothing outside the tests needs it.
 import numpy as np
 
 from mtable import series
-from mtable.divisors import divisor_window
+from mtable.divisors import divisor_list, divisor_window
+from mtable.multiplicity import multiplicity_direct
 
 
-def count_distinct_dense(n: int) -> int:
-    """M(n) by marking every product in one bitmap.
+def product_bitmap(n: int) -> np.ndarray:
+    """Entry k is True iff k is a product of the n-table, for k in [0, n*n].
 
     Only the upper triangle a <= b is visited: row a marks a*a, a*(a+1),
     ..., a*n, one strided write per row.  The bitmap takes n*n + 1 bytes,
@@ -20,7 +21,26 @@ def count_distinct_dense(n: int) -> int:
     seen = np.zeros(n * n + 1, dtype=bool)
     for a in range(1, n + 1):
         seen[a * a : a * n + 1 : a] = True
-    return int(np.count_nonzero(seen))
+    return seen
+
+
+def count_distinct_dense(n: int) -> int:
+    """M(n) by marking every product in one bitmap."""
+    return int(np.count_nonzero(product_bitmap(n)))
+
+
+def divisor_step_integral(k: int) -> int:
+    """Integral of d(k; x) over x in [1, k] as the area under its step
+    function: between the i-th and (i+1)-th divisor d(k; x) equals i."""
+    divs = divisor_list(k)
+    return sum((divs[i + 1] - divs[i]) * (i + 1) for i in range(len(divs) - 1))
+
+
+def multiplicity_at_k_and_next(k: int) -> tuple[int, int]:
+    """The multiplicity of k in the k-table and in the (k+1)-table, by
+    direct enumeration.  From n = k on every divisor pair of k fits, so
+    both equal d(k)."""
+    return multiplicity_direct(k, k), multiplicity_direct(k + 1, k)
 
 
 def table_multiplicities_formula(n: int) -> np.ndarray:

@@ -8,7 +8,11 @@ import math
 import time
 
 from conftest import record_criterion
-from oracles import count_distinct_dense
+from oracles import (
+    count_distinct_dense,
+    divisor_step_integral,
+    multiplicity_at_k_and_next,
+)
 
 from mtable import bounds, products, series
 from mtable.divisors import divisor_count, incomplete_divisor_integral
@@ -16,7 +20,6 @@ from mtable.multiplicity import (
     multiplicity_direct,
     multiplicity_formula,
     table_sum_checks,
-    universal_multiplicity,
 )
 
 CENSUS_COUNTS = {
@@ -137,12 +140,10 @@ def test_criterion_03_exact_identities():
 
 
 def test_criterion_04_integral_identity_and_bracket():
-    step_ok = True
-    try:
-        for k in range(3, 10**4 + 1):
-            incomplete_divisor_integral(k, verify=True)
-    except RuntimeError:
-        step_ok = False
+    step_ok = all(
+        divisor_step_integral(k) == incomplete_divisor_integral(k)
+        for k in range(3, 10**4 + 1)
+    )
     worst = math.inf
     bracket_ok = True
     for k in range(3, 10**4 + 1):
@@ -215,7 +216,7 @@ def test_criterion_07_distinct_count_lower_bound():
 
 def test_criterion_08_universal_multiplicity():
     stable_ok = all(
-        universal_multiplicity(k, verify=True) == divisor_count(k)
+        multiplicity_at_k_and_next(k) == (divisor_count(k),) * 2
         for k in range(1, 2001)
     )
     monotone_ok = True

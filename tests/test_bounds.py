@@ -127,6 +127,9 @@ def test_sweeps_reject_empty_range():
         bounds.verify_divisor_bound(10, 9)
     with pytest.raises(ValueError):
         bounds.verify_sigma_bound(10, 9)
+    for hi in (1, -3):
+        with pytest.raises(ValueError, match="empty range"):
+            bounds.verify_theorem_sweep(hi)
 
 
 def test_classification_slack_band():

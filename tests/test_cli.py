@@ -182,13 +182,24 @@ def test_verify_theorem_and_bracket_reject_max_above_cap(capsys):
         assert str(top) in err
 
 
-def test_verify_theorem_and_bracket_empty_range_clean(capsys):
-    for suite in ("theorem", "bracket"):
-        code, out, _ = run(
-            capsys, "verify", "--suite", suite, "--max", "1", "--format", "json"
+def test_verify_empty_range_exits_2(capsys):
+    # one rule for every suite: an empty or negative range is a usage
+    # error, reported before any work
+    for suite, top in (
+        ("identities", 0),
+        ("identities", -5),
+        ("divisor-bound", 2),
+        ("sigma-bound", 2),
+        ("theorem", 1),
+        ("theorem", -3),
+        ("bracket", 2),
+        ("monotonicity", 114),
+    ):
+        code, out, err = run(
+            capsys, "verify", "--suite", suite, "--max", str(top), "--format", "json"
         )
-        assert code == 0, suite
-        assert json.loads(out)["violations"] == []
+        assert (code, out) == (2, ""), (suite, top)
+        assert "empty range" in err, (suite, top)
 
 
 def test_verify_bracket_flags_with_low_constant(capsys):

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from oracles import divisor_step_integral
 
 from mtable.divisors import (
     divisor_count,
@@ -119,10 +120,10 @@ def test_integral_closed_form():
 
 
 def test_integral_step_sum_sweep():
-    # verify=True recomputes the area under the divisor-counting step
-    # function and raises on any disagreement with k*d(k) - sigma(k)
+    # the area under the divisor-counting step function equals the
+    # closed form k*d(k) - sigma(k)
     for k in range(1, 3001):
-        incomplete_divisor_integral(k, verify=True)
+        assert divisor_step_integral(k) == incomplete_divisor_integral(k), k
 
 
 def trial_divisors(k):

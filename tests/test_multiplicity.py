@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import table_multiplicities_formula
+from oracles import multiplicity_at_k_and_next, table_multiplicities_formula
 
 from mtable.divisors import divisor_count, divisor_list, incomplete_divisor_count
 from mtable.multiplicity import (
@@ -14,7 +14,6 @@ from mtable.multiplicity import (
     multiplicity_formula,
     table_multiplicities,
     table_sum_checks,
-    universal_multiplicity,
 )
 
 
@@ -91,7 +90,7 @@ def test_rejects_nonpositive_arguments():
 
 def test_universal_multiplicity_is_divisor_count():
     for k in range(1, 301):
-        assert universal_multiplicity(k, verify=True) == divisor_count(k)
+        assert multiplicity_at_k_and_next(k) == (divisor_count(k),) * 2, k
 
 
 def test_multiplicity_stabilizes_far_past_k():

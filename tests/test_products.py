@@ -1,18 +1,26 @@
 """Distinct-product counting: segmented route vs the dense oracle, census, cache."""
 
 import csv
+import math
+import multiprocessing
+from functools import lru_cache
 
+import numpy as np
 import pytest
-from oracles import count_distinct_dense
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import count_distinct_dense, product_bitmap
 from test_acceptance import CENSUS_COUNTS
 
 from mtable import products
 from mtable.products import (
+    DENSE_ROW_MIN,
     PREFIX_N_MAX,
     SEGMENT_BITS_DEFAULT,
     SEGMENT_BITS_MIN,
     TableCensus,
     _CacheError,
+    _count_window,
     _window_ranges,
     census,
     count_distinct_segmented,
@@ -45,6 +53,98 @@ def test_window_ranges_partition():
         assert ranges[-1][1] == n * n
         for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
             assert lo == hi + 1
+
+
+@lru_cache(maxsize=None)
+def _bitmap(n):
+    return product_bitmap(n)
+
+
+def window_oracle(n, lo, hi):
+    """Distinct products of the n-table in [lo, hi], from the dense bitmap."""
+    return int(np.count_nonzero(_bitmap(n)[lo : hi + 1]))
+
+
+def row_counts(n, lo, hi):
+    """Products row a (a <= b) puts into [lo, hi], for every row that
+    puts any there."""
+    counts = {}
+    for a in range(1, n + 1):
+        c = min(n, hi // a) - max(a, -(-lo // a)) + 1
+        if c > 0:
+            counts[a] = c
+    return counts
+
+
+def test_count_window_narrow_windows():
+    # width 1 (a product or a gap) and widths below the cut-off, at
+    # offsets that start on no row's product
+    for n in (1, 2, 7, 60, 299):
+        top = n * n
+        for lo in sorted({1, 2, top // 3 + 1, top // 2 + 1, max(1, top - 5), top}):
+            for width in (1, 2, 5, DENSE_ROW_MIN - 1, DENSE_ROW_MIN + 1):
+                hi = lo + width - 1
+                assert _count_window((n, lo, hi)) == window_oracle(n, lo, hi), (
+                    n, lo, hi,
+                )
+
+
+def test_count_window_no_rows():
+    # a_lo = ceil(lo/n) > a_hi = min(n, isqrt(hi)): inside the table
+    # ([91, 99] at n = 10) and above it
+    for n, lo, hi in (
+        (10, 91, 99), (10, 99, 99), (3, 10, 10), (100, 10**4 + 1, 10**4 + 500),
+    ):
+        assert -(-lo // n) > min(n, math.isqrt(hi))
+        assert _count_window((n, lo, hi)) == 0
+    # rows in range, yet each misses the window: row 9 at n = 10 holds
+    # 81 and 90, not 83
+    assert row_counts(10, 83, 83) == {}
+    assert _count_window((10, 83, 83)) == 0
+
+
+def test_count_window_cut_off_boundary():
+    # a window holding exactly cut-off - 1 and exactly cut-off products of
+    # row a, so both the batched and the strided write run, and meet at
+    # the boundary
+    n, a = 300, 3
+    for width in (DENSE_ROW_MIN - 1, DENSE_ROW_MIN):
+        lo = a * 100
+        hi = a * (100 + width - 1)
+        counts = row_counts(n, lo, hi)
+        assert counts[a] == width
+        assert any(c < DENSE_ROW_MIN for c in counts.values())
+        assert _count_window((n, lo, hi)) == window_oracle(n, lo, hi)
+        # the same row again, starting between two of its products
+        assert _count_window((n, lo + 1, hi + 1)) == window_oracle(n, lo + 1, hi + 1)
+
+
+def test_count_window_mixes_both_branches():
+    # sweeps of whole tables for every n up to 300, at a window width
+    # that cycles with n, add up to M(n) window by window
+    kinds = set()
+    for n in range(1, 301):
+        top = n * n
+        width = (97, 1000, 4099)[n % 3]
+        total = 0
+        for lo in range(1, top + 1, width):
+            hi = min(lo + width - 1, top)
+            got = _count_window((n, lo, hi))
+            assert got == window_oracle(n, lo, hi), (n, lo, hi)
+            total += got
+            if n == 300:
+                kinds.update(c >= DENSE_ROW_MIN for c in row_counts(n, lo, hi).values())
+        assert total == count_distinct_dense(n), n
+    # strided and batched rows both occurred
+    assert kinds == {False, True}
+
+
+@given(st.integers(1, 300), st.data())
+def test_count_window_matches_bitmap(n, data):
+    lo = data.draw(st.integers(1, n * n))
+    width = data.draw(st.integers(1, n * n - lo + 10))
+    hi = lo + width - 1
+    assert _count_window((n, lo, hi)) == window_oracle(n, lo, hi)
 
 
 def test_segmented_equals_dense():
@@ -146,6 +246,66 @@ def test_read_only_census_leaves_cache_untouched(tmp_path):
     census([10, 50, 100], cache_path=path)
     assert path.stat().st_ino != before.st_ino
     assert load_cache(path) == {10: 42, 50: 800, 100: 2906}
+
+
+def _census_in_step(barrier, n_values, path):
+    # count nothing until the other writer has read the cache too
+    real = products.count_distinct_segmented
+
+    def count_after_barrier(*args):
+        barrier.wait(timeout=60)
+        return real(*args)
+
+    products.count_distinct_segmented = count_after_barrier
+    census(n_values, cache_path=path)
+
+
+def test_concurrent_census_writers_keep_both(tmp_path):
+    # every writer reads the cache before any writes, so a writer that
+    # wrote only what it had read and counted would drop the others'
+    # entries; three writers on two cores
+    path = tmp_path / "census.csv"
+    ctx = multiprocessing.get_context("spawn")
+    lists = ([10, 100], [50, 200], [20, 150])
+    barrier = ctx.Barrier(len(lists))
+    writers = [
+        ctx.Process(target=_census_in_step, args=(barrier, n_values, path))
+        for n_values in lists
+    ]
+    for w in writers:
+        w.start()
+    for w in writers:
+        w.join(120)
+    assert [w.exitcode for w in writers] == [0] * len(lists)
+    assert load_cache(path) == {
+        n: count_distinct_dense(n) for n_values in lists for n in n_values
+    }
+
+
+def test_census_merges_entries_written_meanwhile(tmp_path, monkeypatch):
+    # another writer saves 50 while this census counts 10: both survive;
+    # when it saves a different M(10), the cache counts as corrupt and
+    # this census's entries replace it
+    path = tmp_path / "census.csv"
+    real = products.count_distinct_segmented
+    meanwhile = {}
+
+    def count_while_another_writes(*args):
+        save_cache(path, meanwhile)
+        return real(*args)
+
+    monkeypatch.setattr(
+        products, "count_distinct_segmented", count_while_another_writes
+    )
+    meanwhile.update({50: 800})
+    census([10], cache_path=path)
+    assert load_cache(path) == {10: 42, 50: 800}
+    path.unlink()
+    meanwhile.update({10: 41})
+    with pytest.warns(UserWarning, match="conflicting entries for n = \\[10\\]"):
+        point, _ = census([10, 100], cache_path=path)
+    assert point.distinct_count == 42
+    assert load_cache(path) == {10: 42, 100: 2906}
 
 
 def test_census_rejects_small_window_when_cached(tmp_path):

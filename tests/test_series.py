@@ -92,6 +92,12 @@ def test_identities_sweep_reports_table_sum_failure(monkeypatch):
     assert r.violated and not r.borderline
 
 
+def test_identities_sweep_rejects_empty_range():
+    for n_max in (0, -5):
+        with pytest.raises(ValueError, match="empty range"):
+            series.verify_identities_sweep(n_max)
+
+
 def test_identity_rejects_oversize_table():
     with pytest.raises(ValueError):
         series.verify_square_identity(2, series.IDENTITY_N_MAX + 1)

@@ -173,8 +173,9 @@ def test_bracket_sweep_matches_scalar_check(robin_c, nicolas_c):
         assert windowed == []
 
 
-def test_bracket_sweep_empty_range_is_clean():
-    assert bounds.verify_bracket_sweep(3, 2) == []
+def test_bracket_sweep_rejects_empty_range():
+    with pytest.raises(ValueError, match="empty range"):
+        bounds.verify_bracket_sweep(3, 2)
     with pytest.raises(ValueError):
         bounds.verify_bracket_sweep(2, 10)
 
