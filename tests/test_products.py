@@ -77,8 +77,8 @@ def row_counts(n, lo, hi):
 
 
 def test_count_window_narrow_windows():
-    # width 1 (a product or a gap) and widths below the cut-off, at
-    # offsets that start on no row's product
+    # width 1 (a product or a gap) and widths around the cut-off, at
+    # offsets on and between products
     for n in (1, 2, 7, 60, 299):
         top = n * n
         for lo in sorted({1, 2, top // 3 + 1, top // 2 + 1, max(1, top - 5), top}):
@@ -113,7 +113,7 @@ def test_count_window_cut_off_boundary():
         hi = a * (100 + width - 1)
         counts = row_counts(n, lo, hi)
         assert counts[a] == width
-        assert any(c < DENSE_ROW_MIN for c in counts.values())
+        assert {c >= DENSE_ROW_MIN for c in counts.values()} == {False, True}
         assert _count_window((n, lo, hi)) == window_oracle(n, lo, hi)
         # the same row again, starting between two of its products
         assert _count_window((n, lo + 1, hi + 1)) == window_oracle(n, lo + 1, hi + 1)
@@ -249,7 +249,7 @@ def test_read_only_census_leaves_cache_untouched(tmp_path):
 
 
 def _census_in_step(barrier, n_values, path):
-    # count nothing until the other writer has read the cache too
+    # count nothing until every writer has read the cache
     real = products.count_distinct_segmented
 
     def count_after_barrier(*args):
@@ -260,7 +260,7 @@ def _census_in_step(barrier, n_values, path):
     census(n_values, cache_path=path)
 
 
-def test_concurrent_census_writers_keep_both(tmp_path):
+def test_concurrent_census_writers_keep_all_entries(tmp_path):
     # every writer reads the cache before any writes, so a writer that
     # wrote only what it had read and counted would drop the others'
     # entries; three writers on two cores
