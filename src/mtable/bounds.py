@@ -14,6 +14,17 @@ relative slack of 1e-12; anything inside the band is flagged borderline
 instead, so float rounding can never manufacture or hide a violation.
 The sweeps sieve, evaluate and classify one window of SWEEP_WINDOW
 arguments at a time, so their peak memory does not depend on the range.
+The d and sigma sweeps evaluate their bound at every argument only where
+it may fall.  With L = ln ln n, the d bound rises past the larger root
+of L**2 + (c - 1) * L - 2 * c (n > 113.6 for c = 387/200), and the sigma
+bound divided by n rises where L**2 > c / e**gamma (everywhere for
+c <= 0).  Past that point the bound at a window's first argument (times
+n / that argument for sigma) is a floor for the whole window, and the
+bound is evaluated only at the arguments whose value reaches the floor
+less SCREEN_BAND of the bound's terms.  That band is many times the
+slack plus the float error of the bound, so an argument left out cannot
+be flagged, and the reports are the same floats as those of evaluating
+every argument.
 The bracket sweep screens each window with vectorised bounds and hands
 every argument near a bracket edge to the scalar check, so its reports
 are exactly those of the scalar check run at every argument; the theorem
@@ -69,14 +80,18 @@ RELATIVE_SLACK = 1e-12
 # loop over i <= sqrt(hi) more often, wider ones fall out of cache.
 SWEEP_WINDOW = 1 << 19
 
-# Relative band in which the bracket sweep re-decides a vectorised margin
-# with the scalar verify_integral_bracket.  numpy's and math's log and
-# exp differ in the last bits (the two forms of the bounds differed by
-# at most 2.7e-15 relative on [3, 1e5] and 4.5e-15 on 2e5 random
-# arguments below 1e9), so a margin from the vectorised bounds can differ
-# from the scalar one by a few ulps of the terms it is built from; a band
-# of 1e-9 of those terms covers that many times over.
-BRACKET_SCREEN = 1e-9
+# Relative band of the screens that let the sweeps skip arguments.  The
+# bracket sweep re-decides with the scalar verify_integral_bracket every
+# margin within this share of the bounds' terms: numpy's and math's log
+# and exp differ in the last bits (the two forms of the bounds differed
+# by at most 2.7e-15 relative on [3, 1e5] and 4.5e-15 on 2e5 random
+# arguments below 1e9), so a vectorised margin can differ from the
+# scalar one by a few ulps of the terms it is built from.  The d and
+# sigma sweeps evaluate their bound only at arguments whose value comes
+# within this share of the terms of a floor the bound cannot go below
+# (see _windowed_upper_sweep).  A band of 1e-9 covers those few ulps
+# plus RELATIVE_SLACK many times over.
+SCREEN_BAND = 1e-9
 
 # Largest upper end the sweeps accept.  Memory stays at one window, but
 # time grows slightly faster than the range (see README).
@@ -196,20 +211,87 @@ def _upper_report(
 
 
 def _upper_sweep(
-    lo: int,
+    ns: np.ndarray,
     values: np.ndarray,
     bounds: np.ndarray,
     quantity: str,
     constants: dict,
 ) -> list[BoundReport]:
+    # ns holds the arguments as floats, values and bounds theirs
     margins = bounds - values
     slack = RELATIVE_SLACK * np.maximum(1.0, np.abs(bounds))
     return [
         _upper_report(
-            lo + int(idx), quantity, int(values[idx]), float(bounds[idx]), constants
+            int(ns[idx]), quantity, int(values[idx]), float(bounds[idx]), constants
         )
         for idx in np.nonzero(margins <= slack)[0]
     ]
+
+
+def _past_loglog(loglog: float) -> float:
+    # the x with ln ln x = loglog (e when loglog <= 0), raised by a
+    # relative 1e-9 of loglog against the float error of the root
+    loglog = max(loglog, 0.0) * (1.0 + 1e-9)
+    return math.exp(math.exp(loglog)) if loglog < 6.5 else math.inf
+
+
+def _nicolas_rising_from(c: float) -> float:
+    """An x past which nicolas_bound(., c) does not decrease.
+
+    With L = ln ln x the bound's exponent ln 2 * ln x * (L + c) / L**2 has
+    derivative ln 2 * (L**2 + (c - 1) * L - 2 * c) / L**3 in ln x
+    (Nicolas and Robin, Canad. Math. Bull. 26, 1983), so the bound rises
+    past the larger root of that quadratic, and for every L > 0 when it
+    has no real root.  For c <= -3 - 2*sqrt(2) both roots are positive
+    and the bound also rises below the smaller one; the larger root is
+    the conservative choice.  About 113.6 for c = 387/200.
+    """
+    # the discriminant (c - 1)**2 + 8c is (c + 3)**2 - 8
+    shifted = abs(c + 3.0)
+    if shifted < math.sqrt(8.0):
+        return _past_loglog(0.0)
+    root_disc = shifted * math.sqrt(1.0 - 8.0 / shifted / shifted)
+    # the larger root, in the form without cancellation for either sign
+    # of c - 1
+    b = c - 1.0
+    root = (root_disc - b) / 2.0 if b <= 0.0 else 4.0 * c / (b + root_disc)
+    return _past_loglog(root)
+
+
+def _robin_rising_from(c: float) -> float:
+    """An x past which robin_bound(., c) / x does not decrease: with
+    L = ln ln x that ratio is e**gamma * L + c / L, which rises where
+    L**2 > c / e**gamma, so for every L > 0 when c <= 0."""
+    return _past_loglog(math.sqrt(max(c, 0.0) / math.exp(EULER_GAMMA)))
+
+
+def _nicolas_floor(lo: int, hi: int, c: float, at_lo: float, drop: float) -> float:
+    # the bound does not decrease on [lo, hi]: nothing there is below
+    # its value at lo; its one term is that value
+    return at_lo - SCREEN_BAND * (abs(at_lo) + 1.0) - drop
+
+
+def _robin_floor(
+    lo: int, hi: int, c: float, at_lo: float, drop: float
+) -> np.ndarray:
+    # bound / n does not decrease on [lo, hi]: the bound at n is at least
+    # n * at_lo / lo, and its terms add up to at most n times per_n
+    per_n = math.exp(EULER_GAMMA) * math.log(math.log(hi)) + abs(c) / math.log(
+        math.log(lo)
+    )
+    floor = _arguments(lo, hi)
+    floor *= at_lo / lo - SCREEN_BAND * per_n
+    floor -= SCREEN_BAND + drop
+    return floor
+
+
+def _at_or_above(
+    values: np.ndarray, first: int, floor: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # (arguments as floats, values) of the entries at or above floor,
+    # where values[j] belongs to the argument first + j
+    idx = np.flatnonzero(values >= floor)
+    return idx + float(first), values[idx]
 
 
 def _windowed_upper_sweep(
@@ -217,15 +299,63 @@ def _windowed_upper_sweep(
     hi: int,
     sieved: str,
     bound_values,
+    floor_of,
+    rising_from: float,
     c: float,
     quantity: str,
     constants: dict,
 ) -> list[BoundReport]:
+    """The _upper_sweep reports over [lo, hi], one window at a time.
+
+    Every window is sieved whole.  Below rising_from, where the bound may
+    fall, each argument's bound is evaluated.  From the first integer
+    past rising_from on, floor_of(start, end, c, bound at start, drop)
+    gives a floor for the part of the window from start to end.  It is
+    sound: the real bound does not decrease there (for sigma, bound / n
+    does not), so it is at least its value at start (n times that value
+    over start), and the floor lies a further SCREEN_BAND of the bound's
+    terms below.  The float bound is within a few ulps of those terms of
+    the real one (for d, where the bound is finite and nonzero, its
+    exponent and that exponent's terms stay below a few thousand for
+    n <= SWEEP_MAX), and an argument is flagged only when its margin is
+    within RELATIVE_SLACK of them.  An argument whose value is below the
+    floor therefore cannot be flagged, and the bound is evaluated and
+    classified only at the arguments whose value reaches it.  A bound
+    that overflows is flagged, its slack being inf as well, so a part
+    whose bound comes near overflow at its end is evaluated in full.
+    drop, the margin of the window's largest value when positive, lowers
+    the floor so that the candidates also hold the window's tightest
+    margin.
+    """
+    start = math.floor(min(rising_from, hi)) + 1
     reports = []
     for wlo, whi in _window_ranges(lo, hi, SWEEP_WINDOW):
-        values = divisor_window(wlo, whi, sieved).astype(np.float64)
-        bounds = bound_values(_arguments(wlo, whi), c)
-        reports += _upper_sweep(wlo, values, bounds, quantity, constants)
+        values = divisor_window(wlo, whi, sieved)
+        split = min(max(start, wlo), whi + 1)
+        if split > wlo:
+            ns = _arguments(wlo, split - 1)
+            reports += _upper_sweep(
+                ns, values[: split - wlo], bound_values(ns, c), quantity, constants
+            )
+        if split <= whi:
+            values = values[split - wlo :]
+            top = int(np.argmax(values))
+            at_split, at_top, at_end = bound_values(
+                np.array([split, split + top, whi], dtype=np.float64), c
+            ).tolist()
+            drop = max(at_top - int(values[top]), 0.0)
+            # rebinding values lets the sieved window go before the
+            # candidates' bounds are evaluated
+            ns, values = _at_or_above(
+                values,
+                split,
+                floor_of(split, whi, c, at_split, drop)
+                if at_end < 1e300
+                else -math.inf,
+            )
+            reports += _upper_sweep(
+                ns, values, bound_values(ns, c), quantity, constants
+            )
     return reports
 
 
@@ -240,7 +370,8 @@ def verify_divisor_bound(
     _require_sweep(lo, hi, 3)
     constants = dict(_default_constants(), nicolas_c=Fraction(c))
     return _windowed_upper_sweep(
-        lo, hi, "d", _nicolas_values, float(c), "divisor_count", constants
+        lo, hi, "d", _nicolas_values, _nicolas_floor,
+        _nicolas_rising_from(float(c)), float(c), "divisor_count", constants,
     )
 
 
@@ -255,7 +386,8 @@ def verify_sigma_bound(
     _require_sweep(lo, hi, 3)
     constants = dict(_default_constants(), robin_c=Fraction(c))
     return _windowed_upper_sweep(
-        lo, hi, "sigma", _robin_values, float(c), "divisor_sum", constants
+        lo, hi, "sigma", _robin_values, _robin_floor,
+        _robin_rising_from(float(c)), float(c), "divisor_sum", constants,
     )
 
 
@@ -315,7 +447,7 @@ def verify_bracket_sweep(
     Each window of SWEEP_WINDOW arguments is sieved for d and sigma, so
     k*d(k) - sigma(k) is exact (int64), and its margins are computed from
     the vectorised bounds.  Every k whose margin lies within the slack
-    plus BRACKET_SCREEN of the bounds' terms is re-decided by
+    plus SCREEN_BAND of the bounds' terms is re-decided by
     verify_integral_bracket itself, so reports, margins and verdicts are
     those of the scalar check.
     """
@@ -331,7 +463,7 @@ def verify_bracket_sweep(
         nicolas = kf * _nicolas_values(kf, float(nicolas_c))
         # the scalar check's operations, in its order
         margins = np.minimum(middle - (2.0 * kf - robin), (nicolas - kf - 1.0) - middle)
-        band = RELATIVE_SLACK * np.maximum(np.abs(middle), 1.0) + BRACKET_SCREEN * (
+        band = RELATIVE_SLACK * np.maximum(np.abs(middle), 1.0) + SCREEN_BAND * (
             np.abs(robin) + np.abs(nicolas) + kf
         )
         for idx in np.nonzero(margins <= band)[0]:

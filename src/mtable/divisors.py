@@ -3,9 +3,9 @@
 Single-value routines factorise k by trial division over a 2, 3, 6j +- 1
 wheel and build its divisors from the prime powers; the ranged routine
 sieves d(m) or sigma(m) for every m in a window [lo, hi] in one pass, so
-long ranges are swept window by window.  The
-incomplete divisor count d(k; x) restricts to divisors <= x, and its
-integral over [1, k] has the closed form k*d(k) - sigma(k).
+long ranges are swept window by window.  The incomplete divisor count
+d(k; x) restricts to divisors <= x, and its integral over [1, k] has the
+closed form k*d(k) - sigma(k).
 """
 
 from __future__ import annotations

@@ -49,6 +49,13 @@ SEGMENT_BITS_MIN = 1 << 16
 
 _MAX_WORKERS = 8
 
+# Largest n count_distinct_segmented and census accept.  The count grows
+# about as n**2.6: on one of 2 shared vCPUs M(2**16) = 911705949 took
+# 17 s, so 2**17 would take about 100 s.  A larger n is rejected before
+# any window is built (at n = 10**7 the window list alone would need
+# gigabytes).
+COUNT_N_MAX = 1 << 16
+
 # Rows with at least this many products in a window get their own strided
 # write in _count_window; the rest share one batched write.  16 to 64
 # measured alike at n = 2^14 and 2^15.
@@ -110,6 +117,11 @@ def _window_ranges(lo: int, hi: int, width: int) -> list[tuple[int, int]]:
     return [(start, min(start + width - 1, hi)) for start in range(lo, hi + 1, width)]
 
 
+def _require_count_n(n: int):
+    if not 1 <= n <= COUNT_N_MAX:
+        raise ValueError(f"n must be in [1, {COUNT_N_MAX}], got {n}")
+
+
 def _require_segment_bits(segment_bits: int):
     if segment_bits < SEGMENT_BITS_MIN:
         raise ValueError(
@@ -161,11 +173,11 @@ def count_distinct_segmented(
     """M(n) by sweeping [1, n^2] in windows of segment_bits values.
 
     Peak memory is one window plus the sparse rows' indices (see
-    _count_window).  The per-window counts are exact integers, so the total is independent of the window length
-    and of whether the windows run in parallel.
+    _count_window).  The per-window counts are exact integers, so the
+    total is independent of the window length and of whether the windows
+    run in parallel.  n may be at most COUNT_N_MAX.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    _require_count_n(n)
     _require_segment_bits(segment_bits)
     jobs = [(n, lo, hi) for lo, hi in _window_ranges(1, n * n, segment_bits)]
     if parallel and len(jobs) > 1:
@@ -272,13 +284,17 @@ def census(
 
     The cache stores n,m pairs only; density and mean multiplicity are
     always rederived, and the window length and pool never change a
-    stored value.  segment_bits is checked on entry, also when every n
-    is cached.  The cache file is written only when some n was computed,
+    stored value.  segment_bits and every n (at most COUNT_N_MAX) are
+    checked on entry, before the cache is read or any n is counted, also
+    when every n is cached.  The cache file is written only when some n was computed,
     under a lock on a sidecar file: the cache is read again there and
     the new entries are merged in, so concurrent writers keep each
     other's entries.  A cache that fails to parse, or holds an entry
     that conflicts with this census, is recomputed and overwritten.
     """
+    n_values = list(n_values)
+    for n in n_values:
+        _require_count_n(n)
     _require_segment_bits(segment_bits)
     cached = {} if cache_path is None else _read_cache(cache_path)
     out = []

@@ -7,9 +7,9 @@ import time
 import pytest
 from oracles import count_distinct_dense
 
-from mtable import cli, series
+from mtable import cli, products, series
 from mtable.bounds import SWEEP_MAX
-from mtable.products import PREFIX_N_MAX
+from mtable.products import COUNT_N_MAX, PREFIX_N_MAX
 
 
 def run(capsys, *argv):
@@ -200,6 +200,37 @@ def test_verify_empty_range_exits_2(capsys):
         )
         assert (code, out) == (2, ""), (suite, top)
         assert "empty range" in err, (suite, top)
+
+
+def test_oversized_table_exits_2_before_counting(tmp_path, capsys, monkeypatch):
+    # n = 10^7 would need gigabytes for its window list alone: count and
+    # census reject it before any window is built, and census checks its
+    # whole list before it counts the first n or touches the cache
+    def no_window(*args):
+        raise AssertionError("a window was built")
+
+    monkeypatch.setattr(products, "_window_ranges", no_window)
+    code, out, err = run(capsys, "count", "--n", "10000000")
+    assert (code, out) == (2, "")
+    assert str(COUNT_N_MAX) in err
+    absent = tmp_path / "absent.csv"
+    code, out, err = run(
+        capsys, "census", "--n-list", "10,10000000", "--cache", str(absent)
+    )
+    assert (code, out) == (2, "")
+    assert str(COUNT_N_MAX) in err
+    assert list(tmp_path.iterdir()) == []
+    cache = tmp_path / "census.csv"
+    cache.write_text("n,m\n10,42\n")
+    before = cache.stat()
+    code, out, _ = run(
+        capsys, "census", "--n-list", "10,10000000", "--cache", str(cache)
+    )
+    assert (code, out) == (2, "")
+    after = cache.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert cache.read_text() == "n,m\n10,42\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["census.csv"]
 
 
 def test_verify_bracket_flags_with_low_constant(capsys):

@@ -14,6 +14,7 @@ from test_acceptance import CENSUS_COUNTS
 
 from mtable import products
 from mtable.products import (
+    COUNT_N_MAX,
     DENSE_ROW_MIN,
     PREFIX_N_MAX,
     SEGMENT_BITS_DEFAULT,
@@ -159,6 +160,20 @@ def test_segmented_rejects_small_window():
         count_distinct_segmented(100, SEGMENT_BITS_MIN - 1)
     with pytest.raises(ValueError):
         count_distinct_segmented(0)
+
+
+def test_oversized_table_is_rejected_up_front(monkeypatch):
+    def no_window(*args):
+        raise AssertionError("a window was built")
+
+    monkeypatch.setattr(products, "_window_ranges", no_window)
+    for n in (COUNT_N_MAX + 1, 10**7):
+        with pytest.raises(ValueError, match=str(COUNT_N_MAX)):
+            count_distinct_segmented(n)
+    # census checks the whole list before it counts its first n
+    monkeypatch.setattr(products, "count_distinct_segmented", no_window)
+    with pytest.raises(ValueError, match=str(COUNT_N_MAX)):
+        census([10, COUNT_N_MAX + 1])
 
 
 def test_parallel_invariant():

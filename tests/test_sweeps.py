@@ -5,6 +5,11 @@ the whole range with one array per quantity, evaluate the bound over the
 whole range at once, and classify it with one _upper_sweep call.  The
 windowed sweeps must agree with it exactly, floats compared with ==.
 
+The d and sigma sweeps evaluate their bound only where a value can reach
+it once the bound rises; the tests below also pin that screen's rising
+points, check that it skips most arguments, and move its start to and
+around a window edge.
+
 The bracket sweep's oracle is the scalar check at every argument: the
 bracket margin from math's log and exp, k*d(k) - sigma(k) from the
 whole-range sieve, and verify_integral_bracket for every argument that
@@ -42,7 +47,7 @@ def whole_divisor_sweep(lo, hi, c):
     ns = np.arange(lo, hi + 1, dtype=np.float64)
     constants = dict(bounds._default_constants(), nicolas_c=Fraction(c))
     return bounds._upper_sweep(
-        lo, d[lo:].astype(np.float64), bounds._nicolas_values(ns, float(c)),
+        ns, d[lo:].astype(np.float64), bounds._nicolas_values(ns, float(c)),
         "divisor_count", constants,
     )
 
@@ -52,7 +57,7 @@ def whole_sigma_sweep(lo, hi, c):
     ns = np.arange(lo, hi + 1, dtype=np.float64)
     constants = dict(bounds._default_constants(), robin_c=Fraction(c))
     return bounds._upper_sweep(
-        lo, sigma[lo:].astype(np.float64), bounds._robin_values(ns, float(c)),
+        ns, sigma[lo:].astype(np.float64), bounds._robin_values(ns, float(c)),
         "divisor_sum", constants,
     )
 
@@ -88,7 +93,7 @@ def whole_floor(lo, hi, floor=114.1):
     return bool(np.all(whole_nicolas_values(lo, hi) > floor))
 
 
-@pytest.mark.parametrize("c", [bounds.NICOLAS_C, Fraction(1)])
+@pytest.mark.parametrize("c", [bounds.NICOLAS_C, Fraction(1), Fraction(0)])
 def test_divisor_sweep_matches_whole_range(c):
     # c = 1 lowers the bound enough to flag arguments in every window
     windowed = bounds.verify_divisor_bound(LO, HI, c)
@@ -98,13 +103,150 @@ def test_divisor_sweep_matches_whole_range(c):
 
 
 @pytest.mark.parametrize(
-    "c", [bounds.ROBIN_C, bounds.ROBIN_C_ALTERNATE, Fraction(-1)]
+    "c",
+    [bounds.ROBIN_C, bounds.ROBIN_C_ALTERNATE, Fraction(-1), Fraction(0), Fraction(2)],
 )
 def test_sigma_sweep_matches_whole_range(c):
     windowed = bounds.verify_sigma_bound(LO, HI, c)
     assert windowed == whole_sigma_sweep(LO, HI, c)
     if c == bounds.ROBIN_C:
         assert [r.argument for r in windowed] == [12]
+
+
+# constants with their closed-form rising points: for d, -7 has two
+# positive roots (the larger one past SWEEP_MAX), -1 none (rising from
+# 3) and 0 a root at L = 1; for sigma every c <= 0 rises from 3
+DIVISOR_CS = [bounds.NICOLAS_C, Fraction(1), Fraction(0), Fraction(-1), Fraction(-7)]
+SIGMA_CS = [
+    bounds.ROBIN_C, bounds.ROBIN_C_ALTERNATE, Fraction(-1), Fraction(0), Fraction(2)
+]
+
+# the screen's windows and rising points at a scale where every constant
+# above flags few enough arguments to compare cheaply: six windows
+SMALL_WINDOW = 1 << 12
+SMALL_HI = 5 * SMALL_WINDOW + 123
+
+
+@pytest.mark.parametrize(
+    "sweep, whole, cs",
+    [
+        (bounds.verify_divisor_bound, whole_divisor_sweep, DIVISOR_CS),
+        (bounds.verify_sigma_bound, whole_sigma_sweep, SIGMA_CS),
+    ],
+)
+@pytest.mark.parametrize(
+    "lo", [3, 7, 8, 113, 114, 115, 1000, 3 + SMALL_WINDOW, 114 + SMALL_WINDOW]
+)
+def test_sweeps_match_whole_range_from_any_lo(monkeypatch, sweep, whole, cs, lo):
+    # lo below, on and past the rising points (114 for d at the default
+    # constant, 7 for sigma), and on a window edge of a sweep from 3
+    monkeypatch.setattr(bounds, "SWEEP_WINDOW", SMALL_WINDOW)
+    for c in cs:
+        assert sweep(lo, SMALL_HI, c) == whole(lo, SMALL_HI, c), c
+
+
+def test_divisor_sweep_where_the_bound_overflows(monkeypatch):
+    # with c = 550 the d bound rises from about 1600 and overflows to inf
+    # soon after; an inf bound is flagged (its slack is inf too), so the
+    # screen must not skip the arguments where it overflows
+    monkeypatch.setattr(bounds, "SWEEP_WINDOW", SMALL_WINDOW)
+    c = Fraction(550)
+    with np.errstate(over="ignore"):
+        windowed = bounds.verify_divisor_bound(3, SMALL_HI, c)
+        assert windowed == whole_divisor_sweep(3, SMALL_HI, c)
+    assert 1000 < bounds._nicolas_rising_from(float(c)) < 2000
+    # the bound is finite, and far above d, from there to n = 4472; the
+    # second window starts below 4472 and ends where the bound is inf
+    assert [r.argument for r in windowed if 2000 <= r.argument <= 4472] == []
+    assert {r.argument for r in windowed if r.argument > 4472} == set(
+        range(4473, SMALL_HI + 1)
+    )
+    assert all(r.bound == math.inf for r in windowed if r.argument > 4472)
+
+
+@pytest.mark.parametrize(
+    "sweep, whole, rising, cs",
+    [
+        (bounds.verify_divisor_bound, whole_divisor_sweep, "_nicolas_rising_from",
+         [bounds.NICOLAS_C, Fraction(1)]),
+        (bounds.verify_sigma_bound, whole_sigma_sweep, "_robin_rising_from",
+         [bounds.ROBIN_C, Fraction(-1)]),
+    ],
+)
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_screen_starting_at_a_window_edge(
+    monkeypatch, sweep, whole, rising, cs, offset
+):
+    # screening from a later argument than the closed form allows is
+    # sound too: start it at the last argument of the first window, the
+    # first of the second, or the one after that
+    edge = LO + bounds.SWEEP_WINDOW
+    monkeypatch.setattr(bounds, rising, lambda c: edge + offset - 0.5)
+    for c in cs:
+        assert sweep(LO, HI, c) == whole(LO, HI, c), c
+
+
+@pytest.mark.parametrize(
+    "sweep, name",
+    [
+        (bounds.verify_divisor_bound, "_nicolas_values"),
+        (bounds.verify_sigma_bound, "_robin_values"),
+    ],
+)
+def test_screen_skips_most_arguments(monkeypatch, sweep, name):
+    # past the first window only a few dozen arguments per window come
+    # near the bound; a sweep that evaluates it everywhere again fails here
+    real = getattr(bounds, name)
+    evaluated = []
+
+    def counting(ns, c):
+        evaluated.append(ns.copy())
+        return real(ns, c)
+
+    monkeypatch.setattr(bounds, name, counting)
+    expected = [12] if name == "_robin_values" else []
+    assert [r.argument for r in sweep(3, HI)] == expected
+    ns = np.concatenate(evaluated)
+    assert np.count_nonzero(ns >= 3 + bounds.SWEEP_WINDOW) < bounds.SWEEP_WINDOW // 100
+
+
+def test_nicolas_rising_point_for_the_paper_constant():
+    assert 113 < bounds._nicolas_rising_from(float(bounds.NICOLAS_C)) <= 114
+
+
+def rising_grid(x):
+    # every integer from the first past x, then a geometric grid to 1e8 x
+    start = float(math.floor(x) + 1)
+    grid = [start + np.arange(2000.0), np.geomspace(start, 1e8 * start, 4000)]
+    return np.unique(np.concatenate(grid))
+
+
+@pytest.mark.parametrize("c", DIVISOR_CS)
+def test_nicolas_bound_increases_past_its_rising_point(c):
+    ns = rising_grid(bounds._nicolas_rising_from(float(c)))
+    assert np.all(np.diff(bounds._nicolas_values(ns, float(c))) > 0.0)
+
+
+@pytest.mark.parametrize("c", SIGMA_CS)
+def test_robin_ratio_increases_past_its_rising_point(c):
+    # the sigma screen rests on robin_bound(n) / n not decreasing
+    ns = rising_grid(bounds._robin_rising_from(float(c)))
+    assert np.all(np.diff(bounds._robin_values(ns, float(c)) / ns) > 0.0)
+
+
+def test_rising_points_in_special_cases():
+    # c = -1 gives the Nicolas quadratic no real root, and c <= 0 makes
+    # the Robin ratio rise everywhere: screening starts at 3
+    assert bounds._nicolas_rising_from(-1.0) < 3
+    assert bounds._robin_rising_from(0.0) < 3
+    assert bounds._robin_rising_from(-1.0) < 3
+    # c = -7 has two positive roots; the larger one lies past the cap
+    assert bounds._nicolas_rising_from(-7.0) > bounds.SWEEP_MAX
+    # extreme constants neither overflow nor lose the root: it tends to
+    # L = 2 as c grows, and to L = -c as c falls
+    assert 1600 < bounds._nicolas_rising_from(1e300) < 1700
+    assert bounds._nicolas_rising_from(-1e300) == math.inf
+    assert bounds._robin_rising_from(1e300) == math.inf
 
 
 def test_monotonicity_and_floor_match_whole_range():
