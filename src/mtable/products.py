@@ -286,10 +286,10 @@ def census(
     always rederived, and the window length and pool never change a
     stored value.  segment_bits and every n (at most COUNT_N_MAX) are
     checked on entry, before the cache is read or any n is counted, also
-    when every n is cached.  The cache file is written only when some n was computed,
-    under a lock on a sidecar file: the cache is read again there and
-    the new entries are merged in, so concurrent writers keep each
-    other's entries.  A cache that fails to parse, or holds an entry
+    when every n is cached.  The cache file is written only when some n
+    was computed, under a lock on a sidecar file: the cache is read again
+    there and the new entries are merged in, so concurrent writers keep
+    each other's entries.  A cache that fails to parse, or holds an entry
     that conflicts with this census, is recomputed and overwritten.
     """
     n_values = list(n_values)

@@ -194,8 +194,8 @@ def test_screen_starting_at_a_window_edge(
     ],
 )
 def test_screen_skips_most_arguments(monkeypatch, sweep, name):
-    # past the first window only a few dozen arguments per window come
-    # near the bound; a sweep that evaluates it everywhere again fails here
+    # past the first window at most a few hundred arguments per window
+    # reach the floor; a sweep that evaluates every argument fails here
     real = getattr(bounds, name)
     evaluated = []
 
