@@ -27,8 +27,11 @@ be flagged, and the reports are the same floats as those of evaluating
 every argument.
 The bracket sweep screens each window with vectorised bounds and hands
 every argument near a bracket edge to the scalar check, so its reports
-are exactly those of the scalar check run at every argument; the theorem
-sweep takes every M(n) from one prefix count.
+are exactly those of the scalar check run at every argument.  The
+theorem sweep takes every M(n) from one prefix count and screens the
+same way: both of its margins come from the vectorised bound at every
+n, and only the n within the slack plus SCREEN_BAND of an edge, or whose
+bound comes within SCREEN_BAND of 12, go to the two scalar checks.
 """
 
 from __future__ import annotations
@@ -89,8 +92,10 @@ SWEEP_WINDOW = 1 << 19
 # scalar one by a few ulps of the terms it is built from.  The d and
 # sigma sweeps evaluate their bound only at arguments whose value comes
 # within this share of the terms of a floor the bound cannot go below
-# (see _windowed_upper_sweep).  A band of 1e-9 covers those few ulps
-# plus RELATIVE_SLACK many times over.
+# (see _windowed_upper_sweep).  The theorem sweep re-decides with its
+# two scalar checks every n whose margins come within this share of
+# their terms.  A band of 1e-9 covers those few ulps plus RELATIVE_SLACK
+# many times over.
 SCREEN_BAND = 1e-9
 
 # Largest upper end the sweeps accept.  Memory stays at one window, but
@@ -140,9 +145,11 @@ def _slack(scale: float) -> float:
 
 
 def _classify_upper(margin: float, scale: float) -> tuple[bool, bool]:
-    # value must stay at or below bound: healthy margin is positive
+    # value must stay at or below bound: healthy margin is positive.  A
+    # bound that overflows to +inf holds for every value, though its
+    # margin and slack are both inf
     s = _slack(scale)
-    return margin < -s, abs(margin) <= s
+    return margin < -s, abs(margin) <= s and margin < math.inf
 
 
 def _classify_lower(margin: float, scale: float) -> tuple[bool, bool]:
@@ -162,6 +169,14 @@ def _require_sweep(lo: int, hi: int, least: int):
         raise ValueError(f"empty range [{lo}, {hi}]")
     if hi > SWEEP_MAX:
         raise ValueError(f"sweeps end at most at {SWEEP_MAX}, got {hi}")
+
+
+def _band(scales: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    # how far a vectorised margin may lie from the scalar check's edge
+    # and still be flagged by it: the slack of its scale, plus
+    # SCREEN_BAND of the terms the margin is computed from
+    slack = RELATIVE_SLACK * np.maximum(np.abs(scales), 1.0)
+    return slack + SCREEN_BAND * np.abs(terms)
 
 
 def _arguments(lo: int, hi: int) -> np.ndarray:
@@ -224,7 +239,7 @@ def _upper_sweep(
         _upper_report(
             int(ns[idx]), quantity, int(values[idx]), float(bounds[idx]), constants
         )
-        for idx in np.nonzero(margins <= slack)[0]
+        for idx in np.nonzero((margins <= slack) & (margins < math.inf))[0]
     ]
 
 
@@ -321,8 +336,9 @@ def _windowed_upper_sweep(
     within RELATIVE_SLACK of them.  An argument whose value is below the
     floor therefore cannot be flagged, and the bound is evaluated and
     classified only at the arguments whose value reaches it.  A bound
-    that overflows is flagged, its slack being inf as well, so a part
-    whose bound comes near overflow at its end is evaluated in full.
+    that overflows to +inf is never flagged, yet a part whose bound comes
+    near overflow at its end is evaluated in full, which keeps inf out of
+    its floor.
     drop, the margin of the window's largest value when positive, lowers
     the floor so that the candidates also hold the window's tightest
     margin.
@@ -463,9 +479,7 @@ def verify_bracket_sweep(
         nicolas = kf * _nicolas_values(kf, float(nicolas_c))
         # the scalar check's operations, in its order
         margins = np.minimum(middle - (2.0 * kf - robin), (nicolas - kf - 1.0) - middle)
-        band = RELATIVE_SLACK * np.maximum(np.abs(middle), 1.0) + SCREEN_BAND * (
-            np.abs(robin) + np.abs(nicolas) + kf
-        )
+        band = _band(middle, np.abs(robin) + np.abs(nicolas) + kf)
         for idx in np.nonzero(margins <= band)[0]:
             r = verify_integral_bracket(wlo + int(idx), robin_c, nicolas_c)
             if r.violated or r.borderline:
@@ -514,13 +528,31 @@ def verify_theorem_sweep(hi: int = 500) -> list[BoundReport]:
     and verify_mean_bound over every n in [2, hi]; hi < 2 is rejected.
 
     Every M(n) comes from one distinct_count_prefix pass, so hi may be
-    at most products.PREFIX_N_MAX.
+    at most products.PREFIX_N_MAX.  Both margins are computed for every
+    n at once from the vectorised bound, and each n whose margin lies
+    within the slack plus SCREEN_BAND of the compared terms of either
+    check, or whose bound lies within SCREEN_BAND of 12, is re-decided by
+    the two scalar checks themselves.  The reports and the bound >= 12
+    check are therefore those of the scalar checks run at every n.
     """
     if hi < 2:
         raise ValueError(f"empty range [2, {hi}]")
     counts = distinct_count_prefix(hi)
+    ns = np.arange(2, hi + 1, dtype=np.float64)
+    squares = ns * ns
+    ms = counts[2:].astype(np.float64)
+    caps = _nicolas_values(squares, float(NICOLAS_C))
+    # the scalar checks' operations, in their order
+    floors = squares / caps
+    means = ms * caps
+    near = (
+        (floors - ms >= -_band(floors, floors + ms))
+        | (means - squares <= _band(means, means + squares))
+        | (caps < 12.0 * (1.0 + SCREEN_BAND))
+    )
     reports = []
-    for n in range(2, hi + 1):
+    for idx in np.flatnonzero(near):
+        n = int(idx) + 2
         m = int(counts[n])
         for check in (verify_theorem_lower_bound, verify_mean_bound):
             r = check(n, m)

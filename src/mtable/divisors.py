@@ -1,7 +1,8 @@
 """Exact divisor arithmetic.
 
-Single-value routines factorise k by trial division over a 2, 3, 6j +- 1
-wheel and build its divisors from the prime powers; the ranged routine
+Single-value routines factorise k (trial division over a 2, 3, 6j +- 1
+wheel for its small primes, Miller-Rabin and Pollard-Brent rho for the
+rest) and build its divisors from the prime powers; the ranged routine
 sieves d(m) or sigma(m) for every m in a window [lo, hi] in one pass, so
 long ranges are swept window by window.  The incomplete divisor count
 d(k; x) restricts to divisors <= x, and its integral over [1, k] has the
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 from typing import Literal
 
@@ -26,14 +28,27 @@ __all__ = [
     "incomplete_divisor_integral",
 ]
 
-# Scalar routines accept k up to 2**63 - 1.  Factorising makes one trial
-# division per wheel candidate up to the square root of what is left of
-# k once its small prime factors are divided out: well under a
-# millisecond for k = 1e14 or 2**62, about 65 ms for a prime near 1e12,
-# but well over a minute for the prime 2**61 - 1, and as long for any k
-# near 2**63 whose two largest prime factors are both near its square
-# root.
+# Scalar routines accept k up to 2**63 - 1.  Factorising divides out the
+# primes below _TRIAL_LIMIT, then splits what is left of k with a
+# deterministic Miller-Rabin test and Pollard-Brent rho, whose work grows
+# as the square root of the smaller factor it finds, so at most as the
+# fourth root of that cofactor: under a millisecond for k = 1e14 or the
+# prime 2**61 - 1, and about 25 ms for a k near 2**62 whose two prime
+# factors are both near 2**31.
 MAX_K = 2**63 - 1
+
+# Trial division covers the primes below this; what is left of k then
+# has only prime factors above it.
+_TRIAL_LIMIT = 1000
+
+# Miller-Rabin with the first twelve primes as bases decides primality
+# exactly for every m < 3.18e23 (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017), so for all
+# of [1, MAX_K].
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Steps of Pollard-Brent rho between two gcds.
+_RHO_BATCH = 128
 
 
 def _wheel():
@@ -45,17 +60,78 @@ def _wheel():
         yield p + 2
 
 
+def _is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin for 1 < m < 3.18e23."""
+    for a in _MR_BASES:
+        if m % a == 0:
+            return m == a
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(m: int) -> int:
+    """A proper divisor > 1 of the odd composite m, by Pollard's rho
+    with Brent's cycle search, multiplying _RHO_BATCH differences
+    together between gcds.  A polynomial x*x + c whose cycles close
+    modulo every factor at once is replaced by the next c."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % m
+                    q = q * abs(x - y) % m
+                g = math.gcd(q, m)
+                k += _RHO_BATCH
+            r *= 2
+        if g == m:
+            # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = math.gcd(abs(x - ys), m)
+        if g != m:
+            return g
+
+
+def _large_primes(m: int) -> list[int]:
+    # the prime factors of m > 1, with multiplicity, in no set order
+    if _is_prime(m):
+        return [m]
+    d = _rho_factor(m)
+    return _large_primes(d) + _large_primes(m // d)
+
+
 def _prime_powers(k: int) -> list[tuple[int, int]]:
     """(p, e) for every prime power p**e exactly dividing k, p ascending.
 
-    Trial division over the wheel, dividing each prime out as it is
-    found, so the search stops at the square root of the shrinking
-    cofactor rather than of k.
+    Trial division over the wheel takes out every prime below
+    _TRIAL_LIMIT, stopping early once the square root of the shrinking
+    cofactor is passed.  A cofactor left below the square of the next
+    candidate is 1 or a prime; a larger one is split by _large_primes.
     """
     factors = []
     m = k
     for p in _wheel():
-        if p * p > m:
+        if p * p > m or p >= _TRIAL_LIMIT:
             break
         e = 0
         while m % p == 0:
@@ -63,7 +139,9 @@ def _prime_powers(k: int) -> list[tuple[int, int]]:
             e += 1
         if e:
             factors.append((p, e))
-    if m > 1:
+    if m >= p * p:
+        factors += sorted(Counter(_large_primes(m)).items())
+    elif m > 1:
         factors.append((m, 1))
     return factors
 

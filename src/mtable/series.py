@@ -37,8 +37,8 @@ IDENTITY_N_MAX = 2000
 
 # Largest n_max verify_identities_sweep accepts.  It checks every table up
 # to n_max, so its time grows about as n_max**2.7: on 2 shared vCPUs it
-# took 0.16 s at 100, 8.6 s at 500 (the reach of acceptance criterion 03)
-# and 29 s at 800.
+# took 0.07 s at 100, 5.3 s at 500 (the reach of acceptance criterion 03)
+# and 19 s at 800.
 IDENTITY_SWEEP_N_MAX = 500
 _IDENTITY_EXPONENTS = (0, -1, 2, 3, 2 + 3j)
 
@@ -127,25 +127,27 @@ def zeta_partial(s: complex, n: int) -> complex:
     return complex(math.fsum(re_parts), math.fsum(im_parts))
 
 
+def _grid_blocks(n: int):
+    # the products a*b of the n-table, _ROW_BLOCK rows a at a time
+    cols = np.arange(1, n + 1, dtype=np.int64)
+    for lo in range(1, n + 1, _ROW_BLOCK):
+        rows = np.arange(lo, min(n, lo + _ROW_BLOCK - 1) + 1, dtype=np.int64)
+        yield rows[:, None] * cols[None, :]
+
+
 def _grid_sum_exact(s: complex, n: int) -> int:
-    row = np.arange(1, n + 1, dtype=np.int64)
-    total = 0
-    for a in range(1, n + 1):
-        if s == 0:
-            total += row.size
-        else:  # s = -1
-            total += int((a * row).sum())
-    return total
+    # s = 0 counts the grid's terms, s = -1 adds its products
+    return sum(
+        products.size if s == 0 else int(products.sum())
+        for products in _grid_blocks(n)
+    )
 
 
 def _grid_sum(s: complex, n: int) -> complex:
-    cols = np.arange(1, n + 1, dtype=np.int64)
     re_parts: list[float] = []
     im_parts: list[float] = []
-    for lo in range(1, n + 1, _ROW_BLOCK):
-        rows = np.arange(lo, min(n, lo + _ROW_BLOCK - 1) + 1, dtype=np.int64)
-        products = (rows[:, None] * cols[None, :]).astype(np.float64)
-        terms = _power_terms(products, s)
+    for products in _grid_blocks(n):
+        terms = _power_terms(products.astype(np.float64), s)
         if np.iscomplexobj(terms):
             re_parts.extend(float(v) for v in terms.real.sum(axis=1))
             im_parts.extend(float(v) for v in terms.imag.sum(axis=1))
@@ -154,33 +156,30 @@ def _grid_sum(s: complex, n: int) -> complex:
     return complex(math.fsum(re_parts), math.fsum(im_parts))
 
 
-def _multiplicity_sum(s: complex, counts: np.ndarray) -> complex:
-    ks = np.nonzero(counts)[0]
+def _multiplicity_sum(s: complex, ks: np.ndarray, weights: np.ndarray) -> complex:
+    # weights[j] is the multiplicity of the product ks[j]
     if s == 0:
-        return complex(int(counts.sum()))
+        return complex(int(weights.sum()))
     if s == -1:
-        return complex(int(np.dot(ks, counts[ks])))
-    terms = counts[ks].astype(np.float64) * _power_terms(ks.astype(np.float64), s)
+        return complex(int(np.dot(ks, weights)))
+    terms = weights.astype(np.float64) * _power_terms(ks.astype(np.float64), s)
     return _sum_terms(terms)
 
 
-def verify_square_identity(s: complex, n: int) -> SeriesComparison:
-    """Evaluate the grid sum, the squared partial zeta sum, and the
-    multiplicity-weighted sum at the same (s, n) and report the largest
-    pairwise deviation.
+def _table_products(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (the products of a table, their multiplicities) from its counts
+    ks = np.flatnonzero(counts)
+    return ks, counts[ks]
 
-    At s = 0 and s = -1 all three routes are exact integers and the
-    deviation must be exactly 0.  Elsewhere the routes agree to within
-    1e-9 relative of the squared partial sum.  The comparison's
-    tolerance and ok fields carry that rule.
-    """
-    if not 1 <= n <= IDENTITY_N_MAX:
-        raise ValueError(f"n must be in [1, {IDENTITY_N_MAX}], got {n}")
-    s = complex(s)
+
+def _square_identity(
+    s: complex, n: int, ks: np.ndarray, weights: np.ndarray
+) -> SeriesComparison:
+    # verify_square_identity with the n-table's _table_products given
     exact = s in (0, -1)
     grid = complex(_grid_sum_exact(s, n)) if exact else _grid_sum(s, n)
     zsq = zeta_partial(s, n) ** 2
-    mult = _multiplicity_sum(s, table_multiplicities(n))
+    mult = _multiplicity_sum(s, ks, weights)
     deviation = max(abs(grid - zsq), abs(grid - mult), abs(zsq - mult))
     tolerance = 0.0 if exact else 1e-9 * abs(zsq)
     return SeriesComparison(
@@ -195,11 +194,31 @@ def verify_square_identity(s: complex, n: int) -> SeriesComparison:
     )
 
 
+def verify_square_identity(s: complex, n: int) -> SeriesComparison:
+    """Evaluate the grid sum, the squared partial zeta sum, and the
+    multiplicity-weighted sum at the same (s, n) and report the largest
+    pairwise deviation.
+
+    At s = 0 and s = -1 all three routes are exact integers and the
+    deviation must be exactly 0.  Elsewhere the routes agree to within
+    1e-9 relative of the squared partial sum.  The comparison's
+    tolerance and ok fields carry that rule.
+    """
+    if not 1 <= n <= IDENTITY_N_MAX:
+        raise ValueError(f"n must be in [1, {IDENTITY_N_MAX}], got {n}")
+    return _square_identity(
+        complex(s), n, *_table_products(table_multiplicities(n))
+    )
+
+
 def verify_identities_sweep(n_max: int) -> list[BoundReport]:
     """Violated reports of the exact table sums and of the square identity
     at each of the exponents 0, -1, 2, 3 and 2+3j, over every table size
     n in [1, n_max].
 
+    The multiplicities of the n-table are grown from those of the
+    (n-1)-table and shared by the five exponents, so each comparison is
+    verify_square_identity(s, n)'s own without its table being rebuilt.
     n_max below 1 or above IDENTITY_SWEEP_N_MAX is rejected before any
     table runs.
     """
@@ -211,7 +230,13 @@ def verify_identities_sweep(n_max: int) -> list[BoundReport]:
             f"got {n_max}"
         )
     reports = []
+    # the n-table is the (n-1)-table plus the products n*a and a*n for
+    # a < n and n*n, so one array grows through every table size
+    grown = np.zeros(n_max * n_max + 1, dtype=np.int64)
     for n in range(1, n_max + 1):
+        grown[n : n * (n - 1) + 1 : n] += 2
+        grown[n * n] += 1
+        products = _table_products(grown[: n * n + 1])
         weighted, plain = table_sum_checks(n)
         for quantity, got, expected in (
             ("table_sum", plain, n * n),
@@ -223,7 +248,7 @@ def verify_identities_sweep(n_max: int) -> list[BoundReport]:
                     violated=True, borderline=False,
                 ))
         for s in _IDENTITY_EXPONENTS:
-            cmp = verify_square_identity(s, n)
+            cmp = _square_identity(complex(s), n, *products)
             if not cmp.ok:
                 dev, tol = cmp.max_abs_deviation, cmp.tolerance
                 reports.append(BoundReport(

@@ -6,7 +6,8 @@ kept here because nothing outside the tests needs it.
 
 import numpy as np
 
-from mtable import series
+from mtable import bounds, series
+from mtable.bounds import BoundReport
 from mtable.divisors import divisor_list, divisor_window
 from mtable.multiplicity import multiplicity_direct
 
@@ -67,3 +68,68 @@ def zeta_square_truncation_partial(s: float, k_max: int) -> float:
     ks = np.arange(1, k_max + 1, dtype=np.float64)
     terms = d[1:].astype(np.float64) * series._power_terms(ks, complex(s))
     return series._compensated_sum(terms)
+
+
+def trial_prime_powers(k: int) -> list[tuple[int, int]]:
+    """(p, e) for every prime power p**e exactly dividing k, p ascending,
+    by trial division with every integer up to the square root of the
+    shrinking cofactor."""
+    factors = []
+    m, p = k, 2
+    while p * p <= m:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e:
+            factors.append((p, e))
+        p += 1
+    if m > 1:
+        factors.append((m, 1))
+    return factors
+
+
+def scalar_theorem_sweep(counts: np.ndarray) -> list[BoundReport]:
+    """verify_theorem_sweep's reports from verify_theorem_lower_bound and
+    verify_mean_bound run at every n in [2, len(counts) - 1], where
+    counts[n] is M(n)."""
+    reports = []
+    for n in range(2, counts.size):
+        m = int(counts[n])
+        for check in (bounds.verify_theorem_lower_bound, bounds.verify_mean_bound):
+            r = check(n, m)
+            if r.violated or r.borderline:
+                reports.append(r)
+    return reports
+
+
+def per_call_identities_sweep(
+    n_max: int,
+) -> tuple[list[BoundReport], list[series.SeriesComparison]]:
+    """(verify_identities_sweep's reports, the comparisons they rest on)
+    from table_sum_checks and one verify_square_identity call per (n, s),
+    each building its own table.  table_sum_checks is looked up in
+    series, where the sweep finds it, so a test that patches it there
+    patches both."""
+    reports, comparisons = [], []
+    for n in range(1, n_max + 1):
+        weighted, plain = series.table_sum_checks(n)
+        for quantity, got, expected in (
+            ("table_sum", plain, n * n),
+            ("table_sum_weighted", weighted, (n * (n + 1) // 2) ** 2),
+        ):
+            if got != expected:
+                reports.append(BoundReport(
+                    n, quantity, float(got), float(expected), float(expected - got),
+                    violated=True, borderline=False,
+                ))
+        for s in (0, -1, 2, 3, 2 + 3j):
+            cmp = series.verify_square_identity(s, n)
+            comparisons.append(cmp)
+            if not cmp.ok:
+                dev, tol = cmp.max_abs_deviation, cmp.tolerance
+                reports.append(BoundReport(
+                    n, f"square_identity_s_{s}", dev, tol, tol - dev,
+                    violated=True, borderline=False,
+                ))
+    return reports, comparisons

@@ -110,6 +110,15 @@ def test_bounds_surfaces_violation(capsys):
     assert row["violations"][0]["quantity"] == "divisor_sum"
 
 
+def test_bounds_at_a_large_prime(capsys):
+    code, out, _ = run(
+        capsys, "bounds", "--k", str(2**61 - 1), "--format", "json"
+    )
+    assert code == 0
+    row = json.loads(out)
+    assert (row["d"], row["sigma"], row["violations"]) == (2, 2**61, [])
+
+
 def test_bounds_alternate_constant_clean(capsys):
     code, out, _ = run(
         capsys, "bounds", "--k", "12", "--robin-c", "6483/10000", "--format", "json"

@@ -4,9 +4,13 @@ import math
 import random
 
 import pytest
-from oracles import divisor_step_integral
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import divisor_step_integral, trial_prime_powers
 
 from mtable.divisors import (
+    _is_prime,
+    _prime_powers,
     divisor_count,
     divisor_list,
     divisor_sum,
@@ -151,3 +155,58 @@ def test_factorised_divisors_large_k():
     assert divisor_list(10**14) == sorted(
         2**a * 5**b for a in range(15) for b in range(15)
     )
+
+
+def test_factorised_mersenne_prime():
+    # the prime 2**61 - 1 is left whole by trial division and has to be
+    # recognised by the primality test
+    p = 2**61 - 1
+    assert _prime_powers(p) == [(p, 1)]
+    assert divisor_list(p) == [1, p]
+    assert divisor_sum(p) == 2**61
+
+
+def test_factorised_products_of_two_large_primes():
+    # 2**31 - 1 and 2147483629 are the two largest primes below 2**31; a
+    # product of primes this close to its square root is rho's worst case
+    p, q = 2**31 - 1, 2147483629
+    assert trial_prime_powers(q) == [(q, 1)]
+    assert _prime_powers(p * q) == [(q, 1), (p, 1)]
+    assert _prime_powers(p * p) == [(p, 2)]
+    assert divisor_list(p * q) == [1, q, p, p * q]
+    # 2**63 - 1 = 7**2 * 73 * 127 * 337 * 92737 * 649657
+    assert _prime_powers(2**63 - 1) == trial_prime_powers(2**63 - 1)
+
+
+def test_primality_matches_a_sieve_and_rejects_strong_pseudoprimes():
+    limit = 10**5
+    sieve = [True] * limit
+    sieve[0] = sieve[1] = False
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = [False] * len(range(i * i, limit, i))
+    assert [m for m in range(2, limit) if _is_prime(m)] == [
+        m for m in range(2, limit) if sieve[m]
+    ]
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base
+    # up to 37 but 29, 31 and 37; the second is below MAX_K and needs them
+    assert not _is_prime(3215031751)
+    assert not _is_prime(3825123056546413051)
+    assert _prime_powers(3825123056546413051) == [
+        (149491, 1), (747451, 1), (34233211, 1)
+    ]
+
+
+# numbers whose cofactor after trial division is a product of two primes
+# above the trial limit, a square of one, or a prime, as well as plain k
+@given(
+    st.one_of(
+        st.integers(1, 10**12),
+        st.tuples(st.integers(1000, 10**6), st.integers(1000, 10**6)).map(
+            lambda ab: ab[0] * ab[1]
+        ),
+        st.integers(1000, 10**6).map(lambda a: a * a),
+    )
+)
+def test_factorisation_matches_trial_division(k):
+    assert _prime_powers(k) == trial_prime_powers(k)

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from oracles import zeta_square_truncation_partial
+from oracles import per_call_identities_sweep, zeta_square_truncation_partial
 
 from mtable import series
 
@@ -90,6 +90,63 @@ def test_identities_sweep_reports_table_sum_failure(monkeypatch):
     r = reports[1]
     assert (r.value, r.bound, r.margin) == (3.0, 4.0, 1.0)
     assert r.violated and not r.borderline
+
+
+def _bits(cmp):
+    # every field of a comparison, floats and complex parts as hex
+    def key(v):
+        if isinstance(v, complex):
+            return (v.real.hex(), v.imag.hex())
+        return v.hex() if isinstance(v, float) else v
+
+    return tuple(key(getattr(cmp, f)) for f in cmp.__dataclass_fields__)
+
+
+def test_identities_sweep_matches_per_call_oracle(monkeypatch):
+    # the sweep grows one table through every n and shares it across the
+    # exponents; each comparison must be verify_square_identity's own,
+    # bit for bit, and the reports those built from them.  The grid route
+    # is pushed off at a few (s, n) and the table sum at one n, so the
+    # reports are not all empty.
+    grid_sum, checks = series._grid_sum, series.table_sum_checks
+
+    def off_grid(s, n):
+        return grid_sum(s, n) + (1e-6 if n in (7, 31) else 0.0)
+
+    def off_sums(n):
+        weighted, plain = checks(n)
+        return (weighted + 1, plain) if n == 12 else (weighted, plain)
+
+    monkeypatch.setattr(series, "_grid_sum", off_grid)
+    monkeypatch.setattr(series, "table_sum_checks", off_sums)
+    reports, comparisons = per_call_identities_sweep(40)
+    shared = []
+    square_identity = series._square_identity
+
+    def recording(s, n, ks, weights):
+        shared.append(square_identity(s, n, ks, weights))
+        return shared[-1]
+
+    monkeypatch.setattr(series, "_square_identity", recording)
+    assert series.verify_identities_sweep(40) == reports
+    assert [_bits(c) for c in shared] == [_bits(c) for c in comparisons]
+    assert len(shared) == 5 * 40
+    assert [(r.argument, r.quantity) for r in reports] == [
+        (7, "square_identity_s_2"),
+        (7, "square_identity_s_3"),
+        (7, "square_identity_s_(2+3j)"),
+        (12, "table_sum_weighted"),
+        (31, "square_identity_s_2"),
+        (31, "square_identity_s_3"),
+        (31, "square_identity_s_(2+3j)"),
+    ]
+
+
+def test_exact_grid_sum_spans_row_blocks():
+    # n on and around the row block's length, and several blocks
+    for n in (1, 127, 128, 129, 300):
+        assert series._grid_sum_exact(0, n) == n * n
+        assert series._grid_sum_exact(-1, n) == (n * (n + 1) // 2) ** 2
 
 
 def test_identities_sweep_rejects_empty_range():

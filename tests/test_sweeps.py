@@ -13,7 +13,8 @@ around a window edge.
 The bracket sweep's oracle is the scalar check at every argument: the
 bracket margin from math's log and exp, k*d(k) - sigma(k) from the
 whole-range sieve, and verify_integral_bracket for every argument that
-margin flags.
+margin flags.  The theorem sweep's oracle runs both scalar checks at
+every n.
 """
 
 import math
@@ -21,8 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import scalar_theorem_sweep
 
-from mtable import bounds
+from mtable import bounds, products
 
 # at least three windows, ending off a window edge
 LO = 5
@@ -147,21 +149,21 @@ def test_sweeps_match_whole_range_from_any_lo(monkeypatch, sweep, whole, cs, lo)
 
 def test_divisor_sweep_where_the_bound_overflows(monkeypatch):
     # with c = 550 the d bound rises from about 1600 and overflows to inf
-    # soon after; an inf bound is flagged (its slack is inf too), so the
-    # screen must not skip the arguments where it overflows
+    # soon after; its slack is inf too, yet an inf bound is never flagged
     monkeypatch.setattr(bounds, "SWEEP_WINDOW", SMALL_WINDOW)
     c = Fraction(550)
     with np.errstate(over="ignore"):
         windowed = bounds.verify_divisor_bound(3, SMALL_HI, c)
         assert windowed == whole_divisor_sweep(3, SMALL_HI, c)
+        assert bounds._nicolas_values(np.array([4472.0, 4473.0]), 550.0)[
+            1
+        ] == math.inf
     assert 1000 < bounds._nicolas_rising_from(float(c)) < 2000
     # the bound is finite, and far above d, from there to n = 4472; the
-    # second window starts below 4472 and ends where the bound is inf
+    # second window starts below 4472 and ends where the bound is inf,
+    # which holds for every value and is not flagged
     assert [r.argument for r in windowed if 2000 <= r.argument <= 4472] == []
-    assert {r.argument for r in windowed if r.argument > 4472} == set(
-        range(4473, SMALL_HI + 1)
-    )
-    assert all(r.bound == math.inf for r in windowed if r.argument > 4472)
+    assert [r.argument for r in windowed if r.argument > 4472] == []
 
 
 @pytest.mark.parametrize(
@@ -361,3 +363,74 @@ def test_shape_check_rejects_bad_range():
     for hi in (114, bounds.SWEEP_MAX + 1):
         with pytest.raises(ValueError):
             bounds.nicolas_shape_check(hi)
+
+
+def test_inf_bound_is_never_flagged():
+    # c = 400 overflows the d bound at n = 3..18, a bound every d(n) meets
+    with np.errstate(over="ignore"):
+        assert bounds.verify_divisor_bound(3, 100, 400) == []
+        assert bounds._nicolas_values(np.array([18.0]), 400.0)[0] == math.inf
+    assert bounds._classify_upper(math.inf, math.inf) == (False, False)
+    # a bound at -inf is still flagged
+    assert bounds._classify_upper(-math.inf, -math.inf) == (False, True)
+
+
+@pytest.mark.parametrize("hi", [2, 3, 114, 500, 1500, products.PREFIX_N_MAX])
+def test_theorem_sweep_matches_scalar_checks(hi):
+    counts = products.distinct_count_prefix(hi)
+    assert bounds.verify_theorem_sweep(hi) == scalar_theorem_sweep(counts)
+
+
+def _theorem_floor(n):
+    return n * n / bounds.nicolas_bound(n * n)
+
+
+@pytest.mark.parametrize("slack", [bounds.RELATIVE_SLACK, 1e-6])
+def test_theorem_sweep_with_counts_at_the_floor(monkeypatch, slack):
+    # counts just below the floor are violations; at a slack of 1e-6 the
+    # band holds integers, and counts rounded to a floor inside it are
+    # borderline.  A count one above the floor is clean but close.
+    hi = 3000
+    monkeypatch.setattr(bounds, "RELATIVE_SLACK", slack)
+    counts = products.distinct_count_prefix(hi)
+    below = [5, 114, 1000, 2999, hi]
+    for n in below:
+        counts[n] = math.ceil(_theorem_floor(n)) - 1
+    inside = [
+        n
+        for n in range(1200, hi)
+        if abs(_theorem_floor(n) - round(_theorem_floor(n)))
+        <= slack * _theorem_floor(n)
+    ][:5]
+    for n in inside:
+        counts[n] = round(_theorem_floor(n))
+    for n in (3, 700, 2000):
+        counts[n] = math.ceil(_theorem_floor(n)) + 1
+    monkeypatch.setattr(bounds, "distinct_count_prefix", lambda hi: counts[: hi + 1])
+    reports = bounds.verify_theorem_sweep(hi)
+    assert reports == scalar_theorem_sweep(counts)
+    assert {r.argument for r in reports if r.violated} == set(below)
+    assert {r.argument for r in reports if r.borderline} == set(inside)
+    assert len(inside) == (5 if slack == 1e-6 else 0)
+
+
+def test_theorem_sweep_checks_the_bound_above_12_everywhere(monkeypatch):
+    # a bound that dips below 12 at one n, in both its forms, where the
+    # count clears both checks anyway: the sweep still raises
+    dip = 700
+    real_values, real_bound = bounds._nicolas_values, bounds.nicolas_bound
+
+    def dipped_values(ns, c):
+        vals = real_values(ns, c)
+        vals[ns == dip * dip] = 11.5
+        return vals
+
+    def dipped_bound(n, c=bounds.NICOLAS_C):
+        return 11.5 if n == dip * dip else real_bound(n, c)
+
+    monkeypatch.setattr(bounds, "_nicolas_values", dipped_values)
+    monkeypatch.setattr(bounds, "nicolas_bound", dipped_bound)
+    counts = products.distinct_count_prefix(1000)
+    assert dip * dip / 12 < counts[dip] < dip * dip
+    with pytest.raises(RuntimeError, match="fell below 12"):
+        bounds.verify_theorem_sweep(1000)
