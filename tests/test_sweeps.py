@@ -155,9 +155,7 @@ def test_divisor_sweep_where_the_bound_overflows(monkeypatch):
     with np.errstate(over="ignore"):
         windowed = bounds.verify_divisor_bound(3, SMALL_HI, c)
         assert windowed == whole_divisor_sweep(3, SMALL_HI, c)
-        assert bounds._nicolas_values(np.array([4472.0, 4473.0]), 550.0)[
-            1
-        ] == math.inf
+        assert bounds._nicolas_values(np.array([4473.0]), 550.0)[0] == math.inf
     assert 1000 < bounds._nicolas_rising_from(float(c)) < 2000
     # the bound is finite, and far above d, from there to n = 4472; the
     # second window starts below 4472 and ends where the bound is inf,
@@ -389,7 +387,7 @@ def _theorem_floor(n):
 def test_theorem_sweep_with_counts_at_the_floor(monkeypatch, slack):
     # counts just below the floor are violations; at a slack of 1e-6 the
     # band holds integers, and counts rounded to a floor inside it are
-    # borderline.  A count one above the floor is clean but close.
+    # borderline.  Counts just above the floor are clean.
     hi = 3000
     monkeypatch.setattr(bounds, "RELATIVE_SLACK", slack)
     counts = products.distinct_count_prefix(hi)
