@@ -34,8 +34,6 @@ from .bounds import (
     ROBIN_C_ALTERNATE,
     divisor_bound_at,
     nicolas_bound,
-    nicolas_floor_check,
-    nicolas_monotonicity_check,
     nicolas_shape_check,
     reference_densities,
     robin_bound,
@@ -80,8 +78,6 @@ __all__ = [
     "ROBIN_C_ALTERNATE",
     "divisor_bound_at",
     "nicolas_bound",
-    "nicolas_floor_check",
-    "nicolas_monotonicity_check",
     "nicolas_shape_check",
     "reference_densities",
     "robin_bound",

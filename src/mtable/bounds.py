@@ -7,11 +7,20 @@ Two classical effective bounds are implemented with fixed constants:
     robin_bound(n)   = e**gamma * n * ln ln n + c * n / ln ln n,
         c = 3241/5000, compared against sigma(n), n >= 3.
 
-Sweep verifiers report every argument whose value crosses its bound, and
-divisor_bound_at and sigma_bound_at make the same check at one argument.  A
-comparison only counts as a violation when it fails by more than a
-relative slack of 1e-12; anything inside the band is flagged borderline
-instead, so float rounding can never manufacture or hide a violation.
+Each bound has one evaluation, the numpy kernel the sweeps run over
+whole windows; nicolas_bound and robin_bound apply it to one np.float64.
+That this gives the bits of the same argument's element in an array is
+a property of the installed numpy (which may pick its exp and log loops
+by stride), checked by test_scalar_bounds_are_the_array_evaluation, not
+a guarantee.  Sweep verifiers report every argument whose value
+crosses its bound, and divisor_bound_at and sigma_bound_at make the
+same check at one argument.
+Every verdict comes from one rule, _classify_upper or _classify_lower,
+applied to one margin or to a window of them: a comparison only counts
+as a violation when it fails by more than a relative slack of 1e-12;
+anything inside the band is flagged borderline instead, so float
+rounding can never manufacture or hide a violation.  A bound that is
+not finite gets no slack: +inf holds for every value and -inf fails it.
 The sweeps sieve, evaluate and classify one window of SWEEP_WINDOW
 arguments at a time, so their peak memory does not depend on the range.
 The d and sigma sweeps evaluate their bound at every argument only where
@@ -25,13 +34,10 @@ less SCREEN_BAND of the bound's terms.  That band is many times the
 slack plus the float error of the bound, so an argument left out cannot
 be flagged, and the reports are the same floats as those of evaluating
 every argument.
-The bracket sweep screens each window with vectorised bounds and hands
-every argument near a bracket edge to the scalar check, so its reports
-are exactly those of the scalar check run at every argument.  The
-theorem sweep takes every M(n) from one prefix count and screens the
-same way: both of its margins come from the vectorised bound at every
-n, and only the n within the slack plus SCREEN_BAND of an edge, or whose
-bound comes within SCREEN_BAND of 12, go to the two scalar checks.
+The bracket sweep classifies every margin of a window at once, and the
+theorem sweep both margins of every n from one prefix count; the
+arguments they flag go to the scalar checks, which build the reports,
+and a report is kept only if it is violated or borderline itself.
 """
 
 from __future__ import annotations
@@ -60,8 +66,6 @@ __all__ = [
     "verify_theorem_lower_bound",
     "verify_mean_bound",
     "verify_theorem_sweep",
-    "nicolas_monotonicity_check",
-    "nicolas_floor_check",
     "nicolas_shape_check",
     "reference_densities",
 ]
@@ -83,19 +87,12 @@ RELATIVE_SLACK = 1e-12
 # loop over i <= sqrt(hi) more often, wider ones fall out of cache.
 SWEEP_WINDOW = 1 << 19
 
-# Relative band of the screens that let the sweeps skip arguments.  The
-# bracket sweep re-decides with the scalar verify_integral_bracket every
-# margin within this share of the bounds' terms: numpy's and math's log
-# and exp differ in the last bits (the two forms of the bounds differed
-# by at most 2.7e-15 relative on [3, 1e5] and 4.5e-15 on 2e5 random
-# arguments below 1e9), so a vectorised margin can differ from the
-# scalar one by a few ulps of the terms it is built from.  The d and
-# sigma sweeps evaluate their bound only at arguments whose value comes
-# within this share of the terms of a floor the bound cannot go below
-# (see _windowed_upper_sweep).  The theorem sweep re-decides with its
-# two scalar checks every n whose margins come within this share of
-# their terms.  A band of 1e-9 covers those few ulps plus RELATIVE_SLACK
-# many times over.
+# Relative band of the floors that let the d and sigma sweeps skip
+# arguments: they evaluate their bound only at arguments whose value
+# comes within this share of the terms of a floor the real, monotone
+# bound cannot go below (see _windowed_upper_sweep).  A band of 1e-9
+# covers the float bound's few ulps of error against the real one plus
+# RELATIVE_SLACK many times over.
 SCREEN_BAND = 1e-9
 
 # Largest upper end the sweeps accept.  Memory stays at one window, but
@@ -140,22 +137,33 @@ class BoundReport:
     constants_used: dict = field(default_factory=_default_constants)
 
 
-def _slack(scale: float) -> float:
-    return RELATIVE_SLACK * max(1.0, abs(scale))
+def _slack(scale):
+    # RELATIVE_SLACK of |scale|, at least of 1; a non-finite scale gets
+    # none, so a bound of +inf is clean and one of -inf violated.  A
+    # scalar scale gives a 0-d array; zeroing in place saves the sweeps
+    # a window-sized copy
+    slack = np.asarray(RELATIVE_SLACK * np.maximum(abs(scale), 1.0))
+    slack[~np.isfinite(slack)] = 0.0
+    return slack
 
 
-def _classify_upper(margin: float, scale: float) -> tuple[bool, bool]:
-    # value must stay at or below bound: healthy margin is positive.  A
-    # bound that overflows to +inf holds for every value, though its
-    # margin and slack are both inf
-    s = _slack(scale)
-    return margin < -s, abs(margin) <= s and margin < math.inf
+# The two verdict rules, (violated, borderline), for one margin or an
+# array of them; numpy bools either way.
 
 
-def _classify_lower(margin: float, scale: float) -> tuple[bool, bool]:
+def _classify_upper(margin, scale):
+    # value must stay at or below bound: healthy margin is positive, and
+    # a miss beyond the slack is a violation
+    slack = _slack(scale)
+    borderline = abs(margin) <= slack
+    return (margin < 0) & ~borderline, borderline
+
+
+def _classify_lower(margin, scale):
     # value must stay at or above bound: healthy margin is negative
-    s = _slack(scale)
-    return margin > s, abs(margin) <= s
+    slack = _slack(scale)
+    borderline = abs(margin) <= slack
+    return (margin > 0) & ~borderline, borderline
 
 
 def _require_n(n: int, least: int):
@@ -171,30 +179,26 @@ def _require_sweep(lo: int, hi: int, least: int):
         raise ValueError(f"sweeps end at most at {SWEEP_MAX}, got {hi}")
 
 
-def _band(scales: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    # how far a vectorised margin may lie from the scalar check's edge
-    # and still be flagged by it: the slack of its scale, plus
-    # SCREEN_BAND of the terms the margin is computed from
-    slack = RELATIVE_SLACK * np.maximum(np.abs(scales), 1.0)
-    return slack + SCREEN_BAND * np.abs(terms)
-
-
 def _arguments(lo: int, hi: int) -> np.ndarray:
     return np.arange(lo, hi + 1, dtype=np.float64)
 
 
 def nicolas_bound(n: int, c: Fraction | float = NICOLAS_C) -> float:
-    """Upper bound for d(n), valid for n >= 3."""
+    """Upper bound for d(n), valid for n >= 3: the sweeps' evaluation at
+    one argument."""
     _require_n(n, 3)
-    loglog = math.log(math.log(n))
-    return math.exp(math.log(n) * (_LN2 / loglog) * (1.0 + float(c) / loglog))
+    return float(_nicolas_values(np.float64(n), float(c)))
 
 
 def robin_bound(n: int, c: Fraction | float = ROBIN_C) -> float:
-    """Upper bound compared against sigma(n), for n >= 3."""
+    """Upper bound compared against sigma(n), for n >= 3: the sweeps'
+    evaluation at one argument."""
     _require_n(n, 3)
-    loglog = math.log(math.log(n))
-    return math.exp(EULER_GAMMA) * n * loglog + float(c) * n / loglog
+    return float(_robin_values(np.float64(n), float(c)))
+
+
+# The one evaluation of each bound, for an array of arguments or one
+# np.float64; either way each argument gets the same float.
 
 
 def _nicolas_values(ns: np.ndarray, c: float) -> np.ndarray:
@@ -219,8 +223,8 @@ def _upper_report(
         value=value,
         bound=bound,
         margin=margin,
-        violated=violated,
-        borderline=borderline,
+        violated=bool(violated),
+        borderline=bool(borderline),
         constants_used=constants,
     )
 
@@ -233,13 +237,12 @@ def _upper_sweep(
     constants: dict,
 ) -> list[BoundReport]:
     # ns holds the arguments as floats, values and bounds theirs
-    margins = bounds - values
-    slack = RELATIVE_SLACK * np.maximum(1.0, np.abs(bounds))
+    violated, borderline = _classify_upper(bounds - values, bounds)
     return [
         _upper_report(
             int(ns[idx]), quantity, int(values[idx]), float(bounds[idx]), constants
         )
-        for idx in np.nonzero((margins <= slack) & (margins < math.inf))[0]
+        for idx in np.flatnonzero(violated | borderline)
     ]
 
 
@@ -409,8 +412,7 @@ def verify_sigma_bound(
 
 def divisor_bound_at(k: int) -> BoundReport:
     """The check of verify_divisor_bound at the one argument k >= 3,
-    returned whether or not it is flagged.  Its bound is nicolas_bound(k),
-    which can differ from the sweep's vectorised value in the last bits."""
+    returned whether or not it is flagged."""
     return _upper_report(
         k, "divisor_count", divisor_count(k), nicolas_bound(k), _default_constants()
     )
@@ -418,8 +420,7 @@ def divisor_bound_at(k: int) -> BoundReport:
 
 def sigma_bound_at(k: int, c: Fraction | float = ROBIN_C) -> BoundReport:
     """The check of verify_sigma_bound at the one argument k >= 3,
-    returned whether or not it is flagged.  Its bound is robin_bound(k),
-    which can differ from the sweep's vectorised value in the last bits."""
+    returned whether or not it is flagged."""
     constants = dict(_default_constants(), robin_c=Fraction(c))
     return _upper_report(k, "divisor_sum", divisor_sum(k), robin_bound(k, c), constants)
 
@@ -436,15 +437,16 @@ def verify_integral_bracket(
     lower = 2.0 * k - robin_bound(k, robin_c)
     upper = k * nicolas_bound(k, nicolas_c) - k - 1.0
     margin = min(middle - lower, upper - middle)
-    s = _slack(max(abs(middle), 1.0))
+    # inside the bracket the margin is positive, as for an upper bound
+    violated, borderline = _classify_upper(margin, middle)
     return BoundReport(
         argument=k,
         quantity="integral",
         value=middle,
         bound=(lower, upper),
         margin=margin,
-        violated=margin < -s,
-        borderline=abs(margin) <= s,
+        violated=bool(violated),
+        borderline=bool(borderline),
         constants_used=dict(
             _default_constants(), robin_c=Fraction(robin_c), nicolas_c=Fraction(nicolas_c)
         ),
@@ -461,11 +463,10 @@ def verify_bracket_sweep(
     every k in [lo, hi]; an empty range is rejected.
 
     Each window of SWEEP_WINDOW arguments is sieved for d and sigma, so
-    k*d(k) - sigma(k) is exact (int64), and its margins are computed from
-    the vectorised bounds.  Every k whose margin lies within the slack
-    plus SCREEN_BAND of the bounds' terms is re-decided by
-    verify_integral_bracket itself, so reports, margins and verdicts are
-    those of the scalar check.
+    k*d(k) - sigma(k) is exact (int64), and its margins are computed and
+    classified at once with the scalar check's operations.  Only the
+    flagged k go to verify_integral_bracket, which builds their reports;
+    one it finds clean is dropped.
     """
     _require_sweep(lo, hi, 3)
     reports = []
@@ -479,8 +480,8 @@ def verify_bracket_sweep(
         nicolas = kf * _nicolas_values(kf, float(nicolas_c))
         # the scalar check's operations, in its order
         margins = np.minimum(middle - (2.0 * kf - robin), (nicolas - kf - 1.0) - middle)
-        band = _band(middle, np.abs(robin) + np.abs(nicolas) + kf)
-        for idx in np.nonzero(margins <= band)[0]:
+        violated, borderline = _classify_upper(margins, middle)
+        for idx in np.flatnonzero(violated | borderline):
             r = verify_integral_bracket(wlo + int(idx), robin_c, nicolas_c)
             if r.violated or r.borderline:
                 reports.append(r)
@@ -503,8 +504,8 @@ def verify_theorem_lower_bound(n: int, m: int) -> BoundReport:
         value=m,
         bound=floor,
         margin=margin,
-        violated=violated,
-        borderline=borderline,
+        violated=bool(violated),
+        borderline=bool(borderline),
     )
 
 
@@ -528,12 +529,10 @@ def verify_theorem_sweep(hi: int = 500) -> list[BoundReport]:
     and verify_mean_bound over every n in [2, hi]; hi < 2 is rejected.
 
     Every M(n) comes from one distinct_count_prefix pass, so hi may be
-    at most products.PREFIX_N_MAX.  Both margins are computed for every
-    n at once from the vectorised bound, and each n whose margin lies
-    within the slack plus SCREEN_BAND of the compared terms of either
-    check, or whose bound lies within SCREEN_BAND of 12, is re-decided by
-    the two scalar checks themselves.  The reports and the bound >= 12
-    check are therefore those of the scalar checks run at every n.
+    at most products.PREFIX_N_MAX.  Both margins are computed and
+    classified for every n at once with the scalar checks' operations.
+    The two scalar checks build the reports at the flagged n, and run at
+    every n whose bound is below 12, where verify_mean_bound raises.
     """
     if hi < 2:
         raise ValueError(f"empty range [2, {hi}]")
@@ -545,13 +544,11 @@ def verify_theorem_sweep(hi: int = 500) -> list[BoundReport]:
     # the scalar checks' operations, in their order
     floors = squares / caps
     means = ms * caps
-    near = (
-        (floors - ms >= -_band(floors, floors + ms))
-        | (means - squares <= _band(means, means + squares))
-        | (caps < 12.0 * (1.0 + SCREEN_BAND))
-    )
+    low_violated, low_borderline = _classify_lower(floors - ms, floors)
+    mean_violated, mean_borderline = _classify_upper(means - squares, means)
+    flagged = low_violated | low_borderline | mean_violated | mean_borderline
     reports = []
-    for idx in np.flatnonzero(near):
+    for idx in np.flatnonzero(flagged | (caps < 12.0)):
         n = int(idx) + 2
         m = int(counts[n])
         for check in (verify_theorem_lower_bound, verify_mean_bound):
@@ -579,35 +576,14 @@ def _nicolas_shape(
     return increasing, above
 
 
-def _require_rising(lo: int, hi: int):
-    _require_sweep(lo, hi, 114)
-    if hi == lo:
-        raise ValueError(f"empty range [{lo}, {hi})")
-
-
-def nicolas_monotonicity_check(lo: int = 114, hi: int = 10**6) -> bool:
-    """True iff nicolas_bound(n+1) > nicolas_bound(n) for every integer
-    n in [lo, hi).  The bound is increasing from n = 114 on, so lo must
-    be at least 114."""
-    _require_rising(lo, hi)
-    # no floor: every value is above -inf
-    return _nicolas_shape(lo, hi, lo, -math.inf)[0]
-
-
-def nicolas_floor_check(lo: int = 3, hi: int = 10**6, floor: float = 114.1) -> bool:
-    """True iff nicolas_bound(n) > floor for every integer n in [lo, hi].
-
-    The bound reaches its minimum near n = 114 yet stays above 114.1.
-    """
-    _require_sweep(lo, hi, 3)
-    # no rising range: it would start past hi
-    return _nicolas_shape(lo, hi, hi + 1, floor)[1]
-
-
 def nicolas_shape_check(hi: int = 10**6, floor: float = 114.1) -> tuple[bool, bool]:
-    """(nicolas_monotonicity_check(114, hi), nicolas_floor_check(3, hi,
-    floor)) from one evaluation of the bound over [3, hi]."""
-    _require_rising(114, hi)
+    """(nicolas_bound(n+1) > nicolas_bound(n) for every n in [114, hi),
+    nicolas_bound(n) > floor for every n in [3, hi]) from one evaluation
+    of the bound over [3, hi].  The bound decreases into n = 114 and
+    rises after it, and its minimum there stays above 114.1."""
+    _require_sweep(114, hi, 114)
+    if hi == 114:
+        raise ValueError("empty range [114, 114)")
     return _nicolas_shape(3, hi, 114, floor)
 
 

@@ -8,15 +8,20 @@ was reported, 2 for usage or domain errors.
 
 json and csv output format every float with exactly 10 fractional
 digits, so a command line produces identical bytes on every run apart
-from elapsed-time fields.
+from elapsed-time fields.  json writes a float that is not finite as
+the string "Infinity", "-Infinity" or "NaN" (protobuf's JSON spelling,
+which float() reads back), so the output stays valid JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from . import bounds as bnd
 from . import products, series
@@ -42,7 +47,7 @@ def _to_json(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return _ffmt(value)
+        return _ffmt(value) if math.isfinite(value) else f'"{json.dumps(value)}"'
     if isinstance(value, str):
         return json.dumps(value)
     if value is None:
@@ -216,9 +221,12 @@ def _cmd_multiplicity(args) -> int:
 def _cmd_bounds(args) -> int:
     k = args.k
     robin_c = args.robin_c
-    d = bnd.divisor_bound_at(k)
-    sigma = bnd.sigma_bound_at(k, robin_c)
-    bracket = bnd.verify_integral_bracket(k, robin_c=robin_c)
+    # a constant that overflows a bound gives +-inf, which the verdict
+    # rule already handles, so numpy's overflow warning is only noise
+    with np.errstate(over="ignore"):
+        d = bnd.divisor_bound_at(k)
+        sigma = bnd.sigma_bound_at(k, robin_c)
+        bracket = bnd.verify_integral_bracket(k, robin_c=robin_c)
     reports = [d, sigma, bracket]
     flagged = [r for r in reports if r.violated or r.borderline]
     if args.format == "json":

@@ -237,8 +237,7 @@ def test_criterion_08_universal_multiplicity():
 
 
 def test_criterion_09_bound_monotone_and_floored():
-    increasing = bounds.nicolas_monotonicity_check(114, 10**6)
-    floored = bounds.nicolas_floor_check(3, 10**6)
+    increasing, floored = bounds.nicolas_shape_check(10**6)
     ok = increasing and floored
     _check(
         9,

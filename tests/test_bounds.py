@@ -1,22 +1,24 @@
 """Explicit divisor-function bounds, sweep verifiers, and brackets."""
 
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from oracles import count_distinct_dense
 
 from mtable import bounds
 from mtable.divisors import divisor_count
 
-# frozen binary64 values of the exp-route evaluation
+# frozen binary64 values of the one evaluation, numpy's log and exp
 NICOLAS_KNOWN = {
     3: 7.3504161079579e75,
     4: 702021340.519163,
     12: 370.5129025251821,
     100: 114.26219759261568,
     114: 114.10968541181916,
-    1000: 142.3062961027631,
+    1000: 142.30629610276307,
 }
 ROBIN_KNOWN = {3: 21.179231614213666, 12: 27.9998200540828}
 ROBIN_12_ALTERNATE = 28.00113839481559
@@ -41,6 +43,55 @@ def test_robin_known_values():
     for n, expect in ROBIN_KNOWN.items():
         assert bounds.robin_bound(n) == expect, n
     assert bounds.robin_bound(12, bounds.ROBIN_C_ALTERNATE) == ROBIN_12_ALTERNATE
+
+
+def bound_sample(seed=20261018):
+    # every n in [3, 3000], 2000 random n below 1e9, 1000 random n in
+    # [1e9, 2**63) and 2**63 - 1
+    rng = random.Random(seed)
+    return (
+        list(range(3, 3001))
+        + [rng.randrange(3001, 10**9) for _ in range(2000)]
+        + [rng.randrange(10**9, 2**63) for _ in range(1000)]
+        + [2**63 - 1]
+    )
+
+
+def test_scalar_bounds_are_the_array_evaluation():
+    # nicolas_bound and robin_bound are the sweeps' kernels at one
+    # argument: equal bit for bit to the element of an array evaluation,
+    # whether it falls in a SIMD body or tail position
+    rng = random.Random(7)
+    ns = list(range(3, 20001)) + [rng.randrange(20001, 10**9) for _ in range(5003)]
+    arguments = np.array(ns, dtype=np.float64)
+    for scalar, values, c in (
+        (bounds.nicolas_bound, bounds._nicolas_values, bounds.NICOLAS_C),
+        (bounds.robin_bound, bounds._robin_values, bounds.ROBIN_C),
+    ):
+        assert [scalar(n) for n in ns] == values(arguments, float(c)).tolist()
+
+
+def test_bounds_against_50_digits():
+    # both bounds stay within half the slack of the real formula (with
+    # the 10-digit gamma) evaluated at 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        ln2 = mpmath.log(2)
+        e_gamma = mpmath.exp(mpmath.mpf(bounds.EULER_GAMMA))
+        nc = mpmath.mpf(bounds.NICOLAS_C.numerator) / bounds.NICOLAS_C.denominator
+        rc = mpmath.mpf(bounds.ROBIN_C.numerator) / bounds.ROBIN_C.denominator
+        for n in bound_sample():
+            x = mpmath.mpf(n)
+            loglog = mpmath.log(mpmath.log(x))
+            pairs = (
+                (
+                    bounds.nicolas_bound(n),
+                    mpmath.exp(mpmath.log(x) * (ln2 / loglog) * (1 + nc / loglog)),
+                ),
+                (bounds.robin_bound(n), e_gamma * x * loglog + rc * x / loglog),
+            )
+            for value, real in pairs:
+                assert abs(value - real) <= bounds.RELATIVE_SLACK / 2 * real, n
 
 
 def test_bound_constants():
@@ -85,19 +136,16 @@ def test_sigma_bound_flags_12():
 
 
 def test_scalar_bound_checks_match_sweeps():
-    # wherever the sigma sweep flags, sigma_bound_at gives the same report;
-    # its bound is robin_bound's, which may differ from the sweep's
-    # vectorised bound in the last bits
+    # wherever the sigma sweep flags, sigma_bound_at gives the same report:
+    # both take the bound from the one evaluation
     flagged = set()
     for c in (bounds.ROBIN_C, -1):
         for r in bounds.verify_sigma_bound(3, 1000, c):
             s = bounds.sigma_bound_at(r.argument, c)
-            fields = ("argument", "quantity", "value", "constants_used")
-            fields += ("violated", "borderline")
-            assert [getattr(s, f) for f in fields] == [getattr(r, f) for f in fields]
+            assert s == r
             assert s.bound == bounds.robin_bound(r.argument, c)
             assert s.margin == s.bound - s.value
-            assert s.bound == pytest.approx(r.bound, rel=1e-14, abs=0)
+            assert type(s.violated) is bool and type(s.borderline) is bool
             flagged.add(r.argument)
     assert 12 in flagged and len(flagged) > 100
     # the divisor sweep flags nothing on [3, 1000], and neither does the
@@ -143,6 +191,26 @@ def test_classification_slack_band():
     assert bounds._classify_lower(1e-9, 100.0) == (True, False)
 
 
+def test_classification_is_one_rule_for_scalars_and_arrays():
+    # the sweeps classify arrays, the scalar checks one margin: the same
+    # verdicts either way, with no slack for a bound that is not finite
+    margins = [1.0, 0.0, -1e-11, -1e-9, 1e-9, math.inf, -math.inf, math.nan]
+    scales = [100.0, 100.0, 100.0, 100.0, 100.0, math.inf, -math.inf, 100.0]
+    for rule in (bounds._classify_upper, bounds._classify_lower):
+        violated, borderline = rule(np.array(margins), np.array(scales))
+        assert [tuple(map(bool, rule(m, s))) for m, s in zip(margins, scales)] == list(
+            zip(violated.tolist(), borderline.tolist())
+        )
+    assert bounds._classify_lower(math.inf, math.inf) == (True, False)
+    # a -inf bound in a sweep is a violation
+    (r,) = bounds._upper_sweep(
+        np.array([5.0]), np.array([6.0]), np.array([-math.inf]), "divisor_sum", {}
+    )
+    assert (r.argument, r.value, r.margin, r.violated, r.borderline) == (
+        5, 6, -math.inf, True, False
+    )
+
+
 def test_bracket_at_12():
     r = bounds.verify_integral_bracket(12)
     assert r.quantity == "integral"
@@ -185,12 +253,11 @@ def test_mean_bound_healthy():
 
 
 def test_monotonicity_and_floor_checks():
-    assert bounds.nicolas_monotonicity_check(114, 10**4) is True
-    assert bounds.nicolas_floor_check(3, 10**4) is True
-    with pytest.raises(ValueError):
-        bounds.nicolas_monotonicity_check(100, 1000)
-    with pytest.raises(ValueError):
-        bounds.nicolas_floor_check(2, 1000)
+    assert bounds.nicolas_shape_check(10**4) == (True, True)
+    # the bound rises from 114 on, not from 113, and its minimum there
+    # lies between 114.1 and 114.2
+    assert bounds._nicolas_shape(3, 10**4, 113, 114.1) == (False, True)
+    assert bounds._nicolas_shape(3, 10**4, 114, 114.2) == (True, False)
 
 
 def test_nicolas_dips_into_114():

@@ -1,9 +1,12 @@
 """Command-line behavior: formats, exit codes, flag placement."""
 
 import json
+import math
 import re
 import time
+import warnings
 
+import numpy as np
 import pytest
 from oracles import count_distinct_dense
 
@@ -125,6 +128,37 @@ def test_bounds_alternate_constant_clean(capsys):
     )
     assert code == 0
     assert json.loads(out)["violations"] == []
+
+
+def test_bounds_json_with_an_overflowing_bound(capsys):
+    # robin-c = -1e300 sends the sigma bound to -inf, a violation, and the
+    # bracket's lower edge to +inf; both are written as strings, so strict
+    # JSON parsing accepts the output and float() reads them back
+    def reject(constant):
+        raise ValueError(f"bare {constant} in the JSON output")
+
+    # numpy's overflow warning is an error here, and nothing reaches stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys, "bounds", "--k", "1000000000", "--robin-c=-1e300", "--format", "json"
+        )
+    assert code == 1
+    assert err == ""
+    row = json.loads(out, parse_constant=reject)
+    assert float(row["robin_bound"]) == float(row["sigma_margin"]) == -math.inf
+    assert float(row["bracket_lower"]) == math.inf
+    sigma = row["violations"][0]
+    assert (sigma["quantity"], sigma["violated"], sigma["borderline"]) == (
+        "divisor_sum", True, False
+    )
+
+
+def test_json_rejects_numpy_values():
+    # report fields are Python bools and floats; a numpy bool slipping
+    # into the output is an error, not a silently different spelling
+    with pytest.raises(TypeError):
+        cli._to_json({"violated": np.True_})
 
 
 def test_verify_sigma_exit_code(capsys):

@@ -11,10 +11,10 @@ points, check that it skips most arguments, and move its start to and
 around a window edge.
 
 The bracket sweep's oracle is the scalar check at every argument: the
-bracket margin from math's log and exp, k*d(k) - sigma(k) from the
-whole-range sieve, and verify_integral_bracket for every argument that
-margin flags.  The theorem sweep's oracle runs both scalar checks at
-every n.
+bracket margin from nicolas_bound and robin_bound at each k,
+k*d(k) - sigma(k) from the whole-range sieve, and
+verify_integral_bracket for every argument that margin flags.  The
+theorem sweep's oracle runs both scalar checks at every n.
 """
 
 import math
@@ -250,9 +250,14 @@ def test_rising_points_in_special_cases():
 
 
 def test_monotonicity_and_floor_match_whole_range():
-    assert bounds.nicolas_monotonicity_check(114, HI) is whole_monotonicity(114, HI)
-    assert bounds.nicolas_floor_check(3, HI) is whole_floor(3, HI)
-    assert bounds.nicolas_floor_check(3, HI, 115.0) is whole_floor(3, HI, 115.0)
+    # a shape taken from lo = 114, and floors above and below the minimum
+    for floor in (114.1, 115.0):
+        assert bounds._nicolas_shape(114, HI, 114, floor) == (
+            whole_monotonicity(114, HI), whole_floor(114, HI, floor)
+        )
+        assert bounds._nicolas_shape(3, HI, HI + 1, floor)[1] is whole_floor(
+            3, HI, floor
+        )
 
 
 def test_shape_check_matches_whole_range():
@@ -337,11 +342,12 @@ def test_dip_is_seen_on_either_side_of_a_window_edge(monkeypatch, offset):
         return values
 
     monkeypatch.setattr(bounds, "_nicolas_values", dipped)
+    increasing, above = bounds._nicolas_shape(lo, HI, lo, 114.1)
     if offset:
         assert whole_monotonicity(lo, HI) is False
-        assert bounds.nicolas_monotonicity_check(lo, HI) is False
+        assert increasing is False
     assert whole_floor(lo, HI) is False
-    assert bounds.nicolas_floor_check(lo, HI) is False
+    assert above is False
 
 
 def test_sweeps_reject_range_above_cap():
@@ -349,8 +355,6 @@ def test_sweeps_reject_range_above_cap():
     for sweep in (
         bounds.verify_divisor_bound,
         bounds.verify_sigma_bound,
-        bounds.nicolas_monotonicity_check,
-        bounds.nicolas_floor_check,
         bounds.verify_bracket_sweep,
     ):
         with pytest.raises(ValueError):
@@ -369,8 +373,8 @@ def test_inf_bound_is_never_flagged():
         assert bounds.verify_divisor_bound(3, 100, 400) == []
         assert bounds._nicolas_values(np.array([18.0]), 400.0)[0] == math.inf
     assert bounds._classify_upper(math.inf, math.inf) == (False, False)
-    # a bound at -inf is still flagged
-    assert bounds._classify_upper(-math.inf, -math.inf) == (False, True)
+    # a bound at -inf is violated by every value
+    assert bounds._classify_upper(-math.inf, -math.inf) == (True, False)
 
 
 @pytest.mark.parametrize("hi", [2, 3, 114, 500, 1500, products.PREFIX_N_MAX])
