@@ -34,6 +34,17 @@ less SCREEN_BAND of the bound's terms.  That band is many times the
 slack plus the float error of the bound, so an argument left out cannot
 be flagged, and the reports are the same floats as those of evaluating
 every argument.
+Most windows are not even sieved.  The largest d(m) and sigma(m)/m over
+m <= x are reached at an m whose prime exponents do not increase over
+2, 3, 5, ... (moving a number's exponents, largest first, onto the
+smallest primes keeps d, lowers m and raises sigma(m)/m: Ramanujan for
+highly composite numbers, Alaoglu and Erdos for superabundant ones), so
+divisors.record_maxima gets both maxima exactly from a list of about a
+thousand such m.  A window past the rising point whose d record, or
+sigma(m)/m record times n, lies below its floor at both ends, compared
+exactly as rationals, lies below that affine floor throughout: no value
+in it can be flagged, and it is skipped.  At the default constants that
+is every window after the first, for sweeps up to SWEEP_MAX.
 The bracket sweep classifies every margin of a window at once, and the
 theorem sweep both margins of every n from one prefix count; the
 arguments they flag go to the scalar checks, which build the reports,
@@ -50,6 +61,7 @@ import numpy as np
 
 from .divisors import (
     divisor_count, divisor_sum, divisor_window, incomplete_divisor_integral,
+    record_maxima,
 )
 from .products import _window_ranges, distinct_count_prefix
 
@@ -283,33 +295,54 @@ def _robin_rising_from(c: float) -> float:
     return _past_loglog(math.sqrt(max(c, 0.0) / math.exp(EULER_GAMMA)))
 
 
-def _nicolas_floor(lo: int, hi: int, c: float, at_lo: float, drop: float) -> float:
+def _nicolas_floor(
+    lo: int, hi: int, c: float, at_lo: float, drop: float
+) -> tuple[float, float]:
     # the bound does not decrease on [lo, hi]: nothing there is below
     # its value at lo; its one term is that value
-    return at_lo - SCREEN_BAND * (abs(at_lo) + 1.0) - drop
+    return 0.0, at_lo - SCREEN_BAND * (abs(at_lo) + 1.0) - drop
 
 
 def _robin_floor(
     lo: int, hi: int, c: float, at_lo: float, drop: float
-) -> np.ndarray:
+) -> tuple[float, float]:
     # bound / n does not decrease on [lo, hi]: the bound at n is at least
     # n * at_lo / lo, and its terms add up to at most n times per_n
     per_n = math.exp(EULER_GAMMA) * math.log(math.log(hi)) + abs(c) / math.log(
         math.log(lo)
     )
-    floor = _arguments(lo, hi)
-    floor *= at_lo / lo - SCREEN_BAND * per_n
-    floor -= SCREEN_BAND + drop
-    return floor
+    return at_lo / lo - SCREEN_BAND * per_n, -(SCREEN_BAND + drop)
 
 
 def _at_or_above(
-    values: np.ndarray, first: int, floor: float | np.ndarray
+    values: np.ndarray, first: int, slope: float, const: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    # (arguments as floats, values) of the entries at or above floor,
-    # where values[j] belongs to the argument first + j
+    # (arguments as floats, values) of the entries at or above the floor
+    # slope * n + const, where values[j] belongs to the argument n = first + j
+    floor = const
+    if slope:
+        floor = _arguments(first, first + len(values) - 1)
+        floor *= slope
+        floor += const
     idx = np.flatnonzero(values >= floor)
     return idx + float(first), values[idx]
+
+
+def _records_clear(
+    wlo: int, whi: int, sieved: str, slope: float, const: float
+) -> bool:
+    # whether the floor slope * n + const lies above the record maxima at
+    # both ends of [wlo, whi], compared exactly: every d(n) there is at
+    # most D(whi) and every sigma(n) at most A(whi) * n, and both sides
+    # are affine in n, so then no value in the window reaches the floor
+    if not (math.isfinite(slope) and math.isfinite(const)):
+        return False
+    most_d, most_ratio = record_maxima(whi)
+    slope, const = Fraction(slope), Fraction(const)
+    return all(
+        (most_d if sieved == "d" else most_ratio * n) < slope * n + const
+        for n in (wlo, whi)
+    )
 
 
 def _windowed_upper_sweep(
@@ -325,32 +358,56 @@ def _windowed_upper_sweep(
 ) -> list[BoundReport]:
     """The _upper_sweep reports over [lo, hi], one window at a time.
 
-    Every window is sieved whole.  Below rising_from, where the bound may
-    fall, each argument's bound is evaluated.  From the first integer
-    past rising_from on, floor_of(start, end, c, bound at start, drop)
-    gives a floor for the part of the window from start to end.  It is
-    sound: the real bound does not decrease there (for sigma, bound / n
-    does not), so it is at least its value at start (n times that value
-    over start), and the floor lies a further SCREEN_BAND of the bound's
-    terms below.  The float bound is within a few ulps of those terms of
-    the real one (for d, where the bound is finite and nonzero, its
-    exponent and that exponent's terms stay below a few thousand for
-    n <= SWEEP_MAX), and an argument is flagged only when its margin is
-    within RELATIVE_SLACK of them.  An argument whose value is below the
-    floor therefore cannot be flagged, and the bound is evaluated and
-    classified only at the arguments whose value reaches it.  A bound
-    that overflows to +inf is never flagged, yet a part whose bound comes
-    near overflow at its end is evaluated in full, which keeps inf out of
-    its floor.
-    drop, the margin of the window's largest value when positive, lowers
-    the floor so that the candidates also hold the window's tightest
-    margin.
+    Below rising_from, where the bound may fall, each argument's bound is
+    evaluated.  From the first integer past rising_from on,
+    floor_of(start, end, c, bound at start, drop) gives a floor for the
+    part of a window from start to end, as (slope, const) of the affine
+    floor slope * n + const.  It is sound: the real bound does not
+    decrease there (for sigma, bound / n does not), so it is at least its
+    value at start (n times that value over start), and the floor lies a
+    further SCREEN_BAND of the bound's terms below.  The float bound is
+    within a few ulps of those terms of the real one (for d, where the
+    bound is finite and nonzero, its exponent and that exponent's terms
+    stay below a few thousand for n <= SWEEP_MAX), and an argument is
+    flagged only when its margin is within RELATIVE_SLACK of them.  An
+    argument whose value is below the floor therefore cannot be flagged.
+
+    A window wholly past rising_from is first held against the record
+    maxima D(end) = max d(m) and A(end) = max sigma(m)/m over m <= end
+    (divisors.record_maxima, exact from the exponents of the candidates
+    that rearranging a number's exponents onto the smallest primes
+    leaves).  Every d(n) in the window is at most D(end) and every
+    sigma(n) at most A(end) * n; when that lies below the floor at both
+    ends of the window, compared exactly as rationals, it lies below the
+    affine floor at every n between, so nothing in the window can be
+    flagged and the window is not sieved at all.  Any other window is
+    sieved, and the bound is evaluated and classified only at the
+    arguments whose value reaches the floor.
+    A bound that overflows to +inf is never flagged, yet a part whose
+    bound comes near overflow at its end is sieved and evaluated in
+    full, which keeps inf out of its floor.
+    drop, the margin of a sieved window's largest value when positive,
+    lowers the floor so that the candidates also hold that window's
+    tightest margin; no report depends on it, and a skipped window has
+    no candidates.
     """
     start = math.floor(min(rising_from, hi)) + 1
     reports = []
     for wlo, whi in _window_ranges(lo, hi, SWEEP_WINDOW):
-        values = divisor_window(wlo, whi, sieved)
         split = min(max(start, wlo), whi + 1)
+        if split <= whi:
+            at_split, at_end = bound_values(
+                np.array([split, whi], dtype=np.float64), c
+            ).tolist()
+            if (
+                split == wlo
+                and at_end < 1e300
+                and _records_clear(
+                    wlo, whi, sieved, *floor_of(wlo, whi, c, at_split, 0.0)
+                )
+            ):
+                continue
+        values = divisor_window(wlo, whi, sieved)
         if split > wlo:
             ns = _arguments(wlo, split - 1)
             reports += _upper_sweep(
@@ -359,18 +416,18 @@ def _windowed_upper_sweep(
         if split <= whi:
             values = values[split - wlo :]
             top = int(np.argmax(values))
-            at_split, at_top, at_end = bound_values(
-                np.array([split, split + top, whi], dtype=np.float64), c
-            ).tolist()
-            drop = max(at_top - int(values[top]), 0.0)
+            at_top = bound_values(np.array([split + top], dtype=np.float64), c)
+            drop = max(float(at_top[0]) - int(values[top]), 0.0)
             # rebinding values lets the sieved window go before the
             # candidates' bounds are evaluated
             ns, values = _at_or_above(
                 values,
                 split,
-                floor_of(split, whi, c, at_split, drop)
-                if at_end < 1e300
-                else -math.inf,
+                *(
+                    floor_of(split, whi, c, at_split, drop)
+                    if at_end < 1e300
+                    else (0.0, -math.inf)
+                ),
             )
             reports += _upper_sweep(
                 ns, values, bound_values(ns, c), quantity, constants

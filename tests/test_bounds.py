@@ -135,6 +135,15 @@ def test_sigma_bound_flags_12():
     assert r.constants_used["gamma"] == bounds.EULER_GAMMA
 
 
+def test_paper_bounds_hold_to_the_sweep_cap():
+    # every argument to SWEEP_MAX: d never crosses the paper's bound, and
+    # sigma only at n = 12
+    assert bounds.verify_divisor_bound(3, bounds.SWEEP_MAX) == []
+    reports = bounds.verify_sigma_bound(3, bounds.SWEEP_MAX)
+    assert [r.argument for r in reports] == [12]
+    assert reports[0].margin == SIGMA_12_MARGIN
+
+
 def test_scalar_bound_checks_match_sweeps():
     # wherever the sigma sweep flags, sigma_bound_at gives the same report:
     # both take the bound from the one evaluation

@@ -154,6 +154,20 @@ def test_bounds_json_with_an_overflowing_bound(capsys):
     )
 
 
+@pytest.mark.parametrize("suite", ["sigma-bound", "bracket"])
+def test_verify_with_an_overflowing_bound(capsys, suite):
+    # robin-c = -1.7e308 overflows the sigma bound to -inf, a violation;
+    # numpy's overflow warning is an error here, and stderr stays empty
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys, "verify", "--suite", suite, "--robin-c=-1.7e308", "--max", "100"
+        )
+    assert code == 1
+    assert err == ""
+    assert out
+
+
 def test_json_rejects_numpy_values():
     # report fields are Python bools and floats; a numpy bool slipping
     # into the output is an error, not a silently different spelling

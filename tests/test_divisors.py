@@ -2,21 +2,26 @@
 
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import divisor_step_integral, trial_prime_powers
 
 from mtable.divisors import (
+    MAX_K,
     _is_prime,
     _prime_powers,
+    _record_steps,
     divisor_count,
     divisor_list,
     divisor_sum,
     divisor_window,
     incomplete_divisor_count,
     incomplete_divisor_integral,
+    record_maxima,
 )
 
 
@@ -210,3 +215,67 @@ def test_primality_matches_a_sieve_and_rejects_strong_pseudoprimes():
 )
 def test_factorisation_matches_trial_division(k):
     assert _prime_powers(k) == trial_prime_powers(k)
+
+
+def sieved_record_steps(hi, width=1 << 20):
+    # (m, D(m), A(m)) wherever the running maximum of d(m) or of
+    # sigma(m)/m rises over m in [1, hi], from divisor_window; floats
+    # only preselect the m whose ratio may rise, decided exactly
+    steps = []
+    most_d, most_sigma, at = 0, 0, 1
+    for lo in range(1, hi + 1, width):
+        top = min(lo + width - 1, hi)
+        d = divisor_window(lo, top, "d")
+        sigma = divisor_window(lo, top, "sigma")
+        ratio = sigma / np.arange(lo, top + 1, dtype=np.float64)
+        d_before = np.maximum(most_d, np.maximum.accumulate(d))
+        ratio_before = np.maximum(most_sigma / at, np.maximum.accumulate(ratio))
+        d_before[1:], d_before[0] = d_before[:-1], most_d
+        ratio_before[1:], ratio_before[0] = ratio_before[:-1], most_sigma / at
+        maybe = (d > d_before) | (ratio >= ratio_before * (1.0 - 1e-12))
+        for idx in np.flatnonzero(maybe):
+            m, dm, sm = lo + int(idx), int(d[idx]), int(sigma[idx])
+            ratio_rises = sm * at > most_sigma * m
+            if dm > most_d or ratio_rises:
+                most_d = max(most_d, dm)
+                if ratio_rises:
+                    most_sigma, at = sm, m
+                steps.append((m, most_d, Fraction(most_sigma, at)))
+    return steps
+
+
+def test_record_maxima_are_the_running_maxima_of_the_sieve():
+    # D(x) and A(x) are step functions of x, so equal steps make them
+    # equal at every x <= 1e7
+    hi = 10**7
+    steps = [s for s in zip(*_record_steps(hi.bit_length())) if s[0] <= hi]
+    assert steps == sieved_record_steps(hi)
+    for m, most_d, most_ratio in steps:
+        assert record_maxima(m) == (most_d, most_ratio)
+    for before, after in zip(steps, steps[1:]):
+        assert record_maxima(after[0] - 1) == before[1:]
+    assert record_maxima(hi) == steps[-1][1:]
+
+
+def test_records_are_their_own_divisor_counts_and_sums():
+    # where D rises at m it is d(m), and where A rises it is sigma(m)/m,
+    # from the scalar factorisation; up to 1e12
+    previous_d, previous_ratio = 0, 0
+    for m, most_d, most_ratio in zip(*_record_steps(40)):
+        if most_d > previous_d:
+            assert divisor_count(m) == most_d, m
+        if most_ratio > previous_ratio:
+            assert Fraction(divisor_sum(m), m) == most_ratio, m
+        previous_d, previous_ratio = most_d, most_ratio
+    # the d record to 1e9 is 735134400 = 2**6 * 3**3 * 5**2 * 7 * 11 * 13 * 17
+    assert record_maxima(10**9)[0] == divisor_count(735134400) == 1344
+
+
+def test_record_maxima_rejects_out_of_range():
+    assert record_maxima(1) == (1, 1)
+    # OEIS A066150: the most divisors of any m <= 1e18
+    assert record_maxima(10**18)[0] == 103680
+    assert record_maxima(MAX_K) == record_maxima(MAX_K - 1)
+    for x in (0, -5, MAX_K + 1):
+        with pytest.raises(ValueError):
+            record_maxima(x)

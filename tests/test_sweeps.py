@@ -210,6 +210,60 @@ def test_screen_skips_most_arguments(monkeypatch, sweep, name):
     assert np.count_nonzero(ns >= 3 + bounds.SWEEP_WINDOW) < bounds.SWEEP_WINDOW // 100
 
 
+@pytest.mark.parametrize(
+    "sweep, c, reports",
+    [
+        (bounds.verify_divisor_bound, bounds.NICOLAS_C, 0),
+        (bounds.verify_sigma_bound, bounds.ROBIN_C, 1),
+        (bounds.verify_divisor_bound, Fraction(1), None),
+        (bounds.verify_sigma_bound, Fraction(-1), None),
+    ],
+)
+def test_records_skip_the_windows_they_clear(monkeypatch, sweep, c, reports):
+    # at the paper's constants the record maxima clear every window past
+    # the first, which is then never sieved; d with c = 1 and sigma with
+    # c = -1 flag arguments all along, and every window is sieved
+    real = bounds.divisor_window
+    sieved = []
+
+    def counting(lo, hi, quantity="d"):
+        sieved.append((lo, hi))
+        return real(lo, hi, quantity)
+
+    monkeypatch.setattr(bounds, "divisor_window", counting)
+    hi = 10**7
+    windows = products._window_ranges(3, hi, bounds.SWEEP_WINDOW)
+    flagged = sweep(3, hi, c)
+    if reports is None:
+        assert sieved == windows
+        assert len({(r.argument - 3) // bounds.SWEEP_WINDOW for r in flagged}) > 15
+    else:
+        assert sieved == windows[:1]
+        assert len(flagged) == reports
+
+
+def test_records_are_compared_with_the_floor_exactly():
+    # a floor one ulp above the record clears it, one ulp below does not,
+    # where rounding either product to a float could tie them
+    hi = 10**6
+    most_d, most_ratio = bounds.record_maxima(hi)
+    assert bounds._records_clear(3, hi, "d", 0.0, math.nextafter(most_d, math.inf))
+    assert not bounds._records_clear(3, hi, "d", 0.0, float(most_d))
+    at_hi = float(most_ratio * hi)
+    assert bounds._records_clear(3, hi, "sigma", 0.0, math.nextafter(at_hi, math.inf))
+    assert not bounds._records_clear(
+        3, hi, "sigma", 0.0, math.nextafter(at_hi, -math.inf)
+    )
+    # an affine floor checked at both ends: one above the record at hi
+    # but below it at hi // 2 does not clear the window
+    slope = float(most_ratio) * (1.0 + 1e-9)
+    const = -float(most_ratio) * 1e-9 * 0.75 * hi
+    assert bounds._records_clear(hi // 2, hi, "sigma", slope, 0.0)
+    assert bounds._records_clear(hi - 1, hi, "sigma", slope, const)
+    assert not bounds._records_clear(hi // 2, hi, "sigma", slope, const)
+    assert not bounds._records_clear(3, hi, "d", 0.0, -math.inf)
+
+
 def test_nicolas_rising_point_for_the_paper_constant():
     assert 113 < bounds._nicolas_rising_from(float(bounds.NICOLAS_C)) <= 114
 
