@@ -13,8 +13,9 @@ That this gives the bits of the same argument's element in an array is
 a property of the installed numpy (which may pick its exp and log loops
 by stride), checked by test_scalar_bounds_are_the_array_evaluation, not
 a guarantee.  Sweep verifiers report every argument whose value
-crosses its bound, and divisor_bound_at and sigma_bound_at make the
-same check at one argument.
+crosses its bound, the d and sigma sweeps from the one classification
+of each window part's margins, and divisor_bound_at and sigma_bound_at
+make the same check at one argument.
 Every verdict comes from one rule, _classify_upper or _classify_lower,
 applied to one margin or to a window of them: a comparison only counts
 as a violation when it fails by more than a relative slack of 1e-12;
@@ -30,10 +31,11 @@ bound divided by n rises where L**2 > c / e**gamma (everywhere for
 c <= 0).  Past that point the bound at a window's first argument (times
 n / that argument for sigma) is a floor for the whole window, and the
 bound is evaluated only at the arguments whose value reaches the floor
-less SCREEN_BAND of the bound's terms.  That band is many times the
-slack plus the float error of the bound, so an argument left out cannot
-be flagged, and the reports are the same floats as those of evaluating
-every argument.
+less SCREEN_BAND of the bound's terms; before it, and where the bound
+nears overflow, the floor is -inf and every argument is evaluated.  That
+band is many times the slack plus the float error of the bound, so an
+argument left out cannot be flagged, and the reports are the same floats
+as those of evaluating every argument.
 Most windows are not even sieved.  The largest d(m) and sigma(m)/m over
 m <= x are reached at an m whose prime exponents do not increase over
 2, 3, 5, ... (moving a number's exponents, largest first, onto the
@@ -248,11 +250,20 @@ def _upper_sweep(
     quantity: str,
     constants: dict,
 ) -> list[BoundReport]:
-    # ns holds the arguments as floats, values and bounds theirs
-    violated, borderline = _classify_upper(bounds - values, bounds)
+    # ns holds the arguments as floats, values and bounds theirs; each
+    # report takes its margin and verdict from the one classification
+    margins = bounds - values
+    violated, borderline = _classify_upper(margins, bounds)
     return [
-        _upper_report(
-            int(ns[idx]), quantity, int(values[idx]), float(bounds[idx]), constants
+        BoundReport(
+            argument=int(ns[idx]),
+            quantity=quantity,
+            value=int(values[idx]),
+            bound=float(bounds[idx]),
+            margin=float(margins[idx]),
+            violated=bool(violated[idx]),
+            borderline=bool(borderline[idx]),
+            constants_used=constants,
         )
         for idx in np.flatnonzero(violated | borderline)
     ]
@@ -295,30 +306,29 @@ def _robin_rising_from(c: float) -> float:
     return _past_loglog(math.sqrt(max(c, 0.0) / math.exp(EULER_GAMMA)))
 
 
-def _nicolas_floor(
-    lo: int, hi: int, c: float, at_lo: float, drop: float
-) -> tuple[float, float]:
+def _nicolas_floor(lo: int, hi: int, c: float, at_lo: float) -> tuple[float, float]:
     # the bound does not decrease on [lo, hi]: nothing there is below
     # its value at lo; its one term is that value
-    return 0.0, at_lo - SCREEN_BAND * (abs(at_lo) + 1.0) - drop
+    return 0.0, at_lo - SCREEN_BAND * (abs(at_lo) + 1.0)
 
 
-def _robin_floor(
-    lo: int, hi: int, c: float, at_lo: float, drop: float
-) -> tuple[float, float]:
+def _robin_floor(lo: int, hi: int, c: float, at_lo: float) -> tuple[float, float]:
     # bound / n does not decrease on [lo, hi]: the bound at n is at least
     # n * at_lo / lo, and its terms add up to at most n times per_n
     per_n = math.exp(EULER_GAMMA) * math.log(math.log(hi)) + abs(c) / math.log(
         math.log(lo)
     )
-    return at_lo / lo - SCREEN_BAND * per_n, -(SCREEN_BAND + drop)
+    return at_lo / lo - SCREEN_BAND * per_n, -SCREEN_BAND
 
 
 def _at_or_above(
     values: np.ndarray, first: int, slope: float, const: float
 ) -> tuple[np.ndarray, np.ndarray]:
     # (arguments as floats, values) of the entries at or above the floor
-    # slope * n + const, where values[j] belongs to the argument n = first + j
+    # slope * n + const, where values[j] belongs to the argument n = first + j;
+    # an unbounded floor keeps values itself, not a copy
+    if const == -math.inf:
+        return _arguments(first, first + len(values) - 1), values
     floor = const
     if slope:
         floor = _arguments(first, first + len(values) - 1)
@@ -360,17 +370,17 @@ def _windowed_upper_sweep(
 
     Below rising_from, where the bound may fall, each argument's bound is
     evaluated.  From the first integer past rising_from on,
-    floor_of(start, end, c, bound at start, drop) gives a floor for the
-    part of a window from start to end, as (slope, const) of the affine
-    floor slope * n + const.  It is sound: the real bound does not
-    decrease there (for sigma, bound / n does not), so it is at least its
-    value at start (n times that value over start), and the floor lies a
-    further SCREEN_BAND of the bound's terms below.  The float bound is
-    within a few ulps of those terms of the real one (for d, where the
-    bound is finite and nonzero, its exponent and that exponent's terms
-    stay below a few thousand for n <= SWEEP_MAX), and an argument is
-    flagged only when its margin is within RELATIVE_SLACK of them.  An
-    argument whose value is below the floor therefore cannot be flagged.
+    floor_of(start, end, c, bound at start) gives a floor for the part of
+    a window from start to end, as (slope, const) of the affine floor
+    slope * n + const.  It is sound: the real bound does not decrease
+    there (for sigma, bound / n does not), so it is at least its value at
+    start (n times that value over start), and the floor lies a further
+    SCREEN_BAND of the bound's terms below.  The float bound is within a
+    few ulps of those terms of the real one (for d, where the bound is
+    finite and nonzero, its exponent and that exponent's terms stay below
+    a few thousand for n <= SWEEP_MAX), and an argument is flagged only
+    when its margin is within RELATIVE_SLACK of them.  An argument whose
+    value is below the floor therefore cannot be flagged.
 
     A window wholly past rising_from is first held against the record
     maxima D(end) = max d(m) and A(end) = max sigma(m)/m over m <= end
@@ -381,54 +391,39 @@ def _windowed_upper_sweep(
     ends of the window, compared exactly as rationals, it lies below the
     affine floor at every n between, so nothing in the window can be
     flagged and the window is not sieved at all.  Any other window is
-    sieved, and the bound is evaluated and classified only at the
-    arguments whose value reaches the floor.
-    A bound that overflows to +inf is never flagged, yet a part whose
-    bound comes near overflow at its end is sieved and evaluated in
-    full, which keeps inf out of its floor.
-    drop, the margin of a sieved window's largest value when positive,
-    lowers the floor so that the candidates also hold that window's
-    tightest margin; no report depends on it, and a skipped window has
-    no candidates.
+    sieved and each of its two parts, before and from the first integer
+    past rising_from, is screened against its floor, and the bound is
+    evaluated and classified only at the arguments whose value reaches
+    it.  The part before, and a part whose bound comes near overflow at
+    its end, get the unbounded floor (0, -inf), which keeps inf out of
+    a floor; a bound that overflows to +inf is never flagged.
     """
     start = math.floor(min(rising_from, hi)) + 1
+    unbounded = (0.0, -math.inf)
     reports = []
     for wlo, whi in _window_ranges(lo, hi, SWEEP_WINDOW):
         split = min(max(start, wlo), whi + 1)
+        floor = unbounded
         if split <= whi:
             at_split, at_end = bound_values(
                 np.array([split, whi], dtype=np.float64), c
             ).tolist()
-            if (
-                split == wlo
-                and at_end < 1e300
-                and _records_clear(
-                    wlo, whi, sieved, *floor_of(wlo, whi, c, at_split, 0.0)
-                )
-            ):
+            if at_end < 1e300:
+                floor = floor_of(split, whi, c, at_split)
+            if split == wlo and _records_clear(wlo, whi, sieved, *floor):
                 continue
         values = divisor_window(wlo, whi, sieved)
-        if split > wlo:
-            ns = _arguments(wlo, split - 1)
-            reports += _upper_sweep(
-                ns, values[: split - wlo], bound_values(ns, c), quantity, constants
-            )
-        if split <= whi:
-            values = values[split - wlo :]
-            top = int(np.argmax(values))
-            at_top = bound_values(np.array([split + top], dtype=np.float64), c)
-            drop = max(float(at_top[0]) - int(values[top]), 0.0)
-            # rebinding values lets the sieved window go before the
-            # candidates' bounds are evaluated
-            ns, values = _at_or_above(
-                values,
-                split,
-                *(
-                    floor_of(split, whi, c, at_split, drop)
-                    if at_end < 1e300
-                    else (0.0, -math.inf)
-                ),
-            )
+        parts = [
+            (wlo, values[: split - wlo], unbounded),
+            (split, values[split - wlo :], floor),
+        ]
+        del values
+        while parts:
+            # popping a part and rebinding values lets the window go
+            # before the bounds of a screened part's candidates are
+            # evaluated; an empty part gives no reports
+            first, values, part_floor = parts.pop(0)
+            ns, values = _at_or_above(values, first, *part_floor)
             reports += _upper_sweep(
                 ns, values, bound_values(ns, c), quantity, constants
             )
@@ -523,7 +518,7 @@ def verify_bracket_sweep(
     k*d(k) - sigma(k) is exact (int64), and its margins are computed and
     classified at once with the scalar check's operations.  Only the
     flagged k go to verify_integral_bracket, which builds their reports;
-    one it finds clean is dropped.
+    one it finds clean is left out.
     """
     _require_sweep(lo, hi, 3)
     reports = []

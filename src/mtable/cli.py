@@ -404,14 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         required=True,
-        choices=(
-            "identities",
-            "divisor-bound",
-            "sigma-bound",
-            "theorem",
-            "bracket",
-            "monotonicity",
-        ),
+        choices=tuple(_SUITE_DEFAULT_MAX),
     )
     p.add_argument(
         "--max", "--n", dest="max", type=int, default=None,

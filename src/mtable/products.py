@@ -134,7 +134,7 @@ def _count_window(args: tuple[int, int, int]) -> int:
 
     Row a contributes a*b for b in [max(a, ceil(lo/a)), min(n, hi//a)];
     every row's bounds come from one numpy pass, and rows with no product
-    in the window are dropped there.  A row with at least DENSE_ROW_MIN
+    in the window are skipped there.  A row with at least DENSE_ROW_MIN
     products gets one strided write; the indices of all other rows are
     built with np.repeat and cumsum and written at once.  An index may
     repeat across rows, which is harmless because every write stores

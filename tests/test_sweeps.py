@@ -7,7 +7,8 @@ windowed sweeps must agree with it exactly, floats compared with ==.
 
 The d and sigma sweeps evaluate their bound only where a value can reach
 it once the bound rises; the tests below also pin that screen's rising
-points, check that it skips most arguments, and move its start to and
+points, check that it skips most arguments, also in the first window,
+that each window part is classified once, and move its start to and
 around a window edge.
 
 The bracket sweep's oracle is the scalar check at every argument: the
@@ -208,6 +209,55 @@ def test_screen_skips_most_arguments(monkeypatch, sweep, name):
     assert [r.argument for r in sweep(3, HI)] == expected
     ns = np.concatenate(evaluated)
     assert np.count_nonzero(ns >= 3 + bounds.SWEEP_WINDOW) < bounds.SWEEP_WINDOW // 100
+
+
+@pytest.mark.parametrize(
+    "sweep, name, most",
+    [
+        (bounds.verify_divisor_bound, "_nicolas_values", bounds.SWEEP_WINDOW // 100),
+        (bounds.verify_sigma_bound, "_robin_values", bounds.SWEEP_WINDOW // 4),
+    ],
+)
+def test_first_window_is_screened(monkeypatch, sweep, name, most):
+    # the first window is sieved, but past the rising point only the
+    # arguments whose value reaches its floor get their bound evaluated,
+    # in it and in every later window together
+    real = getattr(bounds, name)
+    evaluated = []
+
+    def counting(ns, c):
+        evaluated.append(np.size(ns))
+        return real(ns, c)
+
+    monkeypatch.setattr(bounds, name, counting)
+    expected = [12] if name == "_robin_values" else []
+    assert [r.argument for r in sweep(3, 10**7)] == expected
+    assert sum(evaluated) < most
+
+
+def test_one_classification_per_part(monkeypatch):
+    # c = 0 flags arguments in every window; the reports take their
+    # verdicts from the one classification of each window part
+    expected = whole_divisor_sweep(LO, HI, 0)
+    real = bounds._classify_upper
+    calls = []
+
+    def counting(margin, scale):
+        calls.append(np.size(margin))
+        return real(margin, scale)
+
+    monkeypatch.setattr(bounds, "_classify_upper", counting)
+    windowed = bounds.verify_divisor_bound(LO, HI, 0)
+    assert windowed == expected
+    assert len(calls) <= 2 * len(products._window_ranges(LO, HI, bounds.SWEEP_WINDOW))
+
+
+def test_unbounded_floor_keeps_the_values():
+    # the part below the rising point keeps every argument without a copy
+    values = np.arange(10, 20, dtype=np.int64)
+    ns, kept = bounds._at_or_above(values, 7, 0.0, -math.inf)
+    assert np.shares_memory(kept, values)
+    assert ns.tolist() == list(range(7, 17))
 
 
 @pytest.mark.parametrize(
