@@ -47,6 +47,14 @@ sigma(m)/m record times n, lies below its floor at both ends, compared
 exactly as rationals, lies below that affine floor throughout: no value
 in it can be flagged, and it is skipped.  At the default constants that
 is every window after the first, for sweeps up to SWEEP_MAX.
+The monotonicity and floor checks of the d bound, nicolas_shape_check,
+evaluate it at every argument up to 114, where it may fall, and past
+that at the two ends of each window only.  In between, the float bound
+provably rises: the real bound's relative step from n to n + 1 has a
+lower bound from its derivative in ln n, and on every window up to
+SWEEP_MAX that step exceeds three times a stated error bound of the
+float evaluation (see _nicolas_shape); a window where it would not is
+evaluated at every argument.
 The bracket sweep classifies every margin of a window at once, and the
 theorem sweep both margins of every n from one prefix count; the
 arguments they flag go to the scalar checks, which build the reports,
@@ -154,9 +162,13 @@ class BoundReport:
 def _slack(scale):
     # RELATIVE_SLACK of |scale|, at least of 1; a non-finite scale gets
     # none, so a bound of +inf is clean and one of -inf violated.  A
-    # scalar scale gives a 0-d array; zeroing in place saves the sweeps
-    # a window-sized copy
-    slack = np.asarray(RELATIVE_SLACK * np.maximum(abs(scale), 1.0))
+    # scalar scale takes plain float arithmetic and gives an np.float64,
+    # so comparing a margin with it still gives a numpy bool; zeroing in
+    # place saves the sweeps a window-sized copy
+    if not isinstance(scale, np.ndarray) or not scale.ndim:
+        slack = RELATIVE_SLACK * max(abs(float(scale)), 1.0)
+        return np.float64(slack if math.isfinite(slack) else 0.0)
+    slack = RELATIVE_SLACK * np.maximum(abs(scale), 1.0)
     slack[~np.isfinite(slack)] = 0.0
     return slack
 
@@ -610,18 +622,91 @@ def verify_theorem_sweep(hi: int = 500) -> list[BoundReport]:
     return reports
 
 
+def _nicolas_step(a: int, b: int) -> float:
+    """A lower bound on the relative rise of the real
+    nicolas_bound(., NICOLAS_C) from n to n + 1, for every a <= n < b.
+
+    The bound is exp(E(t)) at t = ln n, with L = ln t and
+    E(t) = ln 2 * t * (L + c) / L**2, so E'(t) = ln 2 * g(L) with
+    g(L) = 1/L + (c - 1)/L**2 - 2c/L**3 (see _nicolas_rising_from).
+    g'(L) = (-L**2 - 2(c - 1) L + 6c) / L**4 has the sign of a downward
+    parabola whose roots multiply to -6c < 0 for c > 0: one root is
+    negative, so for L > 0 g rises up to the other root and falls past
+    it, and its least value over [ln ln a, ln ln b] is at one of the
+    two ends.  By the mean value theorem E(ln(n + 1)) - E(ln n) is at
+    least that least value times ln 2 * ln(1 + 1/n), so at least
+    step = ln 2 * min(g(ln ln a), g(ln ln b)) * ln(1 + 1/b), and the
+    bound at n + 1 is at least exp(step) >= 1 + step times its value at n.
+    """
+    c = float(NICOLAS_C)
+    least = min(
+        1.0 / L + (c - 1.0) / L**2 - 2.0 * c / L**3
+        for L in (math.log(math.log(a)), math.log(math.log(b)))
+    )
+    return _LN2 * least * math.log1p(1.0 / b)
+
+
+def _nicolas_error(n: int) -> float:
+    """A bound on the relative error of _nicolas_values at n >= 4 against
+    the real bound at c = NICOLAS_C: e(n) = 64 * 2**-52 * (|E| + 1), E the
+    bound's exponent ln 2 * ln n * (L + c) / L**2, L = ln ln n.
+
+    It assumes numpy's float64 log and exp are within 4 ulp of the exact
+    value and that every +, *, / and the constants ln 2 and c are rounded
+    to nearest, within half an ulp; an ulp is at most u = 2**-52 of the
+    value.  Then logs is within 4u of ln n, and loglogs within
+    4u * (1 + 1/L) of L relatively.  E depends on L through
+    1/L + c/L**2, which at most doubles a relative error of L; with the
+    first log's 4u and 3.5u from the two constants and five roundings,
+    the float exponent is within (15.5 + 8/L) u of E relatively.  exp
+    turns that into a relative error of at most (15.5 + 8/L) u |E| of the
+    bound and adds its own 4u.  For L >= 1/4, so n >= 4, the sum is at
+    most (47.5 |E| + 4) u, which e(n) covers with room for the
+    second-order terms.  e(n) grows with n wherever E does, past the
+    rising point.
+    """
+    logn = math.log(n)
+    loglog = math.log(logn)
+    exponent = _LN2 * logn * (loglog + float(NICOLAS_C)) / loglog**2
+    return 64.0 * 2.0**-52 * (abs(exponent) + 1.0)
+
+
 def _nicolas_shape(
     lo: int, hi: int, rising_from: int, floor: float
 ) -> tuple[bool, bool]:
-    # (bound strictly increasing on [rising_from, hi], bound > floor on
-    # [lo, hi]), evaluating each window of [lo, hi] once
+    """(bound strictly increasing on [rising_from, hi], bound > floor on
+    [lo, hi]), for the float bound at c = NICOLAS_C.
+
+    The bound is evaluated at both ends of every window of [lo, hi], and
+    inside a window at every argument up to the first integer past the
+    real rising point (114 for c = 387/200).  The stretch of a window
+    from there, or from its first argument, to its last, [a, b], is
+    certified when _nicolas_step(a, b) > 3 * _nicolas_error(b).  Then for
+    a <= n < b the real bound rises by a relative step > 3e, with
+    e = e(b) >= e(n) (E rises there).  The float bound at n + 1 is at
+    least (1 + step)(1 - e) times the real bound at n, and the float
+    bound at n at most (1 + e) times it; the first factor is the larger,
+    since step > 3e > 2e / (1 - e) for e < 1/3.  So the float bound
+    strictly increases on [a, b], and nowhere there is it below its value
+    at a.  The margin between 3e and 2e / (1 - e) covers the rounding of
+    step and e themselves, a few ulps each.  A stretch that is not
+    certified is evaluated at every argument.  Both checks are then
+    decided by the evaluated values, in order.
+    """
+    c = float(NICOLAS_C)
+    start = math.floor(_nicolas_rising_from(c)) + 1
     increasing = above = True
     last = -math.inf
     for wlo, whi in _window_ranges(lo, hi, SWEEP_WINDOW):
-        vals = _nicolas_values(_arguments(wlo, whi), float(NICOLAS_C))
+        first = min(max(start, wlo), whi)
+        if first < whi and _nicolas_step(first, whi) > 3.0 * _nicolas_error(whi):
+            ns = np.append(_arguments(wlo, first), float(whi))
+        else:
+            ns = _arguments(wlo, whi)
+        vals = _nicolas_values(ns, c)
         above = above and bool(np.all(vals > floor))
         if increasing and whi >= rising_from:
-            rising = vals[max(rising_from - wlo, 0) :]
+            rising = vals[ns >= rising_from]
             # the first value is compared with the previous window's last
             increasing = bool(rising[0] > last and np.all(np.diff(rising) > 0.0))
             last = rising[-1]
@@ -630,9 +715,11 @@ def _nicolas_shape(
 
 def nicolas_shape_check(hi: int = 10**6, floor: float = 114.1) -> tuple[bool, bool]:
     """(nicolas_bound(n+1) > nicolas_bound(n) for every n in [114, hi),
-    nicolas_bound(n) > floor for every n in [3, hi]) from one evaluation
-    of the bound over [3, hi].  The bound decreases into n = 114 and
-    rises after it, and its minimum there stays above 114.1."""
+    nicolas_bound(n) > floor for every n in [3, hi]).  The bound decreases
+    into n = 114 and rises after it, and its minimum there stays above
+    114.1.  Both are decided from the bound at [3, 114] and at the ends
+    of each window: between those the float bound provably rises (see
+    _nicolas_shape), so a few thousand evaluations cover hi = SWEEP_MAX."""
     _require_sweep(114, hi, 114)
     if hi == 114:
         raise ValueError("empty range [114, 114)")

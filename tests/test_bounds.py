@@ -94,6 +94,27 @@ def test_bounds_against_50_digits():
                 assert abs(value - real) <= bounds.RELATIVE_SLACK / 2 * real, n
 
 
+def test_nicolas_error_bound_against_50_digits():
+    # the relative error of nicolas_bound stays within the e(n) that the
+    # monotonicity certificate allows for, at every sampled n >= 4
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        ln2 = mpmath.log(2)
+        nc = mpmath.mpf(bounds.NICOLAS_C.numerator) / bounds.NICOLAS_C.denominator
+        worst = 0.0
+        for n in bound_sample():
+            if n < 4:
+                continue
+            x = mpmath.mpf(n)
+            loglog = mpmath.log(mpmath.log(x))
+            real = mpmath.exp(mpmath.log(x) * (ln2 / loglog) * (1 + nc / loglog))
+            error = abs(bounds.nicolas_bound(n) - real) / real
+            assert error <= bounds._nicolas_error(n), n
+            worst = max(worst, float(error / bounds._nicolas_error(n)))
+        # nor is e(n) vacuous: it is less than 1000 times the worst error
+        assert worst > 1e-3
+
+
 def test_bound_constants():
     assert bounds.NICOLAS_C == Fraction(387, 200)
     assert bounds.ROBIN_C == Fraction(3241, 5000)
@@ -198,6 +219,22 @@ def test_classification_slack_band():
     assert bounds._classify_upper(-1e-9, 100.0) == (True, False)
     assert bounds._classify_lower(-1.0, 100.0) == (False, False)
     assert bounds._classify_lower(1e-9, 100.0) == (True, False)
+
+
+@pytest.mark.parametrize("slack", [bounds.RELATIVE_SLACK, 1e-6])
+def test_scalar_slack_is_the_array_slack(monkeypatch, slack):
+    # one scalar scale takes the plain-float path, an array the numpy one;
+    # both read RELATIVE_SLACK when called, and both give numpy types
+    monkeypatch.setattr(bounds, "RELATIVE_SLACK", slack)
+    scales = [0.0, 1.0, -1.0, 1e308, -1e308, math.inf, -math.inf, math.nan]
+    array = bounds._slack(np.array(scales))
+    for scale, expected in zip(scales, array.tolist()):
+        for form in (scale, np.float64(scale), np.array(scale)):
+            got = bounds._slack(form)
+            assert isinstance(got, np.float64), form
+            assert got == expected, form
+    assert array.tolist()[:5] == [slack, slack, slack, slack * 1e308, slack * 1e308]
+    assert isinstance(bounds._classify_upper(0.0, 100.0)[0], np.bool_)
 
 
 def test_classification_is_one_rule_for_scalars_and_arrays():

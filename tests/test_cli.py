@@ -333,6 +333,21 @@ def test_verify_monotonicity(capsys):
     assert row["floor_holds"] is True
 
 
+def test_verify_monotonicity_at_the_cap(capsys):
+    # the monotonicity suite to SWEEP_MAX evaluates the bound near 114
+    # and at window ends only, so it runs in well under a second
+    code, out, _ = run(
+        capsys, "verify", "--suite", "monotonicity", "--max", str(SWEEP_MAX),
+        "--format", "json",
+    )
+    assert code == 0
+    row = json.loads(out)
+    assert row["hi"] == SWEEP_MAX == 1000000000
+    assert row["increasing_from_114"] is True
+    assert row["floor_holds"] is True
+    assert row["violated_count"] == 0
+
+
 def test_series_exact(capsys):
     code, out, _ = run(capsys, "series", "--s", "0", "--n", "20", "--format", "json")
     assert code == 0

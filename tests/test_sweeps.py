@@ -9,7 +9,10 @@ The d and sigma sweeps evaluate their bound only where a value can reach
 it once the bound rises; the tests below also pin that screen's rising
 points, check that it skips most arguments, also in the first window,
 that each window part is classified once, and move its start to and
-around a window edge.
+around a window edge.  The monotonicity and floor checks evaluate the
+d bound only near 114 and at window ends; their tests hold them to the
+whole-range evaluation, count what they evaluate and check the
+certificate that lets them skip the rest on every window to SWEEP_MAX.
 
 The bracket sweep's oracle is the scalar check at every argument: the
 bracket margin from nicolas_bound and robin_bound at each k,
@@ -452,6 +455,73 @@ def test_dip_is_seen_on_either_side_of_a_window_edge(monkeypatch, offset):
         assert increasing is False
     assert whole_floor(lo, HI) is False
     assert above is False
+
+
+@pytest.mark.parametrize(
+    "hi", [115, 116, 200, 10**4, bounds.SWEEP_WINDOW + 2, HI]
+)
+def test_shape_check_matches_whole_range_at_any_hi(hi):
+    # a first window that ends just past 114 or well past it, a second
+    # window of one argument, and several windows
+    for floor in (114.1, 115.0):
+        assert bounds.nicolas_shape_check(hi, floor) == (
+            whole_monotonicity(114, hi), whole_floor(3, hi, floor)
+        ), floor
+
+
+def test_floor_inside_a_certified_stretch():
+    # the bound at 300000 lies inside the first window's certified
+    # stretch: values at and after it clear it, the value at 114 does not
+    floor = bounds.nicolas_bound(300000)
+    assert bounds.nicolas_shape_check(10**6, floor) == (True, False)
+    assert bounds._nicolas_shape(300000, 10**6, 114, floor) == (True, False)
+    assert bounds._nicolas_shape(300001, 10**6, 114, floor) == (True, True)
+
+
+def test_shape_check_evaluates_few_arguments(monkeypatch):
+    # [3, 114] and the two ends of each window, where every argument was
+    # evaluated before
+    real = bounds._nicolas_values
+    evaluated = []
+
+    def counting(ns, c):
+        evaluated.append(np.size(ns))
+        return real(ns, c)
+
+    monkeypatch.setattr(bounds, "_nicolas_values", counting)
+    assert bounds.nicolas_shape_check(10**7) == (True, True)
+    assert sum(evaluated) < bounds.SWEEP_WINDOW // 100
+
+
+@pytest.mark.parametrize("lo", [3, 114])
+def test_certificate_holds_on_every_window_to_the_cap(lo):
+    # every stretch the shape check can meet up to SWEEP_MAX is
+    # certified, with windows from 3 (nicolas_shape_check) or from 114
+    start = math.floor(bounds._nicolas_rising_from(float(bounds.NICOLAS_C))) + 1
+    assert start == 114
+    windows = products._window_ranges(lo, bounds.SWEEP_MAX, bounds.SWEEP_WINDOW)
+    for wlo, whi in windows:
+        a = max(wlo, start)
+        assert bounds._nicolas_step(a, whi) > 3.0 * bounds._nicolas_error(whi), wlo
+
+
+def test_uncertified_stretches_are_evaluated_in_full(monkeypatch):
+    # with no stretch certified every argument is evaluated, and the
+    # checks still match the whole-range evaluation
+    real = bounds._nicolas_values
+    evaluated = []
+
+    def counting(ns, c):
+        evaluated.append(np.size(ns))
+        return real(ns, c)
+
+    monkeypatch.setattr(bounds, "_nicolas_values", counting)
+    monkeypatch.setattr(bounds, "_nicolas_error", lambda n: math.inf)
+    for floor in (114.1, 115.0):
+        expected = whole_monotonicity(114, HI), whole_floor(3, HI, floor)
+        evaluated.clear()
+        assert bounds.nicolas_shape_check(HI, floor) == expected
+        assert sum(evaluated) == HI - 2
 
 
 def test_sweeps_reject_range_above_cap():
