@@ -14,7 +14,7 @@ a property of the installed numpy (which may pick its exp and log loops
 by stride), checked by test_scalar_bounds_are_the_array_evaluation, not
 a guarantee.  Sweep verifiers report every argument whose value
 crosses its bound, the d and sigma sweeps from the one classification
-of each window part's margins, and divisor_bound_at and sigma_bound_at
+of each window's margins, and divisor_bound_at and sigma_bound_at
 make the same check at one argument.
 Every verdict comes from one rule, _classify_upper or _classify_lower,
 applied to one margin or to a window of them: a comparison only counts
@@ -22,40 +22,38 @@ as a violation when it fails by more than a relative slack of 1e-12;
 anything inside the band is flagged borderline instead, so float
 rounding can never manufacture or hide a violation.  A bound that is
 not finite gets no slack: +inf holds for every value and -inf fails it.
-The sweeps sieve, evaluate and classify one window of SWEEP_WINDOW
-arguments at a time, so their peak memory does not depend on the range.
-The d and sigma sweeps evaluate their bound at every argument only where
-it may fall.  With L = ln ln n, the d bound rises past the larger root
-of L**2 + (c - 1) * L - 2 * c (n > 113.6 for c = 387/200), and the sigma
+The sweeps walk their range (_walk) through the arguments below the
+bound's rising point, then doubling spans [x, 2x - 1].  With
+L = ln ln n, the d bound rises past the larger root of
+L**2 + (c - 1) * L - 2 * c (n > 113.6 for c = 387/200), and the sigma
 bound divided by n rises where L**2 > c / e**gamma (everywhere for
-c <= 0).  Past that point the bound at a window's first argument (times
-n / that argument for sigma) is a floor for the whole window, and the
-bound is evaluated only at the arguments whose value reaches the floor
-less SCREEN_BAND of the bound's terms; before it, and where the bound
-nears overflow, the floor is -inf and every argument is evaluated.  That
-band is many times the slack plus the float error of the bound, so an
-argument left out cannot be flagged, and the reports are the same floats
-as those of evaluating every argument.
-Most windows are not even sieved.  The largest d(m) and sigma(m)/m over
-m <= x are reached at an m whose prime exponents do not increase over
-2, 3, 5, ... (moving a number's exponents, largest first, onto the
-smallest primes keeps d, lowers m and raises sigma(m)/m: Ramanujan for
-highly composite numbers, Alaoglu and Erdos for superabundant ones), so
-divisors.record_maxima gets both maxima exactly from a list of about a
-thousand such m.  A window past the rising point whose d record, or
-sigma(m)/m record times n, lies below its floor at both ends, compared
-exactly as rationals, lies below that affine floor throughout: no value
-in it can be flagged, and it is skipped.  At the default constants that
-is every window after the first, for sweeps up to SWEEP_MAX.
+c <= 0).  Past that point the bound at a span's first argument (times
+n / that argument for sigma) is a floor for the whole span.  A span
+whose d record, or sigma(m)/m record times n, over m <= its end
+(divisors.record_maxima, after Ramanujan and Alaoglu and Erdos) lies
+below its floor at both ends, compared exactly as rationals, lies below
+that affine floor throughout: nothing in it can be flagged, and it is
+skipped.  At the default constants that is every span, for sweeps up
+to SWEEP_MAX, so the d sweep sieves only [3, 113] and the sigma sweep
+[3, 27].  The arguments before the rising point and a span that is not
+skipped are sieved, evaluated and classified one window of at most
+SWEEP_WINDOW arguments at a time, so peak memory does not depend on the
+range, and past the rising point the bound is evaluated only at the
+arguments whose value reaches the window's floor less SCREEN_BAND of
+the bound's terms (the floor is -inf where the bound nears overflow).
+That band is many times the slack plus the float error of the bound, so
+an argument left out cannot be flagged, and the reports are the same
+floats as those of evaluating every argument.
 The monotonicity and floor checks of the d bound, nicolas_shape_check,
-evaluate it at every argument up to 114, where it may fall, and past
-that at the two ends of each window only.  In between, the float bound
-provably rises: the real bound's relative step from n to n + 1 has a
-lower bound from its derivative in ln n, and on every window up to
+walk [3, hi] the same way: they evaluate the bound at every argument up
+to 113, and at the two ends of each span only.  In between, the float
+bound provably rises: the real bound's relative step from n to n + 1
+has a lower bound from its derivative in ln n, and on every span up to
 SWEEP_MAX that step exceeds three times a stated error bound of the
-float evaluation (see _nicolas_shape); a window where it would not is
+float evaluation (see _nicolas_shape); a span where it would not is
 evaluated at every argument.
-The bracket sweep classifies every margin of a window at once, and the
+The bracket sweep skips the spans both records clear by its slack too,
+and classifies every margin of a window it sieves at once; the
 theorem sweep both margins of every n from one prefix count; the
 arguments they flag go to the scalar checks, which build the reports,
 and a report is kept only if it is violated or borderline itself.
@@ -104,9 +102,10 @@ EULER_GAMMA = 0.5772156649
 
 RELATIVE_SLACK = 1e-12
 
-# Arguments per window of the sweeps, chosen by timing 2**18, 2**19 and
-# 2**20 on sweeps to 1e7 and 1e8: narrower windows repeat the sieve's
-# loop over i <= sqrt(hi) more often, wider ones fall out of cache.
+# Most arguments the sweeps sieve or evaluate at once, in a span the
+# records do not clear; chosen by timing 2**18, 2**19 and 2**20 on sweeps
+# to 1e7 and 1e8 that sieve every window: narrower windows repeat the
+# sieve's loop over i <= sqrt(hi) more often, wider ones fall out of cache.
 SWEEP_WINDOW = 1 << 19
 
 # Relative band of the floors that let the d and sigma sweeps skip
@@ -367,6 +366,46 @@ def _records_clear(
     )
 
 
+def _span_floor(a: int, b: int, bound_values, floor_of, c: float):
+    # floor_of's floor for [a, b] past the rising point, or the unbounded
+    # one where the bound nears overflow at b, which keeps inf out of it
+    at_a, at_b = bound_values(np.array([a, b], dtype=np.float64), c).tolist()
+    return floor_of(a, b, c, at_a) if at_b < 1e300 else (0.0, -math.inf)
+
+
+def _walk(lo: int, hi: int, start: int, clears):
+    """The pieces (a, b, cleared) that cover [lo, hi], in order: first
+    [lo, start - 1] in windows of at most SWEEP_WINDOW arguments, not
+    cleared, then the doubling spans [x, 2x - 1] from x = max(lo, start),
+    the last cut at hi (24 from 114 to 10**9).  A span is one piece when
+    clears(x, end) holds, and is otherwise cut into such windows, each
+    cleared when clears(a, b) holds, so a piece not cleared is at most a
+    window long."""
+    x = max(lo, start)
+    for a, b in _window_ranges(lo, min(x - 1, hi), SWEEP_WINDOW):
+        yield a, b, False
+    while x <= hi:
+        end = min(2 * x - 1, hi)
+        if clears(x, end):
+            yield x, end, True
+        else:
+            for a, b in _window_ranges(x, end, SWEEP_WINDOW):
+                yield a, b, clears(a, b)
+        x = end + 1
+
+
+def _records_sweep(lo: int, hi: int, start: int, clears, window_reports) -> list:
+    # the reports of window_reports(a, b) over the pieces of the walk that
+    # are not cleared; asking for the records at hi first builds the one
+    # candidate list that every span's records are read from
+    record_maxima(hi)
+    reports = []
+    for a, b, cleared in _walk(lo, hi, start, clears):
+        if not cleared:
+            reports += window_reports(a, b)
+    return reports
+
+
 def _windowed_upper_sweep(
     lo: int,
     hi: int,
@@ -378,12 +417,12 @@ def _windowed_upper_sweep(
     quantity: str,
     constants: dict,
 ) -> list[BoundReport]:
-    """The _upper_sweep reports over [lo, hi], one window at a time.
+    """The _upper_sweep reports over [lo, hi], walked by _walk.
 
     Below rising_from, where the bound may fall, each argument's bound is
     evaluated.  From the first integer past rising_from on,
-    floor_of(start, end, c, bound at start) gives a floor for the part of
-    a window from start to end, as (slope, const) of the affine floor
+    floor_of(start, end, c, bound at start) gives a floor for a piece
+    from start to end, as (slope, const) of the affine floor
     slope * n + const.  It is sound: the real bound does not decrease
     there (for sigma, bound / n does not), so it is at least its value at
     start (n times that value over start), and the floor lies a further
@@ -394,52 +433,29 @@ def _windowed_upper_sweep(
     when its margin is within RELATIVE_SLACK of them.  An argument whose
     value is below the floor therefore cannot be flagged.
 
-    A window wholly past rising_from is first held against the record
-    maxima D(end) = max d(m) and A(end) = max sigma(m)/m over m <= end
-    (divisors.record_maxima, exact from the exponents of the candidates
-    that rearranging a number's exponents onto the smallest primes
-    leaves).  Every d(n) in the window is at most D(end) and every
-    sigma(n) at most A(end) * n; when that lies below the floor at both
-    ends of the window, compared exactly as rationals, it lies below the
-    affine floor at every n between, so nothing in the window can be
-    flagged and the window is not sieved at all.  Any other window is
-    sieved and each of its two parts, before and from the first integer
-    past rising_from, is screened against its floor, and the bound is
-    evaluated and classified only at the arguments whose value reaches
-    it.  The part before, and a part whose bound comes near overflow at
-    its end, get the unbounded floor (0, -inf), which keeps inf out of
-    a floor; a bound that overflows to +inf is never flagged.
+    A span past rising_from, and each window of one that fails, is
+    skipped when the records D(end) = max d(m), or A(end) * n with
+    A(end) = max sigma(m)/m, over m <= end, lie below its floor at both
+    ends, compared exactly (_records_clear).  A window that is sieved is
+    screened against its own floor, or against the unbounded (0, -inf)
+    before rising_from and where the bound nears overflow at its end; a
+    bound that overflows to +inf is never flagged.
     """
     start = math.floor(min(rising_from, hi)) + 1
-    unbounded = (0.0, -math.inf)
-    reports = []
-    for wlo, whi in _window_ranges(lo, hi, SWEEP_WINDOW):
-        split = min(max(start, wlo), whi + 1)
-        floor = unbounded
-        if split <= whi:
-            at_split, at_end = bound_values(
-                np.array([split, whi], dtype=np.float64), c
-            ).tolist()
-            if at_end < 1e300:
-                floor = floor_of(split, whi, c, at_split)
-            if split == wlo and _records_clear(wlo, whi, sieved, *floor):
-                continue
-        values = divisor_window(wlo, whi, sieved)
-        parts = [
-            (wlo, values[: split - wlo], unbounded),
-            (split, values[split - wlo :], floor),
-        ]
-        del values
-        while parts:
-            # popping a part and rebinding values lets the window go
-            # before the bounds of a screened part's candidates are
-            # evaluated; an empty part gives no reports
-            first, values, part_floor = parts.pop(0)
-            ns, values = _at_or_above(values, first, *part_floor)
-            reports += _upper_sweep(
-                ns, values, bound_values(ns, c), quantity, constants
-            )
-    return reports
+
+    def floor(a, b):
+        if a < start:
+            return 0.0, -math.inf
+        return _span_floor(a, b, bound_values, floor_of, c)
+
+    def window_reports(a, b):
+        ns, values = _at_or_above(divisor_window(a, b, sieved), a, *floor(a, b))
+        return _upper_sweep(ns, values, bound_values(ns, c), quantity, constants)
+
+    return _records_sweep(
+        lo, hi, start, lambda a, b: _records_clear(a, b, sieved, *floor(a, b)),
+        window_reports,
+    )
 
 
 def verify_divisor_bound(
@@ -517,6 +533,19 @@ def verify_integral_bracket(
     )
 
 
+def _bracket_clear(a: int, b: int, nicolas_floor, robin_floor) -> bool:
+    # whether both floors clear their records on [a, b], exactly, each
+    # record raised by the bracket's slack per unit of k, RELATIVE_SLACK
+    # * D(b) (see verify_bracket_sweep); an unbounded floor clears nothing
+    if not all(map(math.isfinite, nicolas_floor + robin_floor)):
+        return False
+    (d_slope, d_const), (s_slope, s_const) = nicolas_floor, robin_floor
+    raise_by = Fraction(RELATIVE_SLACK) * record_maxima(b)[0]
+    return _records_clear(
+        a, b, "d", d_slope, Fraction(d_const) - raise_by
+    ) and _records_clear(a, b, "sigma", Fraction(s_slope) - raise_by, s_const)
+
+
 def verify_bracket_sweep(
     lo: int = 3,
     hi: int = 10**4,
@@ -526,30 +555,53 @@ def verify_bracket_sweep(
     """The violated or borderline reports of verify_integral_bracket over
     every k in [lo, hi]; an empty range is rejected.
 
-    Each window of SWEEP_WINDOW arguments is sieved for d and sigma, so
-    k*d(k) - sigma(k) is exact (int64), and its margins are computed and
-    classified at once with the scalar check's operations.  Only the
-    flagged k go to verify_integral_bracket, which builds their reports;
-    one it finds clean is left out.
+    The range is walked as the d and sigma sweeps walk theirs, from the
+    first integer past both bounds' rising points.  A window is sieved
+    for d and sigma, so middle = k*d(k) - sigma(k) is exact (int64), and
+    its margins are classified at once with the scalar check's
+    operations; verify_integral_bracket builds the flagged k's reports,
+    and one it finds clean is left out.  As sigma(k) >= k + 1 and
+    d(k) >= 2, upper - middle >= k (N(k) - d(k)) and
+    middle - lower >= R(k) - sigma(k), N and R the d and sigma bounds,
+    and the slack RELATIVE_SLACK * |middle| is at most
+    RELATIVE_SLACK * D(end) * k, as 0 <= middle <= k d(k).  The floors
+    lie SCREEN_BAND of the bounds' terms below the float bounds (see
+    _windowed_upper_sweep), far more than either margin's float error.
+    So a span or window where the d floor clears D(end) and the sigma
+    floor A(end) * k, each raised by that slack per unit of k, at both
+    ends, compared exactly, holds no flagged k and is skipped: at the
+    default constants every span to SWEEP_MAX, so [3, 113] is sieved.
     """
     _require_sweep(lo, hi, 3)
-    reports = []
-    for wlo, whi in _window_ranges(lo, hi, SWEEP_WINDOW):
+    rc, nc = float(robin_c), float(nicolas_c)
+    rising_from = max(_nicolas_rising_from(nc), _robin_rising_from(rc))
+
+    def clears(a, b):
+        return _bracket_clear(
+            a, b,
+            _span_floor(a, b, _nicolas_values, _nicolas_floor, nc),
+            _span_floor(a, b, _robin_values, _robin_floor, rc),
+        )
+
+    def window_reports(wlo, whi):
         ks = np.arange(wlo, whi + 1, dtype=np.int64)
         middle = (
             ks * divisor_window(wlo, whi, "d") - divisor_window(wlo, whi, "sigma")
         ).astype(np.float64)
         kf = ks.astype(np.float64)
-        robin = _robin_values(kf, float(robin_c))
-        nicolas = kf * _nicolas_values(kf, float(nicolas_c))
         # the scalar check's operations, in its order
-        margins = np.minimum(middle - (2.0 * kf - robin), (nicolas - kf - 1.0) - middle)
+        margins = np.minimum(
+            middle - (2.0 * kf - _robin_values(kf, rc)),
+            (kf * _nicolas_values(kf, nc) - kf - 1.0) - middle,
+        )
         violated, borderline = _classify_upper(margins, middle)
-        for idx in np.flatnonzero(violated | borderline):
-            r = verify_integral_bracket(wlo + int(idx), robin_c, nicolas_c)
-            if r.violated or r.borderline:
-                reports.append(r)
-    return reports
+        flagged = np.flatnonzero(violated | borderline) + wlo
+        reports = [verify_integral_bracket(int(k), robin_c, nicolas_c) for k in flagged]
+        return [r for r in reports if r.violated or r.borderline]
+
+    return _records_sweep(
+        lo, hi, math.floor(min(rising_from, hi)) + 1, clears, window_reports
+    )
 
 
 def verify_theorem_lower_bound(n: int, m: int) -> BoundReport:
@@ -677,37 +729,37 @@ def _nicolas_shape(
     """(bound strictly increasing on [rising_from, hi], bound > floor on
     [lo, hi]), for the float bound at c = NICOLAS_C.
 
-    The bound is evaluated at both ends of every window of [lo, hi], and
-    inside a window at every argument up to the first integer past the
-    real rising point (114 for c = 387/200).  The stretch of a window
-    from there, or from its first argument, to its last, [a, b], is
-    certified when _nicolas_step(a, b) > 3 * _nicolas_error(b).  Then for
-    a <= n < b the real bound rises by a relative step > 3e, with
-    e = e(b) >= e(n) (E rises there).  The float bound at n + 1 is at
-    least (1 + step)(1 - e) times the real bound at n, and the float
-    bound at n at most (1 + e) times it; the first factor is the larger,
-    since step > 3e > 2e / (1 - e) for e < 1/3.  So the float bound
-    strictly increases on [a, b], and nowhere there is it below its value
-    at a.  The margin between 3e and 2e / (1 - e) covers the rounding of
-    step and e themselves, a few ulps each.  A stretch that is not
-    certified is evaluated at every argument.  Both checks are then
-    decided by the evaluated values, in order.
+    [lo, hi] is walked as the sweeps walk it (_walk): every argument up
+    to the first integer past the real rising point (114 for
+    c = 387/200) is evaluated, and past it each doubling span [a, b] is
+    certified when _nicolas_step(a, b) > 3 * _nicolas_error(b), and then
+    evaluated at its two ends only.  For a <= n < b the real bound rises
+    by a relative step > 3e, with e = e(b) >= e(n) (E rises there).  The
+    float bound at n + 1 is at least (1 + step)(1 - e) times the real
+    bound at n, and the float bound at n at most (1 + e) times it; the
+    first factor is the larger, since step > 3e > 2e / (1 - e) for
+    e < 1/3.  So the float bound strictly increases on [a, b], and
+    nowhere there is it below its value at a.  The margin between 3e and
+    2e / (1 - e) covers the rounding of step and e themselves, a few ulps
+    each.  A span that is not certified is evaluated at every argument,
+    a window at a time.  Both checks are then decided by the evaluated
+    values, in order.
     """
     c = float(NICOLAS_C)
-    start = math.floor(_nicolas_rising_from(c)) + 1
+
+    def certified(a, b):
+        return a < b and _nicolas_step(a, b) > 3.0 * _nicolas_error(b)
+
     increasing = above = True
     last = -math.inf
-    for wlo, whi in _window_ranges(lo, hi, SWEEP_WINDOW):
-        first = min(max(start, wlo), whi)
-        if first < whi and _nicolas_step(first, whi) > 3.0 * _nicolas_error(whi):
-            ns = np.append(_arguments(wlo, first), float(whi))
-        else:
-            ns = _arguments(wlo, whi)
+    start = math.floor(_nicolas_rising_from(c)) + 1
+    for a, b, ends_only in _walk(lo, hi, start, certified):
+        ns = np.array([a, b], dtype=np.float64) if ends_only else _arguments(a, b)
         vals = _nicolas_values(ns, c)
         above = above and bool(np.all(vals > floor))
-        if increasing and whi >= rising_from:
+        if increasing and b >= rising_from:
             rising = vals[ns >= rising_from]
-            # the first value is compared with the previous window's last
+            # the first value is compared with the previous piece's last
             increasing = bool(rising[0] > last and np.all(np.diff(rising) > 0.0))
             last = rising[-1]
     return increasing, above
@@ -717,9 +769,10 @@ def nicolas_shape_check(hi: int = 10**6, floor: float = 114.1) -> tuple[bool, bo
     """(nicolas_bound(n+1) > nicolas_bound(n) for every n in [114, hi),
     nicolas_bound(n) > floor for every n in [3, hi]).  The bound decreases
     into n = 114 and rises after it, and its minimum there stays above
-    114.1.  Both are decided from the bound at [3, 114] and at the ends
-    of each window: between those the float bound provably rises (see
-    _nicolas_shape), so a few thousand evaluations cover hi = SWEEP_MAX."""
+    114.1.  Both are decided from the bound at [3, 113] and at the ends
+    of the doubling spans from 114: between those the float bound
+    provably rises (see _nicolas_shape), so about 160 evaluations cover
+    hi = SWEEP_MAX."""
     _require_sweep(114, hi, 114)
     if hi == 114:
         raise ValueError("empty range [114, 114)")

@@ -229,7 +229,6 @@ def incomplete_divisor_integral(k: int) -> int:
     return k * len(divs) - sum(divs)
 
 
-@lru_cache(maxsize=None)
 def _record_steps(
     bits: int,
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[Fraction, ...]]:
@@ -286,12 +285,21 @@ def _record_steps(
     return tuple(ms), tuple(ds), tuple(ratios)
 
 
+# (bits, _record_steps(bits)) for the most bits asked for so far: its
+# steps up to any x of no more bits are those of x's own list, so a sweep
+# that asks for its upper end first builds one list.
+_longest_steps = (0, ((), (), ()))
+
+
 def record_maxima(x: int) -> tuple[int, Fraction]:
     """(max d(m), max sigma(m)/m) over 1 <= m <= x, exact, for x in
     [1, 2**63 - 1].  The candidates below the next power of two are
-    listed on first use and kept."""
+    listed when no longer list has been, and the longest list is kept."""
+    global _longest_steps
     if not 1 <= x <= MAX_K:
         raise ValueError(f"x must be in [1, 2**63 - 1], got {x}")
-    ms, ds, ratios = _record_steps(x.bit_length())
+    if x.bit_length() > _longest_steps[0]:
+        _longest_steps = x.bit_length(), _record_steps(x.bit_length())
+    ms, ds, ratios = _longest_steps[1]
     idx = bisect_right(ms, x) - 1
     return ds[idx], ratios[idx]

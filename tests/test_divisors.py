@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from oracles import divisor_step_integral, trial_prime_powers
 
+from mtable import divisors
 from mtable.divisors import (
     MAX_K,
     _is_prime,
@@ -269,6 +270,23 @@ def test_records_are_their_own_divisor_counts_and_sums():
         previous_d, previous_ratio = most_d, most_ratio
     # the d record to 1e9 is 735134400 = 2**6 * 3**3 * 5**2 * 7 * 11 * 13 * 17
     assert record_maxima(10**9)[0] == divisor_count(735134400) == 1344
+
+
+def test_record_maxima_read_the_longest_list(monkeypatch):
+    # once the list for 2**40 is built, a smaller x builds none and gets
+    # the maxima its own, shorter list gives
+    xs = (1, 2, 12, 1000, 2**20, 735134400, 10**9, 2**40 - 1)
+    own = {}
+    for x in xs:
+        ms, ds, ratios = _record_steps(x.bit_length())
+        idx = max(j for j, m in enumerate(ms) if m <= x)
+        own[x] = ds[idx], ratios[idx]
+    monkeypatch.setattr(divisors, "_longest_steps", (0, ((), (), ())))
+    record_maxima(2**40 - 1)
+    built = []
+    monkeypatch.setattr(divisors, "_record_steps", built.append)
+    assert {x: record_maxima(x) for x in xs} == own
+    assert built == []
 
 
 def test_record_maxima_rejects_out_of_range():

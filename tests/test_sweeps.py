@@ -8,17 +8,22 @@ windowed sweeps must agree with it exactly, floats compared with ==.
 The d and sigma sweeps evaluate their bound only where a value can reach
 it once the bound rises; the tests below also pin that screen's rising
 points, check that it skips most arguments, also in the first window,
-that each window part is classified once, and move its start to and
-around a window edge.  The monotonicity and floor checks evaluate the
-d bound only near 114 and at window ends; their tests hold them to the
-whole-range evaluation, count what they evaluate and check the
-certificate that lets them skip the rest on every window to SWEEP_MAX.
+that each sieved window is classified once, and move its start to and
+around a window edge.  Past the rising point the sweeps walk doubling
+spans and skip those the record maxima clear; the tests count what they
+sieve at the paper's constants and for constants the records do not
+clear.  The monotonicity and floor checks evaluate the d bound only
+below 114 and at span ends; their tests hold them to the whole-range
+evaluation, count what they evaluate and check the certificate that
+lets them skip the rest on every span to SWEEP_MAX.
 
 The bracket sweep's oracle is the scalar check at every argument: the
 bracket margin from nicolas_bound and robin_bound at each k,
 k*d(k) - sigma(k) from the whole-range sieve, and
 verify_integral_bracket for every argument that margin flags.  The
-theorem sweep's oracle runs both scalar checks at every n.
+theorem sweep's oracle runs both scalar checks at every n.  The
+bracket sweep skips a span only when both records clear their floors by
+the bracket's slack, which a test pins to one ulp.
 """
 
 import math
@@ -28,7 +33,7 @@ import numpy as np
 import pytest
 from oracles import scalar_theorem_sweep
 
-from mtable import bounds, products
+from mtable import bounds, divisors, products
 
 # at least three windows, ending off a window edge
 LO = 5
@@ -240,19 +245,25 @@ def test_first_window_is_screened(monkeypatch, sweep, name, most):
 
 def test_one_classification_per_part(monkeypatch):
     # c = 0 flags arguments in every window; the reports take their
-    # verdicts from the one classification of each window part
+    # verdicts from the one classification of each window the walk sieves
     expected = whole_divisor_sweep(LO, HI, 0)
-    real = bounds._classify_upper
-    calls = []
+    real_classify, real_window = bounds._classify_upper, bounds.divisor_window
+    calls, sieved = [], []
 
     def counting(margin, scale):
         calls.append(np.size(margin))
-        return real(margin, scale)
+        return real_classify(margin, scale)
+
+    def sieving(lo, hi, quantity="d"):
+        sieved.append(hi - lo + 1)
+        return real_window(lo, hi, quantity)
 
     monkeypatch.setattr(bounds, "_classify_upper", counting)
+    monkeypatch.setattr(bounds, "divisor_window", sieving)
     windowed = bounds.verify_divisor_bound(LO, HI, 0)
     assert windowed == expected
-    assert len(calls) <= 2 * len(products._window_ranges(LO, HI, bounds.SWEEP_WINDOW))
+    assert len(calls) == len(sieved) > 3
+    assert max(sieved) <= bounds.SWEEP_WINDOW
 
 
 def test_unbounded_floor_keeps_the_values():
@@ -270,29 +281,60 @@ def test_unbounded_floor_keeps_the_values():
         (bounds.verify_sigma_bound, bounds.ROBIN_C, 1),
         (bounds.verify_divisor_bound, Fraction(1), None),
         (bounds.verify_sigma_bound, Fraction(-1), None),
+        (bounds.verify_bracket_sweep, bounds.ROBIN_C, 0),
     ],
 )
 def test_records_skip_the_windows_they_clear(monkeypatch, sweep, c, reports):
-    # at the paper's constants the record maxima clear every window past
-    # the first, which is then never sieved; d with c = 1 and sigma with
-    # c = -1 flag arguments all along, and every window is sieved
+    # at the paper's constants the record maxima clear every doubling
+    # span past the rising point, whatever the upper end, so the d sweep
+    # and the bracket (which sieves d and sigma over the same windows)
+    # sieve [3, 113] at most and the sigma sweep [3, 27].  d with c = 1
+    # and sigma with c = -1 flag arguments all along: past the few spans
+    # below 4000 that d clears, every window is sieved, none wider than
+    # SWEEP_WINDOW
     real = bounds.divisor_window
     sieved = []
 
     def counting(lo, hi, quantity="d"):
-        sieved.append((lo, hi))
+        if quantity == "d" or sweep is bounds.verify_sigma_bound:
+            sieved.append((lo, hi))
         return real(lo, hi, quantity)
 
     monkeypatch.setattr(bounds, "divisor_window", counting)
-    hi = 10**7
-    windows = products._window_ranges(3, hi, bounds.SWEEP_WINDOW)
-    flagged = sweep(3, hi, c)
     if reports is None:
-        assert sieved == windows
+        hi = 10**7
+        flagged = sweep(3, hi, c)
+        assert max(b - a + 1 for a, b in sieved) <= bounds.SWEEP_WINDOW
+        assert all(b + 1 == a for (_, b), (a, _) in zip(sieved[1:], sieved[2:]))
+        assert sieved[-1][1] == hi and sieved[1][0] < 4000
         assert len({(r.argument - 3) // bounds.SWEEP_WINDOW for r in flagged}) > 15
-    else:
-        assert sieved == windows[:1]
-        assert len(flagged) == reports
+        return
+    most = 25 if sweep is bounds.verify_sigma_bound else 111
+    for hi in (12, 113, 114, 227, 228, 10**4, 3 * 2**19 + 12345, 10**7, 10**9):
+        sieved.clear()
+        assert len(sweep(3, hi, c)) == reports
+        assert sieved[0][0] == 3
+        assert sum(b - a + 1 for a, b in sieved) <= most, hi
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [bounds.verify_divisor_bound, bounds.verify_sigma_bound, bounds.verify_bracket_sweep],
+)
+def test_one_record_list_per_sweep(monkeypatch, sweep):
+    # the sweep asks for the records at its upper end first, so every
+    # span below reads that one candidate list
+    real = divisors._record_steps
+    built = []
+
+    def counting(bits):
+        built.append(bits)
+        return real(bits)
+
+    monkeypatch.setattr(divisors, "_longest_steps", (0, ((), (), ())))
+    monkeypatch.setattr(divisors, "_record_steps", counting)
+    sweep(3, 10**9)
+    assert built == [(10**9).bit_length()]
 
 
 def test_records_are_compared_with_the_floor_exactly():
@@ -315,6 +357,40 @@ def test_records_are_compared_with_the_floor_exactly():
     assert bounds._records_clear(hi - 1, hi, "sigma", slope, const)
     assert not bounds._records_clear(hi // 2, hi, "sigma", slope, const)
     assert not bounds._records_clear(3, hi, "d", 0.0, -math.inf)
+
+
+def floats_around(x):
+    # the least float above the rational x, and the greatest at or below it
+    below = float(x)
+    if Fraction(below) > x:
+        below = math.nextafter(below, -math.inf)
+    return math.nextafter(below, math.inf), below
+
+
+def test_bracket_records_are_compared_with_the_floors_exactly():
+    # a bracket span is skipped only when the d floor clears D and the
+    # sigma floor A * k, each raised by the slack per unit of k,
+    # RELATIVE_SLACK * D: one ulp above that clears, one ulp below (which
+    # still clears the bare record) does not, on either side
+    lo, hi = 10**6 // 2, 10**6
+    most_d, most_ratio = bounds.record_maxima(hi)
+    raise_by = Fraction(bounds.RELATIVE_SLACK) * most_d
+    d_above, d_below = floats_around(most_d + raise_by)
+    s_above, s_below = floats_around(most_ratio + raise_by)
+    assert d_below > most_d and s_below > most_ratio
+    assert bounds._bracket_clear(lo, hi, (0.0, d_above), (s_above, 0.0))
+    assert not bounds._bracket_clear(lo, hi, (0.0, d_below), (s_above, 0.0))
+    assert not bounds._bracket_clear(lo, hi, (0.0, d_above), (s_below, 0.0))
+    assert bounds._records_clear(lo, hi, "d", 0.0, d_below)
+    assert bounds._records_clear(lo, hi, "sigma", s_below, 0.0)
+    # the affine sigma floor is checked at both ends, and an unbounded
+    # floor of either bound clears nothing
+    slope = s_above * (1.0 + 1e-9)
+    const = -s_above * 1e-9 * 0.75 * hi
+    assert bounds._bracket_clear(hi - 1, hi, (0.0, d_above), (slope, const))
+    assert not bounds._bracket_clear(lo, hi, (0.0, d_above), (slope, const))
+    assert not bounds._bracket_clear(lo, hi, (0.0, -math.inf), (s_above, 0.0))
+    assert not bounds._bracket_clear(lo, hi, (0.0, d_above), (0.0, -math.inf))
 
 
 def test_nicolas_rising_point_for_the_paper_constant():
@@ -376,13 +452,12 @@ def test_shape_check_matches_whole_range():
     )
 
 
-@pytest.mark.parametrize(
-    "dip", [113, 114, 3 + bounds.SWEEP_WINDOW - 1, 3 + bounds.SWEEP_WINDOW]
-)
+@pytest.mark.parametrize("dip", [113, 114, 227, 228])
 def test_shape_check_sees_a_dip(monkeypatch, dip):
-    # the shape check's windows start at 3: a dip before 114 or at it
-    # leaves the bound increasing from 114 on, one at the last argument
-    # of the first window or the first of the second does not
+    # the shape check evaluates [3, 113], then the ends of the spans
+    # [114, 227], [228, 455], ...: a dip before 114 or at it leaves the
+    # bound increasing from 114 on, one at the last argument of the first
+    # span or the first of the second does not
     real = bounds._nicolas_values
 
     def dipped(ns, c):
@@ -427,6 +502,33 @@ def test_bracket_sweep_matches_scalar_check(robin_c, nicolas_c):
         assert windowed == []
 
 
+@pytest.mark.parametrize("robin_c", [bounds.ROBIN_C, Fraction(-1)])
+def test_bracket_sweep_matches_scalar_check_from_any_lo(monkeypatch, robin_c):
+    # lo below, on and past the rising point 114, and on a window edge of
+    # a sweep from 3, over six small windows; at the default constants
+    # only [lo, 113] is sieved, and with robin_c = -1, which flags small
+    # k, no span clears and every argument is sieved
+    monkeypatch.setattr(bounds, "SWEEP_WINDOW", SMALL_WINDOW)
+    expected = scalar_bracket_sweep(3, SMALL_HI, robin_c, bounds.NICOLAS_C)
+    real = bounds.divisor_window
+    sieved = []
+
+    def counting(lo, hi, quantity="d"):
+        sieved.append(hi - lo + 1 if quantity == "d" else 0)
+        return real(lo, hi, quantity)
+
+    monkeypatch.setattr(bounds, "divisor_window", counting)
+    for lo in (3, 113, 114, 115, 3 + SMALL_WINDOW):
+        sieved.clear()
+        windowed = bounds.verify_bracket_sweep(lo, SMALL_HI, robin_c)
+        assert windowed == [r for r in expected if r.argument >= lo], lo
+        if robin_c == -1:
+            assert sum(sieved) == SMALL_HI - lo + 1
+        else:
+            assert sum(sieved) == max(114 - lo, 0)
+    assert (expected != []) is (robin_c == -1)
+
+
 def test_bracket_sweep_rejects_empty_range():
     with pytest.raises(ValueError, match="empty range"):
         bounds.verify_bracket_sweep(3, 2)
@@ -434,11 +536,12 @@ def test_bracket_sweep_rejects_empty_range():
         bounds.verify_bracket_sweep(2, 10)
 
 
-@pytest.mark.parametrize("offset", [0, bounds.SWEEP_WINDOW - 1, bounds.SWEEP_WINDOW])
+@pytest.mark.parametrize("offset", [0, 113, 114])
 def test_dip_is_seen_on_either_side_of_a_window_edge(monkeypatch, offset):
     # a bound that drops to 0 at one argument: the last argument of the
-    # first window, the first argument of the second (seen only by the
-    # comparison across windows), or the sweep's first argument
+    # first span from 114, [114, 227], the first argument of the second
+    # (seen only by the comparison across spans), or the sweep's first
+    # argument
     lo = 114
     dip = lo + offset
     real = bounds._nicolas_values
@@ -495,14 +598,17 @@ def test_shape_check_evaluates_few_arguments(monkeypatch):
 
 @pytest.mark.parametrize("lo", [3, 114])
 def test_certificate_holds_on_every_window_to_the_cap(lo):
-    # every stretch the shape check can meet up to SWEEP_MAX is
-    # certified, with windows from 3 (nicolas_shape_check) or from 114
+    # every doubling span the shape check walks to SWEEP_MAX, from 3
+    # (nicolas_shape_check) or from 114, is certified; a span cut at a
+    # smaller hi has a larger step bound and a smaller error, so is too
     start = math.floor(bounds._nicolas_rising_from(float(bounds.NICOLAS_C))) + 1
     assert start == 114
-    windows = products._window_ranges(lo, bounds.SWEEP_MAX, bounds.SWEEP_WINDOW)
-    for wlo, whi in windows:
-        a = max(wlo, start)
-        assert bounds._nicolas_step(a, whi) > 3.0 * bounds._nicolas_error(whi), wlo
+    pieces = list(bounds._walk(lo, bounds.SWEEP_MAX, start, lambda a, b: True))
+    spans = [(a, b) for a, b, cleared in pieces if cleared]
+    assert [a for a, _ in spans] == [114 * 2**j for j in range(24)]
+    assert spans[-1][1] == bounds.SWEEP_MAX
+    for a, b in spans:
+        assert bounds._nicolas_step(a, b) > 3.0 * bounds._nicolas_error(b), a
 
 
 def test_uncertified_stretches_are_evaluated_in_full(monkeypatch):
