@@ -1,10 +1,12 @@
 """Command-line behavior: formats, exit codes, flag placement."""
 
+import ast
 import json
 import math
 import re
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +168,55 @@ def test_verify_with_an_overflowing_bound(capsys, suite):
     assert code == 1
     assert err == ""
     assert out
+
+
+@pytest.mark.parametrize(
+    "command", [("bounds", "--k", "12"), ("verify", "--suite", "sigma-bound")]
+)
+@pytest.mark.parametrize("constant", ["1/0", "1e400", "-1e400"])
+def test_robin_c_must_be_a_finite_rational(capsys, command, constant):
+    # a zero denominator or a rational past the float range is a usage
+    # error from the parser, not a traceback
+    code, out, err = run(capsys, *command, f"--robin-c={constant}")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ")
+    assert f"argument --robin-c: invalid Fraction value: '{constant}'" in err
+
+
+# a directory is first read as an unreadable cache, which warns
+@pytest.mark.filterwarnings("ignore:census cache")
+@pytest.mark.parametrize("where", ["missing/census.csv", "."])
+def test_census_cache_path_that_cannot_be_written(tmp_path, capsys, where):
+    # a cache in a missing directory, or a cache path that is a directory,
+    # fails when the cache is written: one error line, exit 2
+    code, out, err = run(
+        capsys, "census", "--n-list", "10", "--cache", str(tmp_path / where)
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith("error: [Errno ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("s", ["inf", "nan,0", "1,-inf"])
+def test_series_rejects_a_non_finite_exponent(capsys, s):
+    code, out, err = run(capsys, "series", "--s", s, "--n", "50")
+    assert (code, out) == (2, "")
+    assert err == f"error: --s must be finite, got {s!r}\n"
+
+
+def test_cli_calls_only_public_library_names():
+    # cli.py only parses arguments and formats output: it reads no
+    # _-prefixed name of the library modules it imports
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("bnd", "products", "series")
+        and node.attr.startswith("_")
+    ]
+    assert private == []
 
 
 def test_json_rejects_numpy_values():
@@ -449,6 +500,78 @@ GOLDEN = [
         ("verify", "--suite", "identities", "--n", "3"),
         0,
         "suite identities, max_n 3\n0 violation(s), 0 borderline\n",
+    ),
+    (
+        ("verify", "--suite", "monotonicity", "--max", "1000"),
+        0,
+        "suite monotonicity, lo 3, hi 1000\n"
+        "nicolas bound strictly increasing on [114, 1000]: yes\n"
+        "nicolas bound > 114.1 on [3, 1000]: yes\n",
+    ),
+    (
+        ("verify", "--suite", "monotonicity", "--max", "1000", "--format", "json"),
+        0,
+        '{"suite": "monotonicity", "lo": 3, "hi": 1000, "increasing_from_114": true, '
+        '"floor": 114.1000000000, "floor_holds": true, "violated_count": 0}\n',
+    ),
+    (
+        ("verify", "--suite", "sigma-bound", "--max", "100"),
+        1,
+        "suite sigma-bound, lo 3, hi 100, robin_c 3241/5000\n"
+        "VIOLATION divisor_sum at n=12: value 28 vs bound 27.9998200541 "
+        "(margin -0.0001799459)\n"
+        "1 violation(s), 0 borderline\n",
+    ),
+    (
+        # the bracket's bound is a pair, written as a JSON list
+        ("verify", "--suite", "bracket", "--max", "300", "--robin-c=-1", "--format", "json"),
+        1,
+        '{"suite": "bracket", "lo": 3, "hi": 300, "violations": ['
+        '{"argument": 3, "quantity": "integral", "value": 2, "bound": [37.3961454604, '
+        "22051248323873698626904676018775316937067579837142095164912761052332233326592"
+        '.0000000000], "margin": -35.3961454604, "violated": true, "borderline": false}, '
+        '{"argument": 4, "quantity": "integral", "value": 5, "bound": [17.9190757395, '
+        '2808085357.0766520500], "margin": -12.9190757395, "violated": true, '
+        '"borderline": false}, '
+        '{"argument": 5, "quantity": "integral", "value": 4, "bound": [16.2688119804, '
+        '718904.2412205555], "margin": -12.2688119804, "violated": true, '
+        '"borderline": false}, '
+        '{"argument": 6, "quantity": "integral", "value": 12, "bound": [16.0557916047, '
+        '59093.5547118443], "margin": -4.0557916047, "violated": true, '
+        '"borderline": false}, '
+        '{"argument": 7, "quantity": "integral", "value": 6, "bound": [16.2147852240, '
+        '19157.1212208563], "margin": -10.2147852240, "violated": true, '
+        '"borderline": false}, '
+        '{"argument": 9, "quantity": "integral", "value": 14, "bound": [16.8145374789, '
+        '7232.0637004610], "margin": -2.8145374789, "violated": true, '
+        '"borderline": false}, '
+        '{"argument": 11, "quantity": "integral", "value": 10, "bound": [17.4424855771, '
+        '4917.2115720210], "margin": -7.4424855771, "violated": true, '
+        '"borderline": false}, '
+        '{"argument": 13, "quantity": "integral", "value": 12, "bound": [17.9917279323, '
+        '4131.6707026889], "margin": -5.9917279323, "violated": true, '
+        '"borderline": false}, '
+        '{"argument": 17, "quantity": "integral", "value": 16, "bound": [18.7918995150, '
+        '3706.8019575010], "margin": -2.7918995150, "violated": true, '
+        '"borderline": false}, '
+        '{"argument": 19, "quantity": "integral", "value": 18, "bound": [19.0490823059, '
+        '3696.8999626655], "margin": -1.0490823059, "violated": true, '
+        '"borderline": false}], "violated_count": 10, "borderline_count": 0}\n',
+    ),
+    (
+        ("multiplicity", "--n", "6", "--k", "12"),
+        0,
+        "multiplicity of 12 in the 6-table: direct 4, formula 4, agree\n",
+    ),
+    (
+        ("multiplicity", "--n", "6", "--k", "12", "--method", "direct", "--format", "json"),
+        0,
+        '{"n": 6, "k": 12, "method": "direct", "count": 4}\n',
+    ),
+    (
+        ("count", "--n", "50", "--format", "csv"),
+        0,
+        "n,m,density,mean_multiplicity\n50,800,0.3200000000,3.1250000000\n",
     ),
 ]
 
