@@ -12,10 +12,15 @@ whole windows; nicolas_bound and robin_bound apply it to one np.float64.
 That this gives the bits of the same argument's element in an array is
 a property of the installed numpy (which may pick its exp and log loops
 by stride), checked by test_scalar_bounds_are_the_array_evaluation, not
-a guarantee.  Sweep verifiers report every argument whose value
-crosses its bound, the d and sigma sweeps from the one classification
-of each window's margins, and divisor_bound_at and sigma_bound_at
-make the same check at one argument.
+a guarantee.  Each check has one array kernel that returns its bounds,
+margins and verdicts: _upper for value <= bound (the d and sigma bounds
+and the theorem's mean check), _bracket for the integral bracket, and
+_theorem for the theorem's lower bound and mean check together.  A
+sweep applies its kernel to a window of arguments at once; the scalar
+checks (divisor_bound_at, sigma_bound_at, verify_integral_bracket,
+verify_theorem_lower_bound, verify_mean_bound) apply it to one.  One
+builder, _reports, makes the BoundReports of a sweep's flagged entries
+and of a scalar check's one entry.
 Every verdict comes from one rule, _classify_upper or _classify_lower,
 applied to one margin or to a window of them: a comparison only counts
 as a violation when it fails by more than a relative slack of 1e-12;
@@ -53,10 +58,8 @@ SWEEP_MAX that step exceeds three times a stated error bound of the
 float evaluation (see _nicolas_shape); a span where it would not is
 evaluated at every argument.
 The bracket sweep skips the spans both records clear by its slack too,
-and classifies every margin of a window it sieves at once; the
-theorem sweep both margins of every n from one prefix count; the
-arguments they flag go to the scalar checks, which build the reports,
-and a report is kept only if it is violated or borderline itself.
+and runs its kernel over each window it sieves; the theorem sweep runs
+its kernel over every n at once, with M(n) from one prefix count.
 """
 
 from __future__ import annotations
@@ -129,8 +132,9 @@ ERDOS_EXPONENT = 1 + math.log(_LN2) / _LN2
 ERDOS_EXPONENT_COMMON = 1 - (1 + math.log(_LN2)) / _LN2
 
 
-def _default_constants() -> dict:
-    return {"nicolas_c": NICOLAS_C, "robin_c": ROBIN_C, "gamma": EULER_GAMMA}
+def _constants(robin_c=ROBIN_C, nicolas_c=NICOLAS_C) -> dict:
+    nicolas_c, robin_c = Fraction(nicolas_c), Fraction(robin_c)
+    return {"nicolas_c": nicolas_c, "robin_c": robin_c, "gamma": EULER_GAMMA}
 
 
 @dataclass(frozen=True)
@@ -155,7 +159,7 @@ class BoundReport:
     margin: float
     violated: bool
     borderline: bool
-    constants_used: dict = field(default_factory=_default_constants)
+    constants_used: dict = field(default_factory=_constants)
 
 
 def _slack(scale):
@@ -237,46 +241,75 @@ def _robin_values(ns: np.ndarray, c: float) -> np.ndarray:
     return math.exp(EULER_GAMMA) * ns * loglogs + c * ns / loglogs
 
 
-def _upper_report(
-    argument: int, quantity: str, value: int, bound: float, constants: dict
-) -> BoundReport:
-    margin = bound - value
-    violated, borderline = _classify_upper(margin, bound)
-    return BoundReport(
-        argument=argument,
-        quantity=quantity,
-        value=value,
-        bound=bound,
-        margin=margin,
-        violated=bool(violated),
-        borderline=bool(borderline),
-        constants_used=constants,
-    )
+# The kernels of the three checks.  Each takes arrays with one entry per
+# argument, a sweep's window or a scalar check's one argument (_one), and
+# returns (bounds, margins, violated, borderline), what _reports reads.
 
 
-def _upper_sweep(
-    ns: np.ndarray,
-    values: np.ndarray,
-    bounds: np.ndarray,
-    quantity: str,
-    constants: dict,
-) -> list[BoundReport]:
-    # ns holds the arguments as floats, values and bounds theirs; each
-    # report takes its margin and verdict from the one classification
+def _one(x) -> np.ndarray:
+    # float() rounds an integer past 2**53 to nearest, as the sweeps'
+    # int64 to float64 conversion does
+    return np.array([float(x)])
+
+
+def _upper(values, bounds):
+    # value <= bound: the d and sigma bounds and the scaled mean check
     margins = bounds - values
-    violated, borderline = _classify_upper(margins, bounds)
+    return (bounds, margins, *_classify_upper(margins, bounds))
+
+
+def _bracket(ks, middles, robin_c: float, nicolas_c: float):
+    # 2k - R(k) < middle < k N(k) - k - 1, for middle = k d(k) - sigma(k)
+    # (float, or int64 that numpy converts): the bounds are the pair
+    # (lowers, uppers), the margin the distance to the nearer edge,
+    # positive inside as for an upper bound
+    lowers = 2.0 * ks - _robin_values(ks, robin_c)
+    uppers = ks * _nicolas_values(ks, nicolas_c) - ks - 1.0
+    margins = middles - lowers
+    np.minimum(margins, uppers - middles, out=margins)
+    return ((lowers, uppers), margins, *_classify_upper(margins, middles))
+
+
+def _theorem(squares, counts):
+    # at n**2 and M(n): (the lower bound M(n) >= n**2 / N(n**2), the mean
+    # check n**2 <= M(n) N(n**2)), N at NICOLAS_C; the mean check's chain
+    # step max(12, N) = N is checked at every n first, and a NaN fails it
+    caps = _nicolas_values(squares, float(NICOLAS_C))
+    below = np.flatnonzero(~(caps >= 12.0))
+    if below.size:
+        i = below[0]
+        raise RuntimeError(
+            f"nicolas_bound({int(squares[i])}) = {float(caps[i])} fell below 12"
+        )
+    floors = squares / caps
+    margins = floors - counts
+    lower = (floors, margins, *_classify_lower(margins, floors))
+    return lower, _upper(squares, counts * caps)
+
+
+def _reports(quantity, constants, arguments, values, checked, every=False) -> list:
+    """The BoundReport of each flagged entry of a kernel's checked
+    arrays, or of every entry when every, in order.  arguments and values
+    are read with int(), so they must hold the exact integers: a scalar
+    check passes lists of ints, which may pass 2**53 and int64."""
+    bounds, margins, violated, borderline = checked
+    at = range(len(margins)) if every else np.flatnonzero(violated | borderline)
     return [
         BoundReport(
-            argument=int(ns[idx]),
+            argument=int(arguments[i]),
             quantity=quantity,
-            value=int(values[idx]),
-            bound=float(bounds[idx]),
-            margin=float(margins[idx]),
-            violated=bool(violated[idx]),
-            borderline=bool(borderline[idx]),
+            value=int(values[i]),
+            bound=(
+                tuple(float(b[i]) for b in bounds)
+                if isinstance(bounds, tuple)
+                else float(bounds[i])
+            ),
+            margin=float(margins[i]),
+            violated=bool(violated[i]),
+            borderline=bool(borderline[i]),
             constants_used=constants,
         )
-        for idx in np.flatnonzero(violated | borderline)
+        for i in at
     ]
 
 
@@ -417,7 +450,8 @@ def _windowed_upper_sweep(
     quantity: str,
     constants: dict,
 ) -> list[BoundReport]:
-    """The _upper_sweep reports over [lo, hi], walked by _walk.
+    """The flagged _upper reports of value <= bound over [lo, hi], walked
+    by _walk.
 
     Below rising_from, where the bound may fall, each argument's bound is
     evaluated.  From the first integer past rising_from on,
@@ -450,7 +484,8 @@ def _windowed_upper_sweep(
 
     def window_reports(a, b):
         ns, values = _at_or_above(divisor_window(a, b, sieved), a, *floor(a, b))
-        return _upper_sweep(ns, values, bound_values(ns, c), quantity, constants)
+        checked = _upper(values, bound_values(ns, c))
+        return _reports(quantity, constants, ns, values, checked)
 
     return _records_sweep(
         lo, hi, start, lambda a, b: _records_clear(a, b, sieved, *floor(a, b)),
@@ -467,10 +502,9 @@ def verify_divisor_bound(
     slack band; an empty list means the bound held everywhere.
     """
     _require_sweep(lo, hi, 3)
-    constants = dict(_default_constants(), nicolas_c=Fraction(c))
     return _windowed_upper_sweep(
-        lo, hi, "d", _nicolas_values, _nicolas_floor,
-        _nicolas_rising_from(float(c)), float(c), "divisor_count", constants,
+        lo, hi, "d", _nicolas_values, _nicolas_floor, _nicolas_rising_from(float(c)),
+        float(c), "divisor_count", _constants(nicolas_c=c),
     )
 
 
@@ -483,26 +517,30 @@ def verify_sigma_bound(
     violation, at n = 12; with ROBIN_C_ALTERNATE it reports none.
     """
     _require_sweep(lo, hi, 3)
-    constants = dict(_default_constants(), robin_c=Fraction(c))
     return _windowed_upper_sweep(
-        lo, hi, "sigma", _robin_values, _robin_floor,
-        _robin_rising_from(float(c)), float(c), "divisor_sum", constants,
+        lo, hi, "sigma", _robin_values, _robin_floor, _robin_rising_from(float(c)),
+        float(c), "divisor_sum", _constants(robin_c=c),
     )
 
 
 def divisor_bound_at(k: int) -> BoundReport:
     """The check of verify_divisor_bound at the one argument k >= 3,
     returned whether or not it is flagged."""
-    return _upper_report(
-        k, "divisor_count", divisor_count(k), nicolas_bound(k), _default_constants()
-    )
+    value = divisor_count(k)
+    _require_n(k, 3)
+    checked = _upper(_one(value), _nicolas_values(_one(k), float(NICOLAS_C)))
+    return _reports("divisor_count", _constants(), [k], [value], checked, every=True)[0]
 
 
 def sigma_bound_at(k: int, c: Fraction | float = ROBIN_C) -> BoundReport:
     """The check of verify_sigma_bound at the one argument k >= 3,
     returned whether or not it is flagged."""
-    constants = dict(_default_constants(), robin_c=Fraction(c))
-    return _upper_report(k, "divisor_sum", divisor_sum(k), robin_bound(k, c), constants)
+    value = divisor_sum(k)
+    _require_n(k, 3)
+    checked = _upper(_one(value), _robin_values(_one(k), float(c)))
+    return _reports(
+        "divisor_sum", _constants(robin_c=c), [k], [value], checked, every=True
+    )[0]
 
 
 def verify_integral_bracket(
@@ -514,23 +552,9 @@ def verify_integral_bracket(
     and k*nicolas_bound(k) - k - 1, for k >= 3."""
     _require_n(k, 3)
     middle = incomplete_divisor_integral(k)
-    lower = 2.0 * k - robin_bound(k, robin_c)
-    upper = k * nicolas_bound(k, nicolas_c) - k - 1.0
-    margin = min(middle - lower, upper - middle)
-    # inside the bracket the margin is positive, as for an upper bound
-    violated, borderline = _classify_upper(margin, middle)
-    return BoundReport(
-        argument=k,
-        quantity="integral",
-        value=middle,
-        bound=(lower, upper),
-        margin=margin,
-        violated=bool(violated),
-        borderline=bool(borderline),
-        constants_used=dict(
-            _default_constants(), robin_c=Fraction(robin_c), nicolas_c=Fraction(nicolas_c)
-        ),
-    )
+    checked = _bracket(_one(k), _one(middle), float(robin_c), float(nicolas_c))
+    constants = _constants(robin_c, nicolas_c)
+    return _reports("integral", constants, [k], [middle], checked, every=True)[0]
 
 
 def _bracket_clear(a: int, b: int, nicolas_floor, robin_floor) -> bool:
@@ -558,9 +582,9 @@ def verify_bracket_sweep(
     The range is walked as the d and sigma sweeps walk theirs, from the
     first integer past both bounds' rising points.  A window is sieved
     for d and sigma, so middle = k*d(k) - sigma(k) is exact (int64), and
-    its margins are classified at once with the scalar check's
-    operations; verify_integral_bracket builds the flagged k's reports,
-    and one it finds clean is left out.  As sigma(k) >= k + 1 and
+    the bracket kernel that verify_integral_bracket applies to one k
+    checks the whole window at once; its flagged entries are the
+    reports.  As sigma(k) >= k + 1 and
     d(k) >= 2, upper - middle >= k (N(k) - d(k)) and
     middle - lower >= R(k) - sigma(k), N and R the d and sigma bounds,
     and the slack RELATIVE_SLACK * |middle| is at most
@@ -583,21 +607,14 @@ def verify_bracket_sweep(
             _span_floor(a, b, _robin_values, _robin_floor, rc),
         )
 
+    constants = _constants(robin_c, nicolas_c)
+
     def window_reports(wlo, whi):
-        ks = np.arange(wlo, whi + 1, dtype=np.int64)
-        middle = (
-            ks * divisor_window(wlo, whi, "d") - divisor_window(wlo, whi, "sigma")
-        ).astype(np.float64)
-        kf = ks.astype(np.float64)
-        # the scalar check's operations, in its order
-        margins = np.minimum(
-            middle - (2.0 * kf - _robin_values(kf, rc)),
-            (kf * _nicolas_values(kf, nc) - kf - 1.0) - middle,
-        )
-        violated, borderline = _classify_upper(margins, middle)
-        flagged = np.flatnonzero(violated | borderline) + wlo
-        reports = [verify_integral_bracket(int(k), robin_c, nicolas_c) for k in flagged]
-        return [r for r in reports if r.violated or r.borderline]
+        ks = _arguments(wlo, whi)
+        middles = ks.astype(np.int64) * divisor_window(wlo, whi, "d")
+        middles -= divisor_window(wlo, whi, "sigma")
+        checked = _bracket(ks, middles, rc, nc)
+        return _reports("integral", constants, ks, middles, checked)
 
     return _records_sweep(
         lo, hi, math.floor(min(rising_from, hi)) + 1, clears, window_reports
@@ -611,18 +628,8 @@ def verify_theorem_lower_bound(n: int, m: int) -> BoundReport:
     healthy margin (bound - value) is negative here.
     """
     _require_n(n, 2)
-    floor = n * n / nicolas_bound(n * n)
-    margin = floor - m
-    violated, borderline = _classify_lower(margin, floor)
-    return BoundReport(
-        argument=n,
-        quantity="table_count",
-        value=m,
-        bound=floor,
-        margin=margin,
-        violated=bool(violated),
-        borderline=bool(borderline),
-    )
+    lower, _ = _theorem(_one(n * n), _one(m))
+    return _reports("table_count", _constants(), [n], [m], lower, every=True)[0]
 
 
 def verify_mean_bound(n: int, m: int) -> BoundReport:
@@ -631,13 +638,12 @@ def verify_mean_bound(n: int, m: int) -> BoundReport:
     The inequality is scaled by m so the compared value n^2 stays an
     exact integer: n^2 <= m * nicolas_bound(n^2).  The chain step
     max(12, bound) = bound is verified on the way (the bound never dips
-    to 12 on this domain).
+    to 12 on this domain), by the kernel both theorem checks share, so
+    verify_theorem_lower_bound raises too where it fails.
     """
     _require_n(n, 2)
-    cap = nicolas_bound(n * n)
-    if max(12.0, cap) != cap:
-        raise RuntimeError(f"nicolas_bound({n * n}) = {cap} fell below 12")
-    return _upper_report(n, "table_count", n * n, m * cap, _default_constants())
+    _, mean = _theorem(_one(n * n), _one(m))
+    return _reports("table_count", _constants(), [n], [n * n], mean, every=True)[0]
 
 
 def verify_theorem_sweep(hi: int = 500) -> list[BoundReport]:
@@ -645,33 +651,21 @@ def verify_theorem_sweep(hi: int = 500) -> list[BoundReport]:
     and verify_mean_bound over every n in [2, hi]; hi < 2 is rejected.
 
     Every M(n) comes from one distinct_count_prefix pass, so hi may be
-    at most products.PREFIX_N_MAX.  Both margins are computed and
-    classified for every n at once with the scalar checks' operations.
-    The two scalar checks build the reports at the flagged n, and run at
-    every n whose bound is below 12, where verify_mean_bound raises.
+    at most products.PREFIX_N_MAX.  The kernel the two scalar checks
+    apply to one n checks every n at once, and raises as
+    verify_mean_bound does where the bound is below 12; its flagged
+    entries are the reports, each n's lower bound before its mean check.
     """
     if hi < 2:
         raise ValueError(f"empty range [2, {hi}]")
-    counts = distinct_count_prefix(hi)
-    ns = np.arange(2, hi + 1, dtype=np.float64)
+    counts = distinct_count_prefix(hi)[2:]
+    ns = _arguments(2, hi)
     squares = ns * ns
-    ms = counts[2:].astype(np.float64)
-    caps = _nicolas_values(squares, float(NICOLAS_C))
-    # the scalar checks' operations, in their order
-    floors = squares / caps
-    means = ms * caps
-    low_violated, low_borderline = _classify_lower(floors - ms, floors)
-    mean_violated, mean_borderline = _classify_upper(means - squares, means)
-    flagged = low_violated | low_borderline | mean_violated | mean_borderline
-    reports = []
-    for idx in np.flatnonzero(flagged | (caps < 12.0)):
-        n = int(idx) + 2
-        m = int(counts[n])
-        for check in (verify_theorem_lower_bound, verify_mean_bound):
-            r = check(n, m)
-            if r.violated or r.borderline:
-                reports.append(r)
-    return reports
+    lower, mean = _theorem(squares, counts)
+    constants = _constants()
+    reports = _reports("table_count", constants, ns, counts, lower)
+    reports += _reports("table_count", constants, ns, squares, mean)
+    return sorted(reports, key=lambda r: r.argument)
 
 
 def _nicolas_step(a: int, b: int) -> float:

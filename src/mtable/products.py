@@ -129,6 +129,16 @@ def _require_segment_bits(segment_bits: int):
         )
 
 
+def _require_cache_path(path: str | Path):
+    # a directory, or a path in a directory that does not exist, can be
+    # neither read nor replaced as a cache file
+    path = Path(path)
+    if path.is_dir():
+        raise ValueError(f"census cache {path} is a directory")
+    if not path.parent.is_dir():
+        raise ValueError(f"census cache directory {path.parent} does not exist")
+
+
 def _count_window(args: tuple[int, int, int]) -> int:
     """Distinct products of the n-table that land in [lo, hi].
 
@@ -284,7 +294,8 @@ def census(
 
     The cache stores n,m pairs only; density and mean multiplicity are
     always rederived, and the window length and pool never change a
-    stored value.  segment_bits and every n (at most COUNT_N_MAX) are
+    stored value.  segment_bits, every n (at most COUNT_N_MAX) and the
+    cache path (not a directory, and in a directory that exists) are
     checked on entry, before the cache is read or any n is counted, also
     when every n is cached.  The cache file is written only when some n
     was computed, under a lock on a sidecar file: the cache is read again
@@ -296,6 +307,8 @@ def census(
     for n in n_values:
         _require_count_n(n)
     _require_segment_bits(segment_bits)
+    if cache_path is not None:
+        _require_cache_path(cache_path)
     cached = {} if cache_path is None else _read_cache(cache_path)
     out = []
     computed = False

@@ -202,13 +202,20 @@ def verify_square_identity(s: complex, n: int) -> SeriesComparison:
     At s = 0 and s = -1 all three routes are exact integers and the
     deviation must be exactly 0.  Elsewhere the routes agree to within
     1e-9 relative of the squared partial sum.  The comparison's
-    tolerance and ok fields carry that rule.
+    tolerance and ok fields carry that rule.  An (s, n) at which any of
+    the three sums is not finite, as when its terms overflow a float, is
+    a domain error (ValueError), not a failed identity.
     """
     if not 1 <= n <= IDENTITY_N_MAX:
         raise ValueError(f"n must be in [1, {IDENTITY_N_MAX}], got {n}")
-    return _square_identity(
-        complex(s), n, *_table_products(table_multiplicities(n))
-    )
+    cmp = _square_identity(complex(s), n, *_table_products(table_multiplicities(n)))
+    sums = (cmp.grid_sum, cmp.zeta_partial_squared, cmp.multiplicity_sum)
+    if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in sums):
+        raise ValueError(
+            f"the sums at s = {cmp.s}, n = {n} are not finite: grid sum {sums[0]}, "
+            f"zeta partial squared {sums[1]}, multiplicity sum {sums[2]}"
+        )
+    return cmp
 
 
 def verify_identities_sweep(n_max: int) -> list[BoundReport]:

@@ -59,6 +59,8 @@ BASE = [
     ("bounds", "--k", "1000000000", "--robin-c=-1.7e308"),
     ("bounds", "--k", "1000000000", "--robin-c", "1e300"),
     ("bounds", "--k", "12", "--robin-c", "abc"),
+    ("bounds", "--k", str(2**63 - 1)),
+    ("bounds", "--k", str(2**62 + 7)),
     ("series", "--s", "0", "--n", "20"),
     ("series", "--s", "2,3", "--n", "50"),
     ("series", "--s", "-1", "--n", "30"),
@@ -72,6 +74,8 @@ BASE = [
     ("verify", "--suite", "sigma-bound", "--max", "100000", "--robin-c", "6483/10000"),
     ("verify", "--suite", "theorem", "--max", "100"),
     ("verify", "--suite", "bracket", "--max", "1000", "--robin-c", "-1"),
+    ("verify", "--suite", "bracket", "--max", "100000", "--robin-c", "-1"),
+    ("verify", "--suite", "theorem", "--max", "8192"),
     ("verify", "--suite", "monotonicity", "--max", "1000"),
     ("verify", "--suite", "sigma-bound", "--max", "100", "--robin-c=-1.7e308"),
     ("verify", "--suite", "bracket", "--max", "100", "--robin-c=-1.7e308"),

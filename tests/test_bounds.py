@@ -9,7 +9,7 @@ import pytest
 from oracles import count_distinct_dense
 
 from mtable import bounds
-from mtable.divisors import divisor_count
+from mtable.divisors import divisor_count, divisor_sum, incomplete_divisor_integral
 
 # frozen binary64 values of the one evaluation, numpy's log and exp
 NICOLAS_KNOWN = {
@@ -196,6 +196,32 @@ def test_scalar_bound_checks_match_sweeps():
             assert not (r.violated or r.borderline)
 
 
+@pytest.mark.parametrize("k", [2**63 - 1, 2**62 + 7])
+def test_scalar_reports_are_exact_at_large_k(k):
+    # the report builder reads the argument and the value as the exact
+    # ints, past 2**53 and, for sigma(2**63 - 1) and both integrals, past
+    # int64; bounds and margins are those of the scalar formulas
+    d = bounds.divisor_bound_at(k)
+    sigma = bounds.sigma_bound_at(k)
+    bracket = bounds.verify_integral_bracket(k)
+    for r, value in (
+        (d, divisor_count(k)),
+        (sigma, divisor_sum(k)),
+        (bracket, incomplete_divisor_integral(k)),
+    ):
+        assert type(r.argument) is int and r.argument == k
+        assert type(r.value) is int and r.value == value
+        assert not (r.violated or r.borderline)
+    assert divisor_sum(2**63 - 1) == 10994507040830097408
+    assert d.bound == bounds.nicolas_bound(k) and d.margin == d.bound - d.value
+    assert sigma.bound == bounds.robin_bound(k)
+    assert sigma.margin == sigma.bound - sigma.value
+    lower, upper = bracket.bound
+    assert lower == 2.0 * k - bounds.robin_bound(k)
+    assert upper == k * bounds.nicolas_bound(k) - k - 1.0
+    assert bracket.margin == min(bracket.value - lower, upper - bracket.value)
+
+
 def test_sigma_bound_alternate_constant_clean():
     assert bounds.verify_sigma_bound(3, 1000, bounds.ROBIN_C_ALTERNATE) == []
 
@@ -249,9 +275,8 @@ def test_classification_is_one_rule_for_scalars_and_arrays():
         )
     assert bounds._classify_lower(math.inf, math.inf) == (True, False)
     # a -inf bound in a sweep is a violation
-    (r,) = bounds._upper_sweep(
-        np.array([5.0]), np.array([6.0]), np.array([-math.inf]), "divisor_sum", {}
-    )
+    checked = bounds._upper(np.array([6.0]), np.array([-math.inf]))
+    (r,) = bounds._reports("divisor_sum", {}, [5], [6], checked)
     assert (r.argument, r.value, r.margin, r.violated, r.borderline) == (
         5, 6, -math.inf, True, False
     )
@@ -280,6 +305,9 @@ def test_theorem_lower_bound_healthy():
         r = bounds.verify_theorem_lower_bound(n, m)
         assert r.quantity == "table_count"
         assert not r.violated and not r.borderline
+        # the kernel's floats are those of the formula on Python scalars
+        assert r.bound == n * n / bounds.nicolas_bound(n * n)
+        assert r.margin == r.bound - m
         # lower bound: the healthy margin (bound - value) is negative
         assert r.margin < 0
         assert r.value > r.bound
@@ -294,7 +322,8 @@ def test_mean_bound_healthy():
         m = count_distinct_dense(n)
         r = bounds.verify_mean_bound(n, m)
         assert r.value == n * n
-        assert r.margin > 0
+        assert r.bound == m * bounds.nicolas_bound(n * n)
+        assert r.margin == r.bound - n * n > 0
         assert not r.violated and not r.borderline
 
 

@@ -183,18 +183,27 @@ def test_robin_c_must_be_a_finite_rational(capsys, command, constant):
     assert f"argument --robin-c: invalid Fraction value: '{constant}'" in err
 
 
-# a directory is first read as an unreadable cache, which warns
-@pytest.mark.filterwarnings("ignore:census cache")
 @pytest.mark.parametrize("where", ["missing/census.csv", "."])
-def test_census_cache_path_that_cannot_be_written(tmp_path, capsys, where):
+def test_census_cache_path_that_cannot_be_written(
+    tmp_path, capsys, monkeypatch, recwarn, where
+):
     # a cache in a missing directory, or a cache path that is a directory,
-    # fails when the cache is written: one error line, exit 2
+    # is rejected before the cache is read or any n is counted: one error
+    # line, exit 2, no warning, and no lock file beside the directory
+    def no_count(*args):
+        raise AssertionError("an n was counted")
+
+    monkeypatch.setattr(products, "count_distinct_segmented", no_count)
+    base = tmp_path / "base"
+    base.mkdir()
     code, out, err = run(
-        capsys, "census", "--n-list", "10", "--cache", str(tmp_path / where)
+        capsys, "census", "--n-list", "10", "--cache", str(base / where)
     )
     assert (code, out) == (2, "")
-    assert err.splitlines()[-1].startswith("error: [Errno ")
-    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: census cache ")
+    assert [str(w.message) for w in recwarn] == []
+    assert list(tmp_path.rglob("*")) == [base]
 
 
 @pytest.mark.parametrize("s", ["inf", "nan,0", "1,-inf"])
@@ -202,6 +211,15 @@ def test_series_rejects_a_non_finite_exponent(capsys, s):
     code, out, err = run(capsys, "series", "--s", s, "--n", "50")
     assert (code, out) == (2, "")
     assert err == f"error: --s must be finite, got {s!r}\n"
+
+
+def test_series_whose_sums_overflow_exits_2(capsys):
+    # a finite exponent whose terms overflow a float is a domain error,
+    # not a reported violation
+    code, out, err = run(capsys, "series", "--s", "-300", "--n", "50")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: the sums at s = (-300+0j), n = 50 are not finite")
 
 
 def test_cli_calls_only_public_library_names():

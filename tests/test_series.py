@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from oracles import per_call_identities_sweep, zeta_square_truncation_partial
 
@@ -160,6 +161,15 @@ def test_identity_rejects_oversize_table():
         series.verify_square_identity(2, series.IDENTITY_N_MAX + 1)
     with pytest.raises(ValueError):
         series.verify_square_identity(2, 0)
+
+
+@pytest.mark.parametrize("s", [-300, -300 + 1j])
+def test_identity_rejects_sums_that_are_not_finite(s):
+    # terms that overflow a float make a domain error, not a failed
+    # identity
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="are not finite"):
+            series.verify_square_identity(s, 50)
 
 
 def test_conjugate_symmetry_spot():

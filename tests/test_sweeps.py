@@ -2,7 +2,8 @@
 
 The oracle is the single-pass form of each sweep: sieve d and sigma for
 the whole range with one array per quantity, evaluate the bound over the
-whole range at once, and classify it with one _upper_sweep call.  The
+whole range at once, and classify it with one call of the value <= bound
+kernel, _upper, whose flagged entries _reports makes the reports.  The
 windowed sweeps must agree with it exactly, floats compared with ==.
 
 The d and sigma sweeps evaluate their bound only where a value can reach
@@ -21,7 +22,9 @@ The bracket sweep's oracle is the scalar check at every argument: the
 bracket margin from nicolas_bound and robin_bound at each k,
 k*d(k) - sigma(k) from the whole-range sieve, and
 verify_integral_bracket for every argument that margin flags.  The
-theorem sweep's oracle runs both scalar checks at every n.  The
+theorem sweep's oracle runs both scalar checks at every n.  Where they
+flag, the sweeps run with the scalar checks made to raise, since they
+build their reports from their own kernels.  The
 bracket sweep skips a span only when both records clear their floors by
 the bracket's slack, which a test pins to one ulp.
 """
@@ -56,20 +59,20 @@ def whole_sieve(limit):
 def whole_divisor_sweep(lo, hi, c):
     d, _ = whole_sieve(hi)
     ns = np.arange(lo, hi + 1, dtype=np.float64)
-    constants = dict(bounds._default_constants(), nicolas_c=Fraction(c))
-    return bounds._upper_sweep(
-        ns, d[lo:].astype(np.float64), bounds._nicolas_values(ns, float(c)),
-        "divisor_count", constants,
+    values = d[lo:].astype(np.float64)
+    return bounds._reports(
+        "divisor_count", bounds._constants(nicolas_c=c), ns, values,
+        bounds._upper(values, bounds._nicolas_values(ns, float(c))),
     )
 
 
 def whole_sigma_sweep(lo, hi, c):
     _, sigma = whole_sieve(hi)
     ns = np.arange(lo, hi + 1, dtype=np.float64)
-    constants = dict(bounds._default_constants(), robin_c=Fraction(c))
-    return bounds._upper_sweep(
-        ns, sigma[lo:].astype(np.float64), bounds._robin_values(ns, float(c)),
-        "divisor_sum", constants,
+    values = sigma[lo:].astype(np.float64)
+    return bounds._reports(
+        "divisor_sum", bounds._constants(robin_c=c), ns, values,
+        bounds._upper(values, bounds._robin_values(ns, float(c))),
     )
 
 
@@ -94,6 +97,18 @@ def scalar_bracket_sweep(lo, hi, robin_c, nicolas_c):
         if margin <= bounds._slack(max(abs(middle), 1.0)):
             reports.append(bounds.verify_integral_bracket(k, robin_c, nicolas_c))
     return reports
+
+
+def scalar_checks_raise(monkeypatch):
+    # a sweep builds its reports from its kernel's arrays and runs no
+    # scalar check, so these may raise once its oracle is computed
+    def raising(*args, **kwargs):
+        raise AssertionError("a sweep ran a scalar check")
+
+    for name in (
+        "verify_integral_bracket", "verify_theorem_lower_bound", "verify_mean_bound"
+    ):
+        monkeypatch.setattr(bounds, name, raising)
 
 
 def whole_monotonicity(lo, hi):
@@ -490,12 +505,14 @@ def test_scalar_bracket_oracle_is_the_scalar_loop():
     "robin_c, nicolas_c",
     [(bounds.ROBIN_C, bounds.NICOLAS_C), (Fraction(-1), Fraction(1))],
 )
-def test_bracket_sweep_matches_scalar_check(robin_c, nicolas_c):
+def test_bracket_sweep_matches_scalar_check(monkeypatch, robin_c, nicolas_c):
     # robin_c = -1 flags small k on the lower edge, nicolas_c = 1 flags
     # arguments on the upper edge in every window
     lo = 3
+    expected = scalar_bracket_sweep(lo, HI, robin_c, nicolas_c)
+    scalar_checks_raise(monkeypatch)
     windowed = bounds.verify_bracket_sweep(lo, HI, robin_c, nicolas_c)
-    assert windowed == scalar_bracket_sweep(lo, HI, robin_c, nicolas_c)
+    assert windowed == expected
     if nicolas_c == 1:
         assert {(r.argument - lo) // bounds.SWEEP_WINDOW for r in windowed} == {0, 1, 2, 3}
     else:
@@ -689,8 +706,10 @@ def test_theorem_sweep_with_counts_at_the_floor(monkeypatch, slack):
     for n in (3, 700, 2000):
         counts[n] = math.ceil(_theorem_floor(n)) + 1
     monkeypatch.setattr(bounds, "distinct_count_prefix", lambda hi: counts[: hi + 1])
+    expected = scalar_theorem_sweep(counts)
+    scalar_checks_raise(monkeypatch)
     reports = bounds.verify_theorem_sweep(hi)
-    assert reports == scalar_theorem_sweep(counts)
+    assert reports == expected
     assert {r.argument for r in reports if r.violated} == set(below)
     assert {r.argument for r in reports if r.borderline} == set(inside)
     assert len(inside) == (5 if slack == 1e-6 else 0)
