@@ -8,7 +8,9 @@ count is exact.  Each window takes the bounds of all its rows in one numpy
 pass, gives every row with at least DENSE_ROW_MIN products in it a
 strided write, and writes the products of all sparser rows at once, so
 peak memory is one window plus fewer than DENSE_ROW_MIN index entries per
-row.  The prefix counter gives M(1), ..., M(N) from one bitmap by
+row.  Row a > 1 starts past b = n // p(a), p(a) the least prime factor of
+a: every product keeps its least row, and the writes fall to about 85% of
+n^2/2.  The prefix counter gives M(1), ..., M(N) from one bitmap by
 counting, row by row, only the products that are new in that row.
 """
 
@@ -23,6 +25,7 @@ import uuid
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from multiprocessing import Pool
 from pathlib import Path
 from typing import Iterable
@@ -51,15 +54,23 @@ _MAX_WORKERS = 8
 
 # Largest n count_distinct_segmented and census accept.  The count grows
 # about as n**2.6: on one of 2 shared vCPUs M(2**16) = 911705949 took
-# 17 s, so 2**17 would take about 100 s.  A larger n is rejected before
+# 15.5 s, so 2**17 would take about 90 s.  A larger n is rejected before
 # any window is built (at n = 10**7 the window list alone would need
 # gigabytes).
 COUNT_N_MAX = 1 << 16
 
 # Rows with at least this many products in a window get their own strided
-# write in _count_window; the rest share one batched write.  16 to 64
-# measured alike at n = 2^14 and 2^15.
+# write in _count_window; the rest share one batched write.  Median
+# seconds of count_distinct_segmented on 2 shared vCPUs, fresh
+# interpreters, the four values interleaved (8 rounds at n = 2^14, 4 at
+# 2^15), for 16 / 32 / 64 / 128: 0.624 / 0.606 / 0.596 / 0.738 at 2^14
+# and 3.65 / 3.63 / 3.58 / 3.77 at 2^15; 64 was fastest in 4 of 8 and
+# 1 of 4 rounds, 32 in 3 and 2, so no value beat 64 in most rounds.
 DENSE_ROW_MIN = 64
+
+# The right-hand side of every write in _count_window: numpy assigns a
+# 0-d array to a slice faster than it converts the Python True each time.
+_TRUE = np.ones((), dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -139,11 +150,44 @@ def _require_cache_path(path: str | Path):
         raise ValueError(f"census cache directory {path.parent} does not exist")
 
 
+def _least_prime_factors(n: int) -> np.ndarray:
+    """p(a), the least prime factor of a, for every a in [0, n], as int32
+    (p(0) = 0 and p(1) = 1): one pass per prime up to isqrt(n) lowers
+    each of its multiples from p^2 on to p."""
+    lpf = np.arange(n + 1, dtype=np.int32)
+    for p in range(2, math.isqrt(n) + 1):
+        if lpf[p] == p:
+            multiples = lpf[p * p :: p]
+            np.minimum(multiples, p, out=multiples)
+    return lpf
+
+
+@lru_cache(maxsize=1)
+def _row_starts(n: int) -> np.ndarray:
+    """The least b that _count_window writes in row a of the n-table, for
+    every a in [0, n]: max(a, n//p(a) + 1) for a > 1, and 1 for a = 1.
+
+    Built once per n in each process, so every window of one count
+    shares it; pool workers build their own.  Read-only, int64.
+    """
+    starts = np.ones(n + 1, dtype=np.int64)
+    starts[2:] = np.maximum(np.arange(2, n + 1), n // _least_prime_factors(n)[2:] + 1)
+    starts.flags.writeable = False
+    return starts
+
+
 def _count_window(args: tuple[int, int, int]) -> int:
     """Distinct products of the n-table that land in [lo, hi].
 
-    Row a contributes a*b for b in [max(a, ceil(lo/a)), min(n, hi//a)];
-    every row's bounds come from one numpy pass, and rows with no product
+    Row a contributes a*b for b in [max(s(a), ceil(lo/a)), min(n, hi//a)],
+    where the row start s(a) = _row_starts(n)[a] is 1 for row 1 and
+    max(a, n//p(a) + 1) for a > 1, p(a) being the least prime factor of
+    a.  That still marks every product k: the least row of k is the least
+    divisor a of k with k/a <= n, and if its b = k/a were at most n/p(a),
+    then a/p(a) would be a smaller such divisor.  The start cuts the
+    writes from n^2/2 to about 85% of it.
+
+    Every row's bounds come from one numpy pass, and rows with no product
     in the window are skipped there.  A row with at least DENSE_ROW_MIN
     products gets one strided write; the indices of all other rows are
     built with np.repeat and cumsum and written at once.  An index may
@@ -154,8 +198,9 @@ def _count_window(args: tuple[int, int, int]) -> int:
     """
     n, lo, hi = args
     window = np.zeros(hi - lo + 1, dtype=bool)
-    a = np.arange(max(1, -(-lo // n)), min(n, math.isqrt(hi)) + 1, dtype=np.int64)
-    b_lo = np.maximum(a, -(-lo // a))
+    a_lo, a_hi = max(1, -(-lo // n)), min(n, math.isqrt(hi))
+    a = np.arange(a_lo, a_hi + 1, dtype=np.int64)
+    b_lo = np.maximum(_row_starts(n)[a_lo : a_hi + 1], -(-lo // a))
     b_hi = np.minimum(n, hi // a)
     counts = b_hi - b_lo + 1
     starts = a * b_lo - lo
@@ -164,7 +209,7 @@ def _count_window(args: tuple[int, int, int]) -> int:
     for start, stop, step in zip(
         starts[dense].tolist(), (lasts[dense] + 1).tolist(), a[dense].tolist()
     ):
-        window[start:stop:step] = True
+        window[start:stop:step] = _TRUE
     sparse = (counts > 0) & ~dense
     if sparse.any():
         a, counts = a[sparse], counts[sparse]
@@ -173,7 +218,7 @@ def _count_window(args: tuple[int, int, int]) -> int:
         # jump from the previous row's last index (from 0 for the first)
         steps = np.repeat(a, counts)
         steps[np.cumsum(counts) - counts] = starts - np.concatenate(([0], lasts[:-1]))
-        window[np.cumsum(steps)] = True
+        window[np.cumsum(steps)] = _TRUE
     return int(np.count_nonzero(window))
 
 
@@ -185,18 +230,23 @@ def count_distinct_segmented(
     Peak memory is one window plus the sparse rows' indices (see
     _count_window).  The per-window counts are exact integers, so the
     total is independent of the window length and of whether the windows
-    run in parallel.  n may be at most COUNT_N_MAX.
+    run in parallel.  With parallel, they go to a pool of one worker per
+    usable CPU (at most one per window and _MAX_WORKERS); when that is
+    one worker, they are counted in this process and no pool starts.
+    n may be at most COUNT_N_MAX.
     """
     _require_count_n(n)
     _require_segment_bits(segment_bits)
     jobs = [(n, lo, hi) for lo, hi in _window_ranges(1, n * n, segment_bits)]
-    if parallel and len(jobs) > 1:
-        workers = min(len(jobs), os.cpu_count() or 1, _MAX_WORKERS)
-        with Pool(processes=workers) as pool:
-            counts = pool.map(_count_window, jobs)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
     else:
-        counts = [_count_window(job) for job in jobs]
-    return sum(counts)
+        cpus = os.cpu_count() or 1
+    workers = min(len(jobs), cpus, _MAX_WORKERS) if parallel else 1
+    if workers > 1:
+        with Pool(processes=workers) as pool:
+            return sum(pool.map(_count_window, jobs))
+    return sum(map(_count_window, jobs))
 
 
 class _CacheError(Exception):

@@ -35,11 +35,15 @@ BASE = [
     ("count", "--n", "300", "--segment-bits", "65536"),
     ("count", "--n", "2000", "--parallel"),
     ("count", "--n", "100", "--segment-bits", "1024"),
+    ("count", "--n", "1024"),
+    ("count", "--n", "1025"),
+    ("count", "--n", "16384", "--segment-bits", "65536", "--parallel"),
     ("count", "--n", "0"),
     ("count", "--n", str(2**16 + 1)),
     ("count", "--n", "x"),
     ("census", "--n-list", "10,100"),
     ("census", "--n-list", "1,2,3,10"),
+    ("census", "--n-list", "1,2,3,1024,1025"),
     ("census", "--n-list", "10,50", "--cache", "{tmp}/census.csv"),
     ("census", "--n-list", ",,"),
     ("census", "--n-list", "10,x"),

@@ -22,6 +22,8 @@ from mtable.products import (
     TableCensus,
     _CacheError,
     _count_window,
+    _least_prime_factors,
+    _row_starts,
     _window_ranges,
     census,
     count_distinct_segmented,
@@ -66,12 +68,20 @@ def window_oracle(n, lo, hi):
     return int(np.count_nonzero(_bitmap(n)[lo : hi + 1]))
 
 
+def least_prime_factor(a):
+    """p(a) by trial division, with p(0) = 0 and p(1) = 1."""
+    if a < 2:
+        return a
+    return next((d for d in range(2, math.isqrt(a) + 1) if a % d == 0), a)
+
+
 def row_counts(n, lo, hi):
-    """Products row a (a <= b) puts into [lo, hi], for every row that
-    puts any there."""
+    """Products row a puts into [lo, hi], for every row that puts any
+    there: row 1 takes every b, row a > 1 the b >= a with b > n//p(a)."""
     counts = {}
     for a in range(1, n + 1):
-        c = min(n, hi // a) - max(a, -(-lo // a)) + 1
+        first = max(a, -(-lo // a), 1 if a == 1 else n // least_prime_factor(a) + 1)
+        c = min(n, hi // a) - first + 1
         if c > 0:
             counts[a] = c
     return counts
@@ -110,8 +120,8 @@ def test_count_window_cut_off_boundary():
     # the boundary
     n, a = 300, 3
     for width in (DENSE_ROW_MIN - 1, DENSE_ROW_MIN):
-        lo = a * 100
-        hi = a * (100 + width - 1)
+        lo = a * 101
+        hi = a * (101 + width - 1)
         counts = row_counts(n, lo, hi)
         assert counts[a] == width
         assert {c >= DENSE_ROW_MIN for c in counts.values()} == {False, True}
@@ -138,6 +148,44 @@ def test_count_window_mixes_both_branches():
         assert total == count_distinct_dense(n), n
     # strided and batched rows both occurred
     assert kinds == {False, True}
+
+
+def test_count_window_row_start_boundary():
+    # windows that start or end at a * (n//p(a)), the last product the
+    # row start leaves out, and at a * (n//p(a) + 1), its first one: a
+    # even, odd composite with p = 3 and p = 5, prime, and a = 1, whose
+    # row starts at b = 1 (its boundary is the row's end, n)
+    n = 299
+    for a, p in ((12, 2), (21, 3), (35, 5), (13, 13), (1, 1)):
+        assert least_prime_factor(a) == p
+        q = n // p
+        if a > 1:
+            assert row_counts(n, a * q, a * q).get(a) is None
+            assert row_counts(n, a * (q + 1), a * (q + 1))[a] == 1
+        for x in (a * q, a * (q + 1)):
+            for width in (1, 2, a + 1, DENSE_ROW_MIN, 4 * DENSE_ROW_MIN * a, 5000):
+                for lo, hi in ((x, x + width - 1), (max(1, x - width + 1), x)):
+                    assert _count_window((n, lo, hi)) == window_oracle(n, lo, hi), (
+                        a, lo, hi,
+                    )
+
+
+def test_least_prime_factors_match_trial_division():
+    top = 1 << 16
+    expect = np.array([least_prime_factor(a) for a in range(top + 1)])
+    for n in range(1, 5001):
+        assert np.array_equal(_least_prime_factors(n), expect[: n + 1]), n
+    table = _least_prime_factors(top)
+    assert table.dtype == np.int32 and np.array_equal(table, expect)
+
+
+def test_row_starts_follow_least_prime_factors():
+    for n in (1, 2, 12, 299, 5000):
+        starts = _row_starts(n)
+        assert not starts.flags.writeable
+        assert starts[1:].tolist() == [1] + [
+            max(a, n // least_prime_factor(a) + 1) for a in range(2, n + 1)
+        ], n
 
 
 @given(st.integers(1, 300), st.data())
@@ -180,6 +228,15 @@ def test_parallel_invariant():
     for n in (100, 1500):
         serial = count_distinct_segmented(n)
         assert count_distinct_segmented(n, parallel=True) == serial
+
+
+def test_parallel_on_one_usable_cpu_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(products.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(products, "Pool", no_pool)
+    assert count_distinct_segmented(2000, parallel=True) == CENSUS_COUNTS[2000]
 
 
 def test_census_point_fields():
