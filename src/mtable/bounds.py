@@ -18,12 +18,12 @@ and the theorem's mean check), _bracket for the integral bracket, and
 _theorem for the theorem's lower bound and mean check together.  A
 sweep applies its kernel to a window of arguments at once; the scalar
 checks (divisor_bound_at, sigma_bound_at, verify_integral_bracket,
-verify_theorem_lower_bound, verify_mean_bound) apply it to one.  One
-builder, _reports, makes the BoundReports of a sweep's flagged entries
-and of a scalar check's one entry.
+verify_theorem_lower_bound, verify_mean_bound) apply it to a one-entry
+array.  One builder, _reports, makes the BoundReports, plain values
+with no constants, of a sweep's flagged entries and a scalar check's.
 Every verdict comes from one rule, _classify_upper or _classify_lower,
-applied to one margin or to a window of them: a comparison only counts
-as a violation when it fails by more than a relative slack of 1e-12;
+applied to an array of margins: a comparison only counts as a
+violation when it fails by more than a relative slack of 1e-12;
 anything inside the band is flagged borderline instead, so float
 rounding can never manufacture or hide a violation.  A bound that is
 not finite gets no slack: +inf holds for every value and -inf fails it.
@@ -65,7 +65,7 @@ its kernel over every n at once, with M(n) from one prefix count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -123,6 +123,11 @@ SCREEN_BAND = 1e-9
 # time grows slightly faster than the range (see README).
 SWEEP_MAX = 10**9
 
+# nicolas_shape_check's claims: the d bound decreases into SHAPE_START,
+# rises after it, and stays above SHAPE_FLOOR (it is 114.1097 at 114).
+SHAPE_START = 114
+SHAPE_FLOOR = 114.1
+
 _LN2 = math.log(2)
 
 # Exponent used by the reference density curves below, together with the
@@ -130,11 +135,6 @@ _LN2 = math.log(2)
 # both are exposed and the curves are descriptive only.
 ERDOS_EXPONENT = 1 + math.log(_LN2) / _LN2
 ERDOS_EXPONENT_COMMON = 1 - (1 + math.log(_LN2)) / _LN2
-
-
-def _constants(robin_c=ROBIN_C, nicolas_c=NICOLAS_C) -> dict:
-    nicolas_c, robin_c = Fraction(nicolas_c), Fraction(robin_c)
-    return {"nicolas_c": nicolas_c, "robin_c": robin_c, "gamma": EULER_GAMMA}
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ class BoundReport:
     (divisor_count, divisor_sum, the scaled mean check), negative for
     the lower bound on the distinct count.  violated is True only when
     the failure exceeds the relative slack; borderline marks any
-    comparison inside the slack band.
+    comparison inside the slack band.  Its fields are plain, so it hashes.
     """
 
     argument: int
@@ -159,25 +159,18 @@ class BoundReport:
     margin: float
     violated: bool
     borderline: bool
-    constants_used: dict = field(default_factory=_constants)
 
 
-def _slack(scale):
+def _slack(scale: np.ndarray) -> np.ndarray:
     # RELATIVE_SLACK of |scale|, at least of 1; a non-finite scale gets
-    # none, so a bound of +inf is clean and one of -inf violated.  A
-    # scalar scale takes plain float arithmetic and gives an np.float64,
-    # so comparing a margin with it still gives a numpy bool; zeroing in
-    # place saves the sweeps a window-sized copy
-    if not isinstance(scale, np.ndarray) or not scale.ndim:
-        slack = RELATIVE_SLACK * max(abs(float(scale)), 1.0)
-        return np.float64(slack if math.isfinite(slack) else 0.0)
+    # none, so a bound of +inf is clean and one of -inf violated.  Zeroing
+    # in place saves the sweeps a window-sized copy
     slack = RELATIVE_SLACK * np.maximum(abs(scale), 1.0)
     slack[~np.isfinite(slack)] = 0.0
     return slack
 
 
-# The two verdict rules, (violated, borderline), for one margin or an
-# array of them; numpy bools either way.
+# The two verdict rules, (violated, borderline), for an array of margins.
 
 
 def _classify_upper(margin, scale):
@@ -189,10 +182,8 @@ def _classify_upper(margin, scale):
 
 
 def _classify_lower(margin, scale):
-    # value must stay at or above bound: healthy margin is negative
-    slack = _slack(scale)
-    borderline = abs(margin) <= slack
-    return (margin > 0) & ~borderline, borderline
+    # value >= bound: healthy margin is negative, its negation an upper one
+    return _classify_upper(-margin, scale)
 
 
 def _require_n(n: int, least: int):
@@ -287,7 +278,7 @@ def _theorem(squares, counts):
     return lower, _upper(squares, counts * caps)
 
 
-def _reports(quantity, constants, arguments, values, checked, every=False) -> list:
+def _reports(quantity, arguments, values, checked, every=False) -> list:
     """The BoundReport of each flagged entry of a kernel's checked
     arrays, or of every entry when every, in order.  arguments and values
     are read with int(), so they must hold the exact integers: a scalar
@@ -307,7 +298,6 @@ def _reports(quantity, constants, arguments, values, checked, every=False) -> li
             margin=float(margins[i]),
             violated=bool(violated[i]),
             borderline=bool(borderline[i]),
-            constants_used=constants,
         )
         for i in at
     ]
@@ -448,7 +438,6 @@ def _windowed_upper_sweep(
     rising_from: float,
     c: float,
     quantity: str,
-    constants: dict,
 ) -> list[BoundReport]:
     """The flagged _upper reports of value <= bound over [lo, hi], walked
     by _walk.
@@ -485,7 +474,7 @@ def _windowed_upper_sweep(
     def window_reports(a, b):
         ns, values = _at_or_above(divisor_window(a, b, sieved), a, *floor(a, b))
         checked = _upper(values, bound_values(ns, c))
-        return _reports(quantity, constants, ns, values, checked)
+        return _reports(quantity, ns, values, checked)
 
     return _records_sweep(
         lo, hi, start, lambda a, b: _records_clear(a, b, sieved, *floor(a, b)),
@@ -504,7 +493,7 @@ def verify_divisor_bound(
     _require_sweep(lo, hi, 3)
     return _windowed_upper_sweep(
         lo, hi, "d", _nicolas_values, _nicolas_floor, _nicolas_rising_from(float(c)),
-        float(c), "divisor_count", _constants(nicolas_c=c),
+        float(c), "divisor_count"
     )
 
 
@@ -519,7 +508,7 @@ def verify_sigma_bound(
     _require_sweep(lo, hi, 3)
     return _windowed_upper_sweep(
         lo, hi, "sigma", _robin_values, _robin_floor, _robin_rising_from(float(c)),
-        float(c), "divisor_sum", _constants(robin_c=c),
+        float(c), "divisor_sum"
     )
 
 
@@ -529,7 +518,7 @@ def divisor_bound_at(k: int) -> BoundReport:
     value = divisor_count(k)
     _require_n(k, 3)
     checked = _upper(_one(value), _nicolas_values(_one(k), float(NICOLAS_C)))
-    return _reports("divisor_count", _constants(), [k], [value], checked, every=True)[0]
+    return _reports("divisor_count", [k], [value], checked, every=True)[0]
 
 
 def sigma_bound_at(k: int, c: Fraction | float = ROBIN_C) -> BoundReport:
@@ -538,9 +527,7 @@ def sigma_bound_at(k: int, c: Fraction | float = ROBIN_C) -> BoundReport:
     value = divisor_sum(k)
     _require_n(k, 3)
     checked = _upper(_one(value), _robin_values(_one(k), float(c)))
-    return _reports(
-        "divisor_sum", _constants(robin_c=c), [k], [value], checked, every=True
-    )[0]
+    return _reports("divisor_sum", [k], [value], checked, every=True)[0]
 
 
 def verify_integral_bracket(
@@ -553,8 +540,7 @@ def verify_integral_bracket(
     _require_n(k, 3)
     middle = incomplete_divisor_integral(k)
     checked = _bracket(_one(k), _one(middle), float(robin_c), float(nicolas_c))
-    constants = _constants(robin_c, nicolas_c)
-    return _reports("integral", constants, [k], [middle], checked, every=True)[0]
+    return _reports("integral", [k], [middle], checked, every=True)[0]
 
 
 def _bracket_clear(a: int, b: int, nicolas_floor, robin_floor) -> bool:
@@ -607,14 +593,12 @@ def verify_bracket_sweep(
             _span_floor(a, b, _robin_values, _robin_floor, rc),
         )
 
-    constants = _constants(robin_c, nicolas_c)
-
     def window_reports(wlo, whi):
         ks = _arguments(wlo, whi)
         middles = ks.astype(np.int64) * divisor_window(wlo, whi, "d")
         middles -= divisor_window(wlo, whi, "sigma")
         checked = _bracket(ks, middles, rc, nc)
-        return _reports("integral", constants, ks, middles, checked)
+        return _reports("integral", ks, middles, checked)
 
     return _records_sweep(
         lo, hi, math.floor(min(rising_from, hi)) + 1, clears, window_reports
@@ -629,7 +613,7 @@ def verify_theorem_lower_bound(n: int, m: int) -> BoundReport:
     """
     _require_n(n, 2)
     lower, _ = _theorem(_one(n * n), _one(m))
-    return _reports("table_count", _constants(), [n], [m], lower, every=True)[0]
+    return _reports("table_count", [n], [m], lower, every=True)[0]
 
 
 def verify_mean_bound(n: int, m: int) -> BoundReport:
@@ -643,7 +627,7 @@ def verify_mean_bound(n: int, m: int) -> BoundReport:
     """
     _require_n(n, 2)
     _, mean = _theorem(_one(n * n), _one(m))
-    return _reports("table_count", _constants(), [n], [n * n], mean, every=True)[0]
+    return _reports("table_count", [n], [n * n], mean, every=True)[0]
 
 
 def verify_theorem_sweep(hi: int = 500) -> list[BoundReport]:
@@ -662,9 +646,8 @@ def verify_theorem_sweep(hi: int = 500) -> list[BoundReport]:
     ns = _arguments(2, hi)
     squares = ns * ns
     lower, mean = _theorem(squares, counts)
-    constants = _constants()
-    reports = _reports("table_count", constants, ns, counts, lower)
-    reports += _reports("table_count", constants, ns, squares, mean)
+    reports = _reports("table_count", ns, counts, lower)
+    reports += _reports("table_count", ns, squares, mean)
     return sorted(reports, key=lambda r: r.argument)
 
 
@@ -759,18 +742,17 @@ def _nicolas_shape(
     return increasing, above
 
 
-def nicolas_shape_check(hi: int = 10**6, floor: float = 114.1) -> tuple[bool, bool]:
-    """(nicolas_bound(n+1) > nicolas_bound(n) for every n in [114, hi),
-    nicolas_bound(n) > floor for every n in [3, hi]).  The bound decreases
-    into n = 114 and rises after it, and its minimum there stays above
-    114.1.  Both are decided from the bound at [3, 113] and at the ends
-    of the doubling spans from 114: between those the float bound
-    provably rises (see _nicolas_shape), so about 160 evaluations cover
+def nicolas_shape_check(hi: int = 10**6, floor: float = SHAPE_FLOOR) -> tuple[bool, bool]:
+    """(nicolas_bound(n+1) > nicolas_bound(n) for every n in [SHAPE_START, hi),
+    nicolas_bound(n) > floor for every n in [3, hi]), SHAPE_START = 114.
+    Both are decided from the bound at [3, 113] and at the ends of the
+    doubling spans from 114: between those the float bound provably
+    rises (see _nicolas_shape), so about 160 evaluations cover
     hi = SWEEP_MAX."""
-    _require_sweep(114, hi, 114)
-    if hi == 114:
-        raise ValueError("empty range [114, 114)")
-    return _nicolas_shape(3, hi, 114, floor)
+    _require_sweep(SHAPE_START, hi, SHAPE_START)
+    if hi == SHAPE_START:
+        raise ValueError(f"empty range [{SHAPE_START}, {SHAPE_START})")
+    return _nicolas_shape(3, hi, SHAPE_START, floor)
 
 
 def reference_densities(n: int) -> dict:

@@ -13,7 +13,8 @@ json and csv output format every float with exactly 10 fractional
 digits, so a command line produces identical bytes on every run apart
 from elapsed-time fields.  json writes a float that is not finite as
 the string "Infinity", "-Infinity" or "NaN" (protobuf's JSON spelling,
-which float() reads back), so the output stays valid JSON.
+which float() reads back), so the output stays valid JSON.  A report
+is written as vars(r), not asdict(r), which deep-copies each field.
 """
 
 from __future__ import annotations
@@ -53,13 +54,6 @@ def _to_json(value) -> str:
             f"{json.dumps(str(k))}: {_to_json(v)}" for k, v in value.items()
         ) + "}"
     raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-_REPORT_KEYS = ("argument", "quantity", "value", "bound", "margin", "violated", "borderline")
-
-
-def _report_dict(r: bnd.BoundReport) -> dict:
-    return {key: getattr(r, key) for key in _REPORT_KEYS}
 
 
 def _report_line(r: bnd.BoundReport) -> str:
@@ -171,7 +165,7 @@ def _cmd_bounds(args):
         "bracket_upper": upper,
         "bracket_margin": bracket.margin,
         "robin_c": str(robin_c),
-        "violations": [_report_dict(r) for r in flagged],
+        "violations": [vars(r) for r in flagged],
     }
     text = [
         f"k = {k}",
@@ -229,7 +223,7 @@ def _reports(header: dict, reports: list[bnd.BoundReport]):
     borderline = sum(1 for r in reports if r.borderline)
     payload = {
         **header,
-        "violations": [_report_dict(r) for r in reports],
+        "violations": [vars(r) for r in reports],
         "violated_count": violated,
         "borderline_count": borderline,
     }
@@ -246,15 +240,16 @@ def _monotonicity(header: dict, hi: int):
     payload = {
         **header,
         "increasing_from_114": increasing,
-        "floor": 114.1,
+        "floor": bnd.SHAPE_FLOOR,
         "floor_holds": above_floor,
         "violated_count": (not increasing) + (not above_floor),
     }
     text = [
         _header_line(header),
-        f"nicolas bound strictly increasing on [114, {hi}]: "
+        f"nicolas bound strictly increasing on [{bnd.SHAPE_START}, {hi}]: "
         f"{'yes' if increasing else 'NO'}",
-        f"nicolas bound > 114.1 on [3, {hi}]: {'yes' if above_floor else 'NO'}",
+        f"nicolas bound > {bnd.SHAPE_FLOOR} on [3, {hi}]: "
+        f"{'yes' if above_floor else 'NO'}",
     ]
     return payload, text, 0 if increasing and above_floor else 1
 

@@ -256,27 +256,31 @@ class _CacheError(Exception):
 def load_cache(path: str | Path) -> dict[int, int]:
     """Read a census cache CSV (columns n,m) into a dict.
 
-    Raises _CacheError on any malformed content; census() treats that as
-    a corrupt cache and recomputes.
+    Raises _CacheError on any malformed content, undecodable bytes and
+    oversized fields included; census() treats that as a corrupt cache
+    and recomputes.
     """
     entries: dict[int, int] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["n", "m"]:
-            raise _CacheError(f"unexpected header {header!r}")
-        for row in reader:
-            if len(row) != 2:
-                raise _CacheError(f"malformed row {row!r}")
-            try:
-                n, m = int(row[0]), int(row[1])
-            except ValueError as exc:
-                raise _CacheError(f"non-integer row {row!r}") from exc
-            if n < 1 or not 2 * n - 1 <= m <= n * n:
-                raise _CacheError(f"implausible entry n={n}, m={m}")
-            if entries.get(n, m) != m:
-                raise _CacheError(f"conflicting entries for n={n}")
-            entries[n] = m
+        try:
+            header = next(reader, None)
+            if header != ["n", "m"]:
+                raise _CacheError(f"unexpected header {header!r}")
+            for row in reader:
+                if len(row) != 2:
+                    raise _CacheError(f"malformed row {row!r}")
+                try:
+                    n, m = int(row[0]), int(row[1])
+                except ValueError as exc:
+                    raise _CacheError(f"non-integer row {row!r}") from exc
+                if n < 1 or not 2 * n - 1 <= m <= n * n:
+                    raise _CacheError(f"implausible entry n={n}, m={m}")
+                if entries.get(n, m) != m:
+                    raise _CacheError(f"conflicting entries for n={n}")
+                entries[n] = m
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise _CacheError(str(exc)) from exc
     return entries
 
 

@@ -6,9 +6,10 @@ turns the same quantity into a multiplicity-weighted sum over k.  All
 three routes are evaluated independently and compared; at s = 0 and
 s = -1 every route is exact integer arithmetic and must agree exactly.
 
-Floating-point sums are accumulated block-pairwise (numpy within a
-block, math.fsum across block partials), which keeps the result
-deterministic and within a few ulps regardless of length.
+Floating-point sums are accumulated by one helper, _fsum_blocks (numpy
+within a block, or a row of the grid; math.fsum across block partials),
+which keeps the result deterministic and within a few ulps regardless
+of length.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 from .bounds import BoundReport
 from .divisors import divisor_window
 from .multiplicity import table_multiplicities, table_sum_checks
+from .products import _window_ranges
 
 __all__ = [
     "SeriesComparison",
@@ -76,14 +78,16 @@ class SeriesComparison:
     ok: bool
 
 
-def _block_sums(values: np.ndarray) -> list[float]:
-    return [
-        float(values[lo : lo + _BLOCK].sum()) for lo in range(0, values.size, _BLOCK)
-    ]
-
-
-def _compensated_sum(values: np.ndarray) -> float:
-    return math.fsum(_block_sums(values))
+def _fsum_blocks(blocks) -> complex:
+    # math.fsum of the numpy sums of each array of terms in blocks, one
+    # per row of a 2-D array, the real and imaginary parts apart
+    re_parts: list[float] = []
+    im_parts: list[float] = []
+    for terms in blocks:
+        re_parts += np.atleast_1d(terms.real.sum(axis=-1)).tolist()
+        if np.iscomplexobj(terms):
+            im_parts += np.atleast_1d(terms.imag.sum(axis=-1)).tolist()
+    return complex(math.fsum(re_parts), math.fsum(im_parts))
 
 
 def _power_terms(base: np.ndarray, s: complex) -> np.ndarray:
@@ -93,12 +97,6 @@ def _power_terms(base: np.ndarray, s: complex) -> np.ndarray:
     if s.imag == 0.0:
         return np.exp(-s.real * np.log(base))
     return np.exp(-s * np.log(base))
-
-
-def _sum_terms(terms: np.ndarray) -> complex:
-    if np.iscomplexobj(terms):
-        return complex(_compensated_sum(terms.real), _compensated_sum(terms.imag))
-    return complex(_compensated_sum(terms))
 
 
 def zeta_partial(s: complex, n: int) -> complex:
@@ -114,24 +112,17 @@ def zeta_partial(s: complex, n: int) -> complex:
         return complex(n)
     if s == -1:
         return complex(n * (n + 1) // 2)
-    re_parts: list[float] = []
-    im_parts: list[float] = []
-    for lo in range(1, n + 1, _BLOCK):
-        base = np.arange(lo, min(n, lo + _BLOCK - 1) + 1, dtype=np.float64)
-        terms = _power_terms(base, s)
-        if np.iscomplexobj(terms):
-            re_parts.extend(_block_sums(terms.real))
-            im_parts.extend(_block_sums(terms.imag))
-        else:
-            re_parts.extend(_block_sums(terms))
-    return complex(math.fsum(re_parts), math.fsum(im_parts))
+    return _fsum_blocks(
+        _power_terms(np.arange(lo, hi + 1, dtype=np.float64), s)
+        for lo, hi in _window_ranges(1, n, _BLOCK)
+    )
 
 
 def _grid_blocks(n: int):
     # the products a*b of the n-table, _ROW_BLOCK rows a at a time
     cols = np.arange(1, n + 1, dtype=np.int64)
-    for lo in range(1, n + 1, _ROW_BLOCK):
-        rows = np.arange(lo, min(n, lo + _ROW_BLOCK - 1) + 1, dtype=np.int64)
+    for lo, hi in _window_ranges(1, n, _ROW_BLOCK):
+        rows = np.arange(lo, hi + 1, dtype=np.int64)
         yield rows[:, None] * cols[None, :]
 
 
@@ -144,16 +135,9 @@ def _grid_sum_exact(s: complex, n: int) -> int:
 
 
 def _grid_sum(s: complex, n: int) -> complex:
-    re_parts: list[float] = []
-    im_parts: list[float] = []
-    for products in _grid_blocks(n):
-        terms = _power_terms(products.astype(np.float64), s)
-        if np.iscomplexobj(terms):
-            re_parts.extend(float(v) for v in terms.real.sum(axis=1))
-            im_parts.extend(float(v) for v in terms.imag.sum(axis=1))
-        else:
-            re_parts.extend(float(v) for v in terms.sum(axis=1))
-    return complex(math.fsum(re_parts), math.fsum(im_parts))
+    return _fsum_blocks(
+        _power_terms(products.astype(np.float64), s) for products in _grid_blocks(n)
+    )
 
 
 def _multiplicity_sum(s: complex, ks: np.ndarray, weights: np.ndarray) -> complex:
@@ -163,7 +147,9 @@ def _multiplicity_sum(s: complex, ks: np.ndarray, weights: np.ndarray) -> comple
     if s == -1:
         return complex(int(np.dot(ks, weights)))
     terms = weights.astype(np.float64) * _power_terms(ks.astype(np.float64), s)
-    return _sum_terms(terms)
+    return _fsum_blocks(
+        terms[lo : hi + 1] for lo, hi in _window_ranges(0, terms.size - 1, _BLOCK)
+    )
 
 
 def _table_products(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -288,12 +274,10 @@ def zeta_square_truncation(s: float, k_max: int) -> dict:
         raise ValueError(f"s must be >= 1.5, got {s}")
     if not 10 <= k_max <= TRUNCATION_K_MAX:
         raise ValueError(f"k_max must be in [10, {TRUNCATION_K_MAX}], got {k_max}")
-    parts: list[float] = []
-    for lo in range(1, k_max + 1, _BLOCK):
-        hi = min(k_max, lo + _BLOCK - 1)
-        base = np.arange(lo, hi + 1, dtype=np.float64)
-        terms = divisor_window(lo, hi, "d") * _power_terms(base, complex(s))
-        parts.extend(_block_sums(terms))
-    partial = math.fsum(parts)
+    partial = _fsum_blocks(
+        divisor_window(lo, hi, "d")
+        * _power_terms(np.arange(lo, hi + 1, dtype=np.float64), complex(s))
+        for lo, hi in _window_ranges(1, k_max, _BLOCK)
+    ).real
     reference = _zeta_reference(s) ** 2
     return {"partial": partial, "reference": reference, "gap": abs(partial - reference)}

@@ -71,8 +71,13 @@ BASE = [
     ("series", "--s", "2,3,4", "--n", "50"),
     ("series", "--s", "abc", "--n", "50"),
     ("series", "--s", "2", "--n", "0"),
+    ("series", "--s", "2", "--n", "2000"),
+    ("series", "--s", "0.5", "--n", "1000"),
+    ("series", "--s", "1.5,-7", "--n", "777"),
+    ("series", "--s", "-1", "--n", "2000"),
     *(("verify", "--suite", suite) for suite in SUITES),
     ("verify", "--suite", "identities", "--n", "10"),
+    ("verify", "--suite", "identities", "--n", "200"),
     ("verify", "--suite", "divisor-bound", "--max", "10000000"),
     ("verify", "--suite", "sigma-bound", "--max", "100"),
     ("verify", "--suite", "sigma-bound", "--max", "100000", "--robin-c", "6483/10000"),

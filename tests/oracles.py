@@ -4,6 +4,8 @@ Each one computes a library quantity a second, independent way, and is
 kept here because nothing outside the tests needs it.
 """
 
+import math
+
 import numpy as np
 
 from mtable import bounds, series
@@ -63,11 +65,15 @@ def table_multiplicities_formula(n: int) -> np.ndarray:
 
 def zeta_square_truncation_partial(s: float, k_max: int) -> float:
     """The d(k)-weighted sum of k**-s over [1, k_max], from whole-length
-    arrays: d over [0, k_max], the arguments and their power terms."""
+    arrays: d over [0, k_max], the arguments and their power terms, whose
+    numpy sums over each series._BLOCK terms are added by math.fsum."""
     d = divisor_window(0, k_max, "d")
     ks = np.arange(1, k_max + 1, dtype=np.float64)
     terms = d[1:].astype(np.float64) * series._power_terms(ks, complex(s))
-    return series._compensated_sum(terms)
+    return math.fsum(
+        float(terms[lo : lo + series._BLOCK].sum())
+        for lo in range(0, terms.size, series._BLOCK)
+    )
 
 
 def trial_prime_powers(k: int) -> list[tuple[int, int]]:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from oracles import count_distinct_dense
 
-from mtable import bounds
+from mtable import bounds, series
 from mtable.divisors import divisor_count, divisor_sum, incomplete_divisor_integral
 
 # frozen binary64 values of the one evaluation, numpy's log and exp
@@ -152,8 +152,6 @@ def test_sigma_bound_flags_12():
     assert r.violated and not r.borderline
     assert r.margin == SIGMA_12_MARGIN
     assert r.bound == ROBIN_KNOWN[12]
-    assert r.constants_used["robin_c"] == bounds.ROBIN_C
-    assert r.constants_used["gamma"] == bounds.EULER_GAMMA
 
 
 def test_paper_bounds_hold_to_the_sweep_cap():
@@ -187,7 +185,6 @@ def test_scalar_bound_checks_match_sweeps():
         assert r.bound == bounds.nicolas_bound(k)
         assert r.margin == r.bound - r.value
         assert not (r.violated or r.borderline)
-        assert r.constants_used["nicolas_c"] == bounds.NICOLAS_C
     unflagged = [k for k in range(3, 1001, 37) if k not in flagged]
     assert len(unflagged) > 10
     for k in unflagged:
@@ -236,47 +233,52 @@ def test_sweeps_reject_empty_range():
             bounds.verify_theorem_sweep(hi)
 
 
+def verdicts(rule, margin, scale):
+    # rule's (violated, borderline) for one margin, classified as the
+    # one-entry array a scalar check passes
+    violated, borderline = rule(np.array([margin]), np.array([scale]))
+    return bool(violated[0]), bool(borderline[0])
+
+
 def test_classification_slack_band():
     # slack at scale 100 is 1e-10: misses inside it are borderline, not
     # violations, and clear misses beyond it are violations
-    assert bounds._classify_upper(1.0, 100.0) == (False, False)
-    assert bounds._classify_upper(0.0, 100.0) == (False, True)
-    assert bounds._classify_upper(-1e-11, 100.0) == (False, True)
-    assert bounds._classify_upper(-1e-9, 100.0) == (True, False)
-    assert bounds._classify_lower(-1.0, 100.0) == (False, False)
-    assert bounds._classify_lower(1e-9, 100.0) == (True, False)
+    assert verdicts(bounds._classify_upper, 1.0, 100.0) == (False, False)
+    assert verdicts(bounds._classify_upper, 0.0, 100.0) == (False, True)
+    assert verdicts(bounds._classify_upper, -1e-11, 100.0) == (False, True)
+    assert verdicts(bounds._classify_upper, -1e-9, 100.0) == (True, False)
+    assert verdicts(bounds._classify_lower, -1.0, 100.0) == (False, False)
+    assert verdicts(bounds._classify_lower, 1e-9, 100.0) == (True, False)
 
 
 @pytest.mark.parametrize("slack", [bounds.RELATIVE_SLACK, 1e-6])
 def test_scalar_slack_is_the_array_slack(monkeypatch, slack):
-    # one scalar scale takes the plain-float path, an array the numpy one;
-    # both read RELATIVE_SLACK when called, and both give numpy types
+    # the slack reads RELATIVE_SLACK when called, and gives none to a
+    # scale that is not finite
     monkeypatch.setattr(bounds, "RELATIVE_SLACK", slack)
     scales = [0.0, 1.0, -1.0, 1e308, -1e308, math.inf, -math.inf, math.nan]
     array = bounds._slack(np.array(scales))
-    for scale, expected in zip(scales, array.tolist()):
-        for form in (scale, np.float64(scale), np.array(scale)):
-            got = bounds._slack(form)
-            assert isinstance(got, np.float64), form
-            assert got == expected, form
-    assert array.tolist()[:5] == [slack, slack, slack, slack * 1e308, slack * 1e308]
-    assert isinstance(bounds._classify_upper(0.0, 100.0)[0], np.bool_)
+    assert array.tolist() == [
+        slack, slack, slack, slack * 1e308, slack * 1e308, 0.0, 0.0, 0.0
+    ]
+    assert verdicts(bounds._classify_upper, -slack * 50, 100.0) == (False, True)
+    assert verdicts(bounds._classify_upper, -slack * 200, 100.0) == (True, False)
 
 
 def test_classification_is_one_rule_for_scalars_and_arrays():
-    # the sweeps classify arrays, the scalar checks one margin: the same
-    # verdicts either way, with no slack for a bound that is not finite
+    # the sweeps classify windows, the scalar checks one-entry arrays: the
+    # same verdicts either way, with no slack for a bound that is not finite
     margins = [1.0, 0.0, -1e-11, -1e-9, 1e-9, math.inf, -math.inf, math.nan]
     scales = [100.0, 100.0, 100.0, 100.0, 100.0, math.inf, -math.inf, 100.0]
     for rule in (bounds._classify_upper, bounds._classify_lower):
         violated, borderline = rule(np.array(margins), np.array(scales))
-        assert [tuple(map(bool, rule(m, s))) for m, s in zip(margins, scales)] == list(
+        assert [verdicts(rule, m, s) for m, s in zip(margins, scales)] == list(
             zip(violated.tolist(), borderline.tolist())
         )
-    assert bounds._classify_lower(math.inf, math.inf) == (True, False)
+    assert verdicts(bounds._classify_lower, math.inf, math.inf) == (True, False)
     # a -inf bound in a sweep is a violation
     checked = bounds._upper(np.array([6.0]), np.array([-math.inf]))
-    (r,) = bounds._reports("divisor_sum", {}, [5], [6], checked)
+    (r,) = bounds._reports("divisor_sum", [5], [6], checked)
     assert (r.argument, r.value, r.margin, r.violated, r.borderline) == (
         5, 6, -math.inf, True, False
     )
@@ -343,12 +345,37 @@ def test_nicolas_dips_into_114():
     assert bounds.nicolas_bound(114) > 114.1
 
 
-def test_constants_used_fully_recorded():
-    r = bounds.verify_theorem_lower_bound(5, count_distinct_dense(5))
-    assert set(r.constants_used) == {"nicolas_c", "robin_c", "gamma"}
-    assert r.constants_used["nicolas_c"] == Fraction(387, 200)
-    br = bounds.verify_integral_bracket(5, robin_c=bounds.ROBIN_C_ALTERNATE)
-    assert br.constants_used["robin_c"] == Fraction(6483, 10000)
+def test_every_report_hashes(monkeypatch):
+    # a BoundReport is a frozen dataclass of plain values, so each one,
+    # from every path that builds them, hashes and goes into a set
+    sigma = bounds.verify_sigma_bound(3, 1000)
+    reports = [
+        *bounds.verify_divisor_bound(3, 1000, -1),
+        *sigma,
+        *bounds.verify_bracket_sweep(3, 1000, robin_c=-1),
+        bounds.divisor_bound_at(12),
+        bounds.sigma_bound_at(12),
+        bounds.verify_integral_bracket(12),
+        bounds.verify_theorem_lower_bound(5, count_distinct_dense(5)),
+        bounds.verify_mean_bound(5, count_distinct_dense(5)),
+    ]
+    # forced failures: counts of 0 fail both theorem checks, and wrong
+    # table sums and a wrong partial zeta sum fail the identities suite
+    monkeypatch.setattr(
+        bounds, "distinct_count_prefix", lambda hi: np.zeros(hi + 1, dtype=np.int64)
+    )
+    monkeypatch.setattr(series, "table_sum_checks", lambda n: (0, 0))
+    monkeypatch.setattr(series, "zeta_partial", lambda s, n: complex(n + 1))
+    theorem = bounds.verify_theorem_sweep(10)
+    identities = series.verify_identities_sweep(3)
+    assert len(theorem) == 18
+    assert {r.quantity for r in identities} == {
+        "table_sum", "table_sum_weighted",
+        *(f"square_identity_s_{s}" for s in (0, -1, 2, 3, 2 + 3j)),
+    }
+    reports += theorem + identities
+    assert len(set(reports)) == len(reports) - 1
+    assert hash(bounds.sigma_bound_at(12)) == hash(sigma[0])
 
 
 def test_reference_densities_shape():

@@ -83,6 +83,25 @@ def test_cache_flag(tmp_path, capsys):
     assert cache.read_text() == "n,m\n10,42\n50,800\n"
 
 
+@pytest.mark.parametrize(
+    "body",
+    [b"\xff\xfe\x00n\x00,\x00m\x00\n", b"n,m\n10," + b"4" * 200_000 + b"\n"],
+    ids=["not-utf8", "field-past-csv-limit"],
+)
+def test_census_recomputes_cache_that_is_not_text(tmp_path, capsys, body):
+    # bytes that do not decode, and a field longer than the csv reader's
+    # limit of 131072 characters, are a corrupt cache like any other
+    cache = tmp_path / "census.csv"
+    cache.write_bytes(body)
+    with pytest.warns(UserWarning, match="recomputing"):
+        code, out, _ = run(
+            capsys, "census", "--n-list", "10", "--cache", str(cache), "--format", "json"
+        )
+    assert code == 0
+    assert [row["m"] for row in json.loads(out)["rows"]] == [42]
+    assert cache.read_text() == "n,m\n10,42\n"
+
+
 def test_multiplicity_both_routes(capsys):
     code, out, _ = run(
         capsys, "multiplicity", "--n", "6", "--k", "12", "--format", "json"

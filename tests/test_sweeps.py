@@ -61,7 +61,7 @@ def whole_divisor_sweep(lo, hi, c):
     ns = np.arange(lo, hi + 1, dtype=np.float64)
     values = d[lo:].astype(np.float64)
     return bounds._reports(
-        "divisor_count", bounds._constants(nicolas_c=c), ns, values,
+        "divisor_count", ns, values,
         bounds._upper(values, bounds._nicolas_values(ns, float(c))),
     )
 
@@ -71,7 +71,7 @@ def whole_sigma_sweep(lo, hi, c):
     ns = np.arange(lo, hi + 1, dtype=np.float64)
     values = sigma[lo:].astype(np.float64)
     return bounds._reports(
-        "divisor_sum", bounds._constants(robin_c=c), ns, values,
+        "divisor_sum", ns, values,
         bounds._upper(values, bounds._robin_values(ns, float(c))),
     )
 
@@ -83,7 +83,8 @@ def whole_nicolas_values(lo, hi):
 
 def scalar_bracket_sweep(lo, hi, robin_c, nicolas_c):
     # the margin and flag test of verify_integral_bracket, operation for
-    # operation; the report of every flagged argument is its own
+    # operation in plain floats; the report of every flagged argument is
+    # its own
     d, sigma = whole_sieve(hi)
     middles = (np.arange(hi + 1) * d - sigma).tolist()
     rc, nc = float(robin_c), float(nicolas_c)
@@ -94,7 +95,7 @@ def scalar_bracket_sweep(lo, hi, robin_c, nicolas_c):
             middle - (2.0 * k - bounds.robin_bound(k, rc)),
             k * bounds.nicolas_bound(k, nc) - k - 1.0 - middle,
         )
-        if margin <= bounds._slack(max(abs(middle), 1.0)):
+        if margin <= bounds.RELATIVE_SLACK * max(abs(middle), 1.0):
             reports.append(bounds.verify_integral_bracket(k, robin_c, nicolas_c))
     return reports
 
@@ -669,9 +670,11 @@ def test_inf_bound_is_never_flagged():
     with np.errstate(over="ignore"):
         assert bounds.verify_divisor_bound(3, 100, 400) == []
         assert bounds._nicolas_values(np.array([18.0]), 400.0)[0] == math.inf
-    assert bounds._classify_upper(math.inf, math.inf) == (False, False)
-    # a bound at -inf is violated by every value
-    assert bounds._classify_upper(-math.inf, -math.inf) == (True, False)
+    verdicts = bounds._classify_upper(
+        np.array([math.inf, -math.inf]), np.array([math.inf, -math.inf])
+    )
+    # a bound at +inf is met by every value, and one at -inf violated
+    assert [v.tolist() for v in verdicts] == [[False, True], [False, False]]
 
 
 @pytest.mark.parametrize("hi", [2, 3, 114, 500, 1500, products.PREFIX_N_MAX])
