@@ -7,7 +7,9 @@ verify for the sweep suites.  Exit status: 0 clean, 1 when any violation
 was reported, 2 for usage or domain errors.
 
 A handler returns (json payload, text lines, exit code), and count and
-census add csv lines; run picks the format and prints.
+census add csv lines; run picks the format and prints.  A warning the
+library raises on the way is printed as one "warning: ..." line on
+stderr, as an error is printed as "error: ...".
 
 json and csv output format every float with exactly 10 fractional
 digits, so a command line produces identical bytes on every run apart
@@ -23,6 +25,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -364,8 +367,12 @@ def run(argv: list[str] | None = None) -> int:
     try:
         # a constant that overflows a bound gives +-inf, which the verdict
         # rule already handles, so numpy's overflow warning is only noise
-        with np.errstate(over="ignore"):
-            payload, text, code, *csv = args.handler(args)
+        with np.errstate(over="ignore"), warnings.catch_warnings(record=True) as caught:
+            try:
+                payload, text, code, *csv = args.handler(args)
+            finally:
+                for w in caught:
+                    print(f"warning: {w.message}", file=sys.stderr)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

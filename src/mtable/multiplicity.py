@@ -94,6 +94,10 @@ def table_sum_checks(n: int) -> tuple[int, int]:
     those closed forms.  n is limited to TABLE_N_MAX, where the weighted
     sum is still far inside int64.
     """
-    counts = table_multiplicities(n)
+    return _table_sums(table_multiplicities(n))
+
+
+def _table_sums(counts: np.ndarray) -> tuple[int, int]:
+    # (sum of k * counts[k], sum of counts[k]) over a table's multiplicities
     ks = np.arange(counts.size, dtype=np.int64)
     return int(np.dot(ks, counts)), int(counts.sum())

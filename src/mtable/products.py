@@ -16,17 +16,13 @@ counting, row by row, only the products that are new in that row.
 
 from __future__ import annotations
 
-import csv
-import fcntl
 import math
 import os
 import time
-import uuid
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from multiprocessing import Pool
 from pathlib import Path
 from typing import Iterable
 
@@ -244,6 +240,8 @@ def count_distinct_segmented(
         cpus = os.cpu_count() or 1
     workers = min(len(jobs), cpus, _MAX_WORKERS) if parallel else 1
     if workers > 1:
+        from multiprocessing import Pool
+
         with Pool(processes=workers) as pool:
             return sum(pool.map(_count_window, jobs))
     return sum(map(_count_window, jobs))
@@ -260,6 +258,8 @@ def load_cache(path: str | Path) -> dict[int, int]:
     oversized fields included; census() treats that as a corrupt cache
     and recomputes.
     """
+    import csv
+
     entries: dict[int, int] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -292,6 +292,9 @@ def save_cache(path: str | Path, entries: dict[int, int]):
     previous cache as it was, and a concurrent reader sees either the
     old file or the new one, never a partial write.
     """
+    import csv
+    import uuid
+
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
@@ -327,6 +330,8 @@ def _cache_lock(path: str | Path):
     The lock file is left in place: removing it would let a waiting
     writer lock a file that a newcomer has already replaced.
     """
+    import fcntl
+
     path = Path(path)
     lock = path.with_name(f".{path.name}.lock")
     fd = os.open(lock, os.O_RDWR | os.O_CREAT, 0o644)

@@ -6,10 +6,25 @@ turns the same quantity into a multiplicity-weighted sum over k.  All
 three routes are evaluated independently and compared; at s = 0 and
 s = -1 every route is exact integer arithmetic and must agree exactly.
 
-Floating-point sums are accumulated by one helper, _fsum_blocks (numpy
-within a block, or a row of the grid; math.fsum across block partials),
-which keeps the result deterministic and within a few ulps regardless
-of length.
+One kernel, _identity_routes, compares the three routes at one exponent
+for any ascending set of table sizes, and both the single check and the
+identities sweep call it.  The n-table is the (n-1)-table plus an
+L-shaped border, so the grid and zeta routes are running sums of per-n
+increments: the grid route evaluates each border cell once (n(n+1)/2
+cells for every table up to n, in bands of _ROW_BLOCK table sizes) and
+the zeta route each of 1..n once.  The running sums carry each step's
+rounding error along (TwoSum), so every entry stays within a few ulps.
+The multiplicity route weights each distinct product's power by its
+multiplicity and sums over the table's distinct products, so a wrong
+multiplicity shows as a failed identity.  The single check evaluates
+the powers at its own table's products; the sweep evaluates them once
+at the n_max-table's products, which hold every smaller table's, and
+grows one multiplicity table through every n.
+
+The multiplicity route and the single-n sums, zeta_partial and
+zeta_square_truncation, are accumulated by _fsum_blocks (numpy within a
+block; math.fsum across block partials), which keeps them deterministic
+and within a few ulps regardless of length.
 """
 
 from __future__ import annotations
@@ -22,7 +37,7 @@ import numpy as np
 
 from .bounds import BoundReport
 from .divisors import divisor_window
-from .multiplicity import table_multiplicities, table_sum_checks
+from .multiplicity import _table_sums, table_multiplicities
 from .products import _window_ranges
 
 __all__ = [
@@ -37,10 +52,11 @@ __all__ = [
 # near a second.
 IDENTITY_N_MAX = 2000
 
-# Largest n_max verify_identities_sweep accepts.  It checks every table up
-# to n_max, so its time grows about as n_max**2.7: on 2 shared vCPUs it
-# took 0.07 s at 100, 5.3 s at 500 (the reach of acceptance criterion 03)
-# and 19 s at 800.
+# Largest n_max verify_identities_sweep accepts (the reach of acceptance
+# criterion 03).  It evaluates O(n_max**2) powers per exponent, but the
+# exact table sums and the multiplicity route visit every table up to
+# n_max, O(n_max**3) integer and float work: on 2 shared vCPUs it took
+# 12 ms at 100 and 0.5 s at 500.
 IDENTITY_SWEEP_N_MAX = 500
 _IDENTITY_EXPONENTS = (0, -1, 2, 3, 2 + 3j)
 
@@ -79,24 +95,24 @@ class SeriesComparison:
 
 
 def _fsum_blocks(blocks) -> complex:
-    # math.fsum of the numpy sums of each array of terms in blocks, one
-    # per row of a 2-D array, the real and imaginary parts apart
+    # math.fsum of the numpy sums of each array of terms in blocks, the
+    # real and imaginary parts apart
     re_parts: list[float] = []
     im_parts: list[float] = []
     for terms in blocks:
-        re_parts += np.atleast_1d(terms.real.sum(axis=-1)).tolist()
+        re_parts.append(float(terms.real.sum()))
         if np.iscomplexobj(terms):
-            im_parts += np.atleast_1d(terms.imag.sum(axis=-1)).tolist()
+            im_parts.append(float(terms.imag.sum()))
     return complex(math.fsum(re_parts), math.fsum(im_parts))
 
 
 def _power_terms(base: np.ndarray, s: complex) -> np.ndarray:
-    # base is a positive float64 array, so ln is real and x**-s is
-    # exactly exp(-s ln x) with no branch-cut choice to make; real
-    # exponents stay on the real exp to skip the imaginary half
-    if s.imag == 0.0:
-        return np.exp(-s.real * np.log(base))
-    return np.exp(-s * np.log(base))
+    # base is a positive array, so ln is real and x**-s is exactly
+    # exp(-s ln x) with no branch-cut choice to make; real exponents stay
+    # on the real exp to skip the imaginary half.  exp writes over its
+    # argument, which saves one array of the result's length.
+    exponents = (-s.real if s.imag == 0.0 else -s) * np.log(base)
+    return np.exp(exponents, out=exponents)
 
 
 def zeta_partial(s: complex, n: int) -> complex:
@@ -118,65 +134,96 @@ def zeta_partial(s: complex, n: int) -> complex:
     )
 
 
-def _grid_blocks(n: int):
-    # the products a*b of the n-table, _ROW_BLOCK rows a at a time
-    cols = np.arange(1, n + 1, dtype=np.int64)
-    for lo, hi in _window_ranges(1, n, _ROW_BLOCK):
-        rows = np.arange(lo, hi + 1, dtype=np.int64)
-        yield rows[:, None] * cols[None, :]
-
-
-def _grid_sum_exact(s: complex, n: int) -> int:
-    # s = 0 counts the grid's terms, s = -1 adds its products
-    return sum(
-        products.size if s == 0 else int(products.sum())
-        for products in _grid_blocks(n)
-    )
-
-
-def _grid_sum(s: complex, n: int) -> complex:
-    return _fsum_blocks(
-        _power_terms(products.astype(np.float64), s) for products in _grid_blocks(n)
-    )
-
-
-def _multiplicity_sum(s: complex, ks: np.ndarray, weights: np.ndarray) -> complex:
-    # weights[j] is the multiplicity of the product ks[j]
+def _terms(k: np.ndarray, s: complex) -> np.ndarray:
+    # k**-s at the positive int64 integers k: exact integers at s = 0 and
+    # s = -1, floats elsewhere
     if s == 0:
-        return complex(int(weights.sum()))
+        return np.ones_like(k)
     if s == -1:
-        return complex(int(np.dot(ks, weights)))
-    terms = weights.astype(np.float64) * _power_terms(ks.astype(np.float64), s)
+        return k
+    return _power_terms(k, s)
+
+
+def _prefix_sums(terms: np.ndarray) -> np.ndarray:
+    # the running sums of terms.  np.cumsum rounds at every step; TwoSum
+    # recovers each step's rounding error exactly, and adding the running
+    # sum of those errors back keeps every entry within a few ulps however
+    # many terms precede it.  Integer terms carry no error.
+    sums = np.cumsum(terms)
+    before = np.concatenate((np.zeros(1, sums.dtype), sums[:-1]))
+    added = sums - before
+    errors = (before - (sums - added)) + (terms - added)
+    return sums + np.cumsum(errors)
+
+
+def _grid_route(s: complex, n_max: int) -> np.ndarray:
+    # the grid sum of every n-table, n in [1, n_max].  The n-table is the
+    # (n-1)-table plus its border: the cells (a, n) and (n, a) for a < n,
+    # and (n, n).  Each band of _ROW_BLOCK table sizes n in [lo, hi]
+    # evaluates its border cells a < lo as one block and its cells
+    # lo <= a <= n row by row, so every cell's power is evaluated once,
+    # on its own product.
+    borders = []
+    for lo, hi in _window_ranges(1, n_max, _ROW_BLOCK):
+        ns = np.arange(lo, hi + 1, dtype=np.int64)
+        block = ns[:, None] * np.arange(1, lo, dtype=np.int64)[None, :]
+        rows, cols = np.tril_indices(ns.size)
+        weights = np.where(rows == cols, 1, 2)
+        starts = np.flatnonzero(cols == 0)
+        borders.append(
+            2 * _terms(block, s).sum(axis=1)
+            + np.add.reduceat(weights * _terms(ns[rows] * ns[cols], s), starts)
+        )
+    return _prefix_sums(np.concatenate(borders))
+
+
+def _zeta_route(s: complex, n_max: int) -> np.ndarray:
+    # the partial zeta sum to every n in [1, n_max]
+    return _prefix_sums(_terms(np.arange(1, n_max + 1, dtype=np.int64), s))
+
+
+def _multiplicity_route(weights: np.ndarray, powers: np.ndarray) -> complex:
+    # sum of m(k) * k**-s over the distinct products k of one table, given
+    # their multiplicities m(k) and their powers k**-s, both ascending in k
+    terms = weights * powers
     return _fsum_blocks(
         terms[lo : hi + 1] for lo, hi in _window_ranges(0, terms.size - 1, _BLOCK)
     )
 
 
-def _table_products(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (the products of a table, their multiplicities) from its counts
-    ks = np.flatnonzero(counts)
-    return ks, counts[ks]
+def _identity_routes(s: complex, ns: np.ndarray, mult) -> tuple:
+    # the square identity at s for the n-tables, n in the ascending array
+    # ns, whose multiplicity routes are mult: arrays of (grid sum, zeta
+    # partial squared, multiplicity sum, largest pairwise deviation,
+    # tolerance), entry i for the ns[i]-table.  The grid and zeta routes
+    # run to ns[-1], and each entry depends on the tables up to its own n
+    # only, so it is the same whatever other sizes the call asks for.
+    grid = _grid_route(s, int(ns[-1]))[ns - 1].astype(np.complex128)
+    zeta = _zeta_route(s, int(ns[-1]))[ns - 1]
+    zsq = (zeta * zeta).astype(np.complex128)
+    mult = np.asarray(mult, dtype=np.complex128)
+    deviation = np.maximum.reduce(
+        [np.abs(grid - zsq), np.abs(grid - mult), np.abs(zsq - mult)]
+    )
+    if s in (0, -1):
+        tolerance = np.zeros(ns.size)
+    else:
+        tolerance = 1e-9 * np.abs(zsq)
+    return grid, zsq, mult, deviation, tolerance
 
 
-def _square_identity(
-    s: complex, n: int, ks: np.ndarray, weights: np.ndarray
-) -> SeriesComparison:
-    # verify_square_identity with the n-table's _table_products given
-    exact = s in (0, -1)
-    grid = complex(_grid_sum_exact(s, n)) if exact else _grid_sum(s, n)
-    zsq = zeta_partial(s, n) ** 2
-    mult = _multiplicity_sum(s, ks, weights)
-    deviation = max(abs(grid - zsq), abs(grid - mult), abs(zsq - mult))
-    tolerance = 0.0 if exact else 1e-9 * abs(zsq)
+def _comparison(s: complex, n: int, routes, i: int) -> SeriesComparison:
+    # entry i, the n-table's, of _identity_routes' arrays
+    grid, zsq, mult, deviation, tolerance = (route[i] for route in routes)
     return SeriesComparison(
         s=s,
         n=n,
-        grid_sum=grid,
-        zeta_partial_squared=zsq,
-        multiplicity_sum=mult,
-        max_abs_deviation=deviation,
-        tolerance=tolerance,
-        ok=deviation <= tolerance,
+        grid_sum=complex(grid),
+        zeta_partial_squared=complex(zsq),
+        multiplicity_sum=complex(mult),
+        max_abs_deviation=float(deviation),
+        tolerance=float(tolerance),
+        ok=bool(deviation <= tolerance),
     )
 
 
@@ -194,7 +241,17 @@ def verify_square_identity(s: complex, n: int) -> SeriesComparison:
     """
     if not 1 <= n <= IDENTITY_N_MAX:
         raise ValueError(f"n must be in [1, {IDENTITY_N_MAX}], got {n}")
-    cmp = _square_identity(complex(s), n, *_table_products(table_multiplicities(n)))
+    s = complex(s)
+    counts = table_multiplicities(n)
+    products = np.flatnonzero(counts)
+    weights = counts[products]
+    del counts
+    # sums that overflow are the domain error raised below, so numpy's
+    # overflow and invalid-value warnings on the way there are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        mult = _multiplicity_route(weights, _terms(products, s))
+        routes = _identity_routes(s, np.array([n]), [mult])
+    cmp = _comparison(s, n, routes, 0)
     sums = (cmp.grid_sum, cmp.zeta_partial_squared, cmp.multiplicity_sum)
     if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in sums):
         raise ValueError(
@@ -209,11 +266,13 @@ def verify_identities_sweep(n_max: int) -> list[BoundReport]:
     at each of the exponents 0, -1, 2, 3 and 2+3j, over every table size
     n in [1, n_max].
 
-    The multiplicities of the n-table are grown from those of the
-    (n-1)-table and shared by the five exponents, so each comparison is
-    verify_square_identity(s, n)'s own without its table being rebuilt.
-    n_max below 1 or above IDENTITY_SWEEP_N_MAX is rejected before any
-    table runs.
+    One multiplicity table grows through every table size and gives, at
+    each n, the exact table sums and the multiplicity route at each
+    exponent, whose powers are evaluated once at the n_max-table's
+    distinct products.  Each exponent's grid and zeta routes at every n
+    come from one pass, so each comparison is verify_square_identity(s,
+    n)'s own.  n_max below 1 or above IDENTITY_SWEEP_N_MAX is rejected
+    before any table runs.
     """
     if n_max < 1:
         raise ValueError(f"empty range [1, {n_max}]")
@@ -222,33 +281,50 @@ def verify_identities_sweep(n_max: int) -> list[BoundReport]:
             f"the identities sweep ends at most at n = {IDENTITY_SWEEP_N_MAX}, "
             f"got {n_max}"
         )
-    reports = []
+    exponents = [complex(s) for s in _IDENTITY_EXPONENTS]
+    # every smaller table's products are among the n_max-table's, so each
+    # exponent's powers, indexed by product, serve every n
+    products = np.flatnonzero(table_multiplicities(n_max))
+    powers = []
+    for s in exponents:
+        terms = _terms(products, s)
+        powers.append(np.zeros(n_max * n_max + 1, dtype=terms.dtype))
+        powers[-1][products] = terms
+    mult = np.zeros((len(exponents), n_max), dtype=np.complex128)
+    found: list[list[BoundReport]] = [[] for _ in range(n_max)]
     # the n-table is the (n-1)-table plus the products n*a and a*n for
     # a < n and n*n, so one array grows through every table size
     grown = np.zeros(n_max * n_max + 1, dtype=np.int64)
     for n in range(1, n_max + 1):
         grown[n : n * (n - 1) + 1 : n] += 2
         grown[n * n] += 1
-        products = _table_products(grown[: n * n + 1])
-        weighted, plain = table_sum_checks(n)
+        table = grown[: n * n + 1]
+        weighted, plain = _table_sums(table)
         for quantity, got, expected in (
             ("table_sum", plain, n * n),
             ("table_sum_weighted", weighted, (n * (n + 1) // 2) ** 2),
         ):
             if got != expected:
-                reports.append(BoundReport(
+                found[n - 1].append(BoundReport(
                     n, quantity, float(got), float(expected), float(expected - got),
                     violated=True, borderline=False,
                 ))
-        for s in _IDENTITY_EXPONENTS:
-            cmp = _square_identity(complex(s), n, *products)
-            if not cmp.ok:
-                dev, tol = cmp.max_abs_deviation, cmp.tolerance
-                reports.append(BoundReport(
-                    n, f"square_identity_s_{s}", dev, tol, tol - dev,
-                    violated=True, borderline=False,
-                ))
-    return reports
+        # the n-table's distinct products, ascending (a bool array's
+        # nonzero entries are listed several times faster than an int64's)
+        present = np.flatnonzero(table > 0)
+        weights = table[present]
+        for j, power in enumerate(powers):
+            mult[j, n - 1] = _multiplicity_route(weights, power[present])
+    ns = np.arange(1, n_max + 1)
+    for s, label, route in zip(exponents, _IDENTITY_EXPONENTS, mult):
+        *_, deviation, tolerance = _identity_routes(s, ns, route)
+        for i in np.flatnonzero(~(deviation <= tolerance)).tolist():
+            dev, tol = float(deviation[i]), float(tolerance[i])
+            found[i].append(BoundReport(
+                i + 1, f"square_identity_s_{label}", dev, tol, tol - dev,
+                violated=True, borderline=False,
+            ))
+    return [report for reports in found for report in reports]
 
 
 @lru_cache(maxsize=16)

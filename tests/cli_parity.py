@@ -75,9 +75,11 @@ BASE = [
     ("series", "--s", "0.5", "--n", "1000"),
     ("series", "--s", "1.5,-7", "--n", "777"),
     ("series", "--s", "-1", "--n", "2000"),
+    ("series", "--s", "2,3", "--n", "1999"),
     *(("verify", "--suite", suite) for suite in SUITES),
     ("verify", "--suite", "identities", "--n", "10"),
     ("verify", "--suite", "identities", "--n", "200"),
+    ("verify", "--suite", "identities", "--n", "500"),
     ("verify", "--suite", "divisor-bound", "--max", "10000000"),
     ("verify", "--suite", "sigma-bound", "--max", "100"),
     ("verify", "--suite", "sigma-bound", "--max", "100000", "--robin-c", "6483/10000"),

@@ -11,7 +11,7 @@ import numpy as np
 from mtable import bounds, series
 from mtable.bounds import BoundReport
 from mtable.divisors import divisor_list, divisor_window
-from mtable.multiplicity import multiplicity_direct
+from mtable.multiplicity import multiplicity_direct, table_multiplicities
 
 
 def product_bitmap(n: int) -> np.ndarray:
@@ -109,17 +109,37 @@ def scalar_theorem_sweep(counts: np.ndarray) -> list[BoundReport]:
     return reports
 
 
+def square_identity_sums(s: complex, n: int) -> tuple[complex, complex]:
+    """(the grid sum of (a*b)**-s over a, b in [1, n], the sum of
+    m(k) * k**-s over the products k of table_multiplicities(n)), each
+    term a Python power, exact integers at s = 0 and s = -1, and each
+    sum's real and imaginary parts added apart by math.fsum."""
+    s = complex(s)
+
+    def power(k: int):
+        return k ** int(-s.real) if s in (0, -1) else complex(k) ** -s
+
+    def fsum(terms) -> complex:
+        terms = [complex(t) for t in terms]
+        return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+    counts = table_multiplicities(n)
+    grid = fsum(power(a * b) for a in range(1, n + 1) for b in range(1, n + 1))
+    mult = fsum(int(counts[k]) * power(k) for k in np.flatnonzero(counts).tolist())
+    return grid, mult
+
+
 def per_call_identities_sweep(
     n_max: int,
 ) -> tuple[list[BoundReport], list[series.SeriesComparison]]:
     """(verify_identities_sweep's reports, the comparisons they rest on)
-    from table_sum_checks and one verify_square_identity call per (n, s),
-    each building its own table.  table_sum_checks is looked up in
-    series, where the sweep finds it, so a test that patches it there
-    patches both."""
+    from the sums of table_multiplicities(n) and one verify_square_identity
+    call per (n, s), each building its own table.  The sums are taken by
+    series._table_sums, where the sweep finds it, so a test that patches
+    it there patches both."""
     reports, comparisons = [], []
     for n in range(1, n_max + 1):
-        weighted, plain = series.table_sum_checks(n)
+        weighted, plain = series._table_sums(table_multiplicities(n))
         for quantity, got, expected in (
             ("table_sum", plain, n * n),
             ("table_sum_weighted", weighted, (n * (n + 1) // 2) ** 2),

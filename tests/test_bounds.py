@@ -364,8 +364,8 @@ def test_every_report_hashes(monkeypatch):
     monkeypatch.setattr(
         bounds, "distinct_count_prefix", lambda hi: np.zeros(hi + 1, dtype=np.int64)
     )
-    monkeypatch.setattr(series, "table_sum_checks", lambda n: (0, 0))
-    monkeypatch.setattr(series, "zeta_partial", lambda s, n: complex(n + 1))
+    monkeypatch.setattr(series, "_table_sums", lambda counts: (0, 0))
+    monkeypatch.setattr(series, "_zeta_route", lambda s, n_max: np.arange(2, n_max + 2))
     theorem = bounds.verify_theorem_sweep(10)
     identities = series.verify_identities_sweep(3)
     assert len(theorem) == 18

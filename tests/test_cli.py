@@ -93,11 +93,13 @@ def test_census_recomputes_cache_that_is_not_text(tmp_path, capsys, body):
     # limit of 131072 characters, are a corrupt cache like any other
     cache = tmp_path / "census.csv"
     cache.write_bytes(body)
-    with pytest.warns(UserWarning, match="recomputing"):
-        code, out, _ = run(
-            capsys, "census", "--n-list", "10", "--cache", str(cache), "--format", "json"
-        )
+    code, out, err = run(
+        capsys, "census", "--n-list", "10", "--cache", str(cache), "--format", "json"
+    )
     assert code == 0
+    (line,) = err.splitlines()
+    assert line.startswith(f"warning: census cache {cache} is unreadable (")
+    assert line.endswith("); recomputing")
     assert [row["m"] for row in json.loads(out)["rows"]] == [42]
     assert cache.read_text() == "n,m\n10,42\n"
 
@@ -283,13 +285,13 @@ def test_verify_n_spells_max(capsys):
 
 
 def test_verify_identities_reports_failure(capsys, monkeypatch):
-    checks = series.table_sum_checks
+    sums = series._table_sums
 
-    def short_by_one(n):
-        weighted, plain = checks(n)
+    def short_by_one(counts):
+        weighted, plain = sums(counts)
         return weighted, plain - 1
 
-    monkeypatch.setattr(series, "table_sum_checks", short_by_one)
+    monkeypatch.setattr(series, "_table_sums", short_by_one)
     code, out, _ = run(
         capsys, "verify", "--suite", "identities", "--n", "2", "--format", "json"
     )

@@ -235,7 +235,7 @@ def test_parallel_on_one_usable_cpu_starts_no_pool(monkeypatch):
         raise AssertionError("a pool was started")
 
     monkeypatch.setattr(products.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(products, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     assert count_distinct_segmented(2000, parallel=True) == CENSUS_COUNTS[2000]
 
 
@@ -290,7 +290,7 @@ def test_save_cache_failure_keeps_previous_file(tmp_path, monkeypatch):
                 raise OSError("disk full")
             self.inner.writerow(row)
 
-    monkeypatch.setattr(products.csv, "writer", FailingWriter)
+    monkeypatch.setattr(csv, "writer", FailingWriter)
     with pytest.raises(OSError, match="disk full"):
         save_cache(path, {10: 42, 100: 2906})
     assert path.read_bytes() == before

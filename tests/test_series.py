@@ -4,9 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from oracles import per_call_identities_sweep, zeta_square_truncation_partial
+from oracles import (
+    per_call_identities_sweep,
+    square_identity_sums,
+    zeta_square_truncation_partial,
+)
 
 from mtable import series
+from mtable.multiplicity import table_multiplicities
 
 
 def test_zeta_partial_exact_paths():
@@ -57,9 +62,14 @@ def test_identity_tolerance_and_verdict(monkeypatch):
         cmp = series.verify_square_identity(s, 30)
         assert cmp.tolerance == 1e-9 * abs(cmp.zeta_partial_squared) > 0
         assert cmp.ok is True
-    # a grid route off by 1e-6 fails the 1e-9 relative tolerance
-    grid_sum = series._grid_sum
-    monkeypatch.setattr(series, "_grid_sum", lambda s, n: grid_sum(s, n) + 1e-6)
+    # a grid route off by 1e-6 at the float exponents fails the 1e-9
+    # relative tolerance
+    grid_route = series._grid_route
+
+    def off_grid(s, n_max):
+        return grid_route(s, n_max) + (0.0 if s in (0, -1) else 1e-6)
+
+    monkeypatch.setattr(series, "_grid_route", off_grid)
     cmp = series.verify_square_identity(2, 30)
     assert cmp.max_abs_deviation > cmp.tolerance
     assert cmp.ok is False
@@ -76,13 +86,13 @@ def test_identity_tolerance_and_verdict(monkeypatch):
 
 def test_identities_sweep_reports_table_sum_failure(monkeypatch):
     # the plain table sum comes back one short at every n
-    checks = series.table_sum_checks
+    sums = series._table_sums
 
-    def short_by_one(n):
-        weighted, plain = checks(n)
+    def short_by_one(counts):
+        weighted, plain = sums(counts)
         return weighted, plain - 1
 
-    monkeypatch.setattr(series, "table_sum_checks", short_by_one)
+    monkeypatch.setattr(series, "_table_sums", short_by_one)
     reports = series.verify_identities_sweep(2)
     assert [(r.argument, r.quantity) for r in reports] == [
         (1, "table_sum"),
@@ -103,35 +113,49 @@ def _bits(cmp):
     return tuple(key(getattr(cmp, f)) for f in cmp.__dataclass_fields__)
 
 
+EXPONENTS = (0, -1, 2, 3, 2 + 3j)
+
+
+def _record_routes(monkeypatch):
+    # {s: the arrays _identity_routes returns for s}, filled as it runs
+    routes = {}
+    identity_routes = series._identity_routes
+
+    def recording(s, ns, mult):
+        routes[s] = identity_routes(s, ns, mult)
+        return routes[s]
+
+    monkeypatch.setattr(series, "_identity_routes", recording)
+    return routes
+
+
 def test_identities_sweep_matches_per_call_oracle(monkeypatch):
-    # the sweep grows one table through every n and shares it across the
-    # exponents; each comparison must be verify_square_identity's own,
-    # bit for bit, and the reports those built from them.  The grid route
-    # is pushed off at a few (s, n) and the table sum at one n, so the
-    # reports are not all empty.
-    grid_sum, checks = series._grid_sum, series.table_sum_checks
+    # the sweep grows one table through every n and takes each exponent's
+    # routes at every n from one pass; each comparison must be
+    # verify_square_identity's own, bit for bit, and the reports those
+    # built from them.  The grid route is pushed off at a few (s, n) and
+    # the table sum at one n, so the reports are not all empty.
+    grid_route, sums = series._grid_route, series._table_sums
 
-    def off_grid(s, n):
-        return grid_sum(s, n) + (1e-6 if n in (7, 31) else 0.0)
+    def off_grid(s, n_max):
+        shift = np.isin(np.arange(1, n_max + 1), (7, 31)) * 1e-6
+        return grid_route(s, n_max) + (0.0 if s in (0, -1) else shift)
 
-    def off_sums(n):
-        weighted, plain = checks(n)
-        return (weighted + 1, plain) if n == 12 else (weighted, plain)
+    def off_sums(counts):
+        weighted, plain = sums(counts)
+        return (weighted + 1, plain) if counts.size == 12 * 12 + 1 else (weighted, plain)
 
-    monkeypatch.setattr(series, "_grid_sum", off_grid)
-    monkeypatch.setattr(series, "table_sum_checks", off_sums)
+    monkeypatch.setattr(series, "_grid_route", off_grid)
+    monkeypatch.setattr(series, "_table_sums", off_sums)
     reports, comparisons = per_call_identities_sweep(40)
-    shared = []
-    square_identity = series._square_identity
-
-    def recording(s, n, ks, weights):
-        shared.append(square_identity(s, n, ks, weights))
-        return shared[-1]
-
-    monkeypatch.setattr(series, "_square_identity", recording)
+    routes = _record_routes(monkeypatch)
     assert series.verify_identities_sweep(40) == reports
+    shared = [
+        series._comparison(complex(s), n, routes[complex(s)], n - 1)
+        for n in range(1, 41)
+        for s in EXPONENTS
+    ]
     assert [_bits(c) for c in shared] == [_bits(c) for c in comparisons]
-    assert len(shared) == 5 * 40
     assert [(r.argument, r.quantity) for r in reports] == [
         (7, "square_identity_s_2"),
         (7, "square_identity_s_3"),
@@ -143,11 +167,101 @@ def test_identities_sweep_matches_per_call_oracle(monkeypatch):
     ]
 
 
+def test_square_identity_matches_sweep_at_band_edges(monkeypatch):
+    # one check at n runs the grid and zeta routes to n; the sweep's run
+    # on to 130, so its bands of _ROW_BLOCK = 128 table sizes end
+    # elsewhere than each check's, and must give the same comparison bit
+    # for bit
+    recorded = _record_routes(monkeypatch)
+    assert series.verify_identities_sweep(130) == []
+    routes = dict(recorded)
+    for n in (1, 2, 127, 128, 129):
+        for s in EXPONENTS:
+            swept = series._comparison(complex(s), n, routes[complex(s)], n - 1)
+            assert _bits(series.verify_square_identity(s, n)) == _bits(swept), (s, n)
+
+
+def test_identities_sweep_grows_every_table(monkeypatch):
+    # the table the sweep grows is table_multiplicities(n) at every n;
+    # only the 60-table, whose distinct products the powers are evaluated
+    # at, is built from scratch
+    tables, built = [], []
+    sums = series._table_sums
+
+    def recording(counts):
+        tables.append(counts.copy())
+        return sums(counts)
+
+    def building(n):
+        built.append(n)
+        return table_multiplicities(n)
+
+    monkeypatch.setattr(series, "_table_sums", recording)
+    monkeypatch.setattr(series, "table_multiplicities", building)
+    assert series.verify_identities_sweep(60) == []
+    assert built == [60]
+    assert len(tables) == 60
+    for n, counts in enumerate(tables, 1):
+        assert np.array_equal(counts, table_multiplicities(n)), n
+
+
+def test_identities_sweep_evaluates_each_power_once(monkeypatch):
+    # per float exponent: each border cell's product once for the grid
+    # route, each distinct product of the 60-table once for the
+    # multiplicity route, and 1..60 once for the zeta route
+    evaluated = []
+    power_terms = series._power_terms
+
+    def counting(base, s):
+        evaluated.append((s, np.size(base)))
+        return power_terms(base, s)
+
+    monkeypatch.setattr(series, "_power_terms", counting)
+    assert series.verify_identities_sweep(60) == []
+    distinct = np.count_nonzero(table_multiplicities(60))
+    assert {s for s, _ in evaluated} == {2, 3, 2 + 3j}
+    for s in (2, 3, 2 + 3j):
+        count = sum(size for t, size in evaluated if t == s)
+        assert count <= 60 * 61 // 2 + distinct + 60, s
+
+
+@pytest.mark.parametrize("s", EXPONENTS)
+def test_identity_fails_on_a_wrong_multiplicity(monkeypatch, s):
+    # the product 6 counted once too often in the 30-table moves the
+    # multiplicity route alone, by 6**-s
+    def one_too_many(n):
+        counts = table_multiplicities(n)
+        counts[6] += 1
+        return counts
+
+    monkeypatch.setattr(series, "table_multiplicities", one_too_many)
+    cmp = series.verify_square_identity(s, 30)
+    assert cmp.ok is False
+    assert cmp.grid_sum == pytest.approx(cmp.zeta_partial_squared, rel=1e-12)
+    assert cmp.multiplicity_sum - cmp.grid_sum == pytest.approx(6 ** -complex(s))
+
+
+@pytest.mark.parametrize(
+    "s, n", [(0, 30), (-1, 30), (2, 30), (3, 17), (0.5, 25), (2 + 3j, 40), (-2.5, 12)]
+)
+def test_identity_routes_match_direct_sums(s, n):
+    # the grid and multiplicity routes against term-by-term sums taken
+    # with Python's own powers and math.fsum: exact at s = 0 and s = -1
+    grid, mult = square_identity_sums(s, n)
+    cmp = series.verify_square_identity(s, n)
+    if s in (0, -1):
+        assert (cmp.grid_sum, cmp.multiplicity_sum) == (grid, mult)
+    else:
+        assert abs(cmp.grid_sum - grid) <= 1e-13 * abs(grid)
+        assert abs(cmp.multiplicity_sum - mult) <= 1e-13 * abs(mult)
+
+
 def test_exact_grid_sum_spans_row_blocks():
     # n on and around the row block's length, and several blocks
     for n in (1, 127, 128, 129, 300):
-        assert series._grid_sum_exact(0, n) == n * n
-        assert series._grid_sum_exact(-1, n) == (n * (n + 1) // 2) ** 2
+        ns = np.arange(1, n + 1)
+        assert series._grid_route(0, n).tolist() == (ns * ns).tolist()
+        assert series._grid_route(-1, n).tolist() == ((ns * (ns + 1) // 2) ** 2).tolist()
 
 
 def test_identities_sweep_rejects_empty_range():
