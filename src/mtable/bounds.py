@@ -27,39 +27,44 @@ violation when it fails by more than a relative slack of 1e-12;
 anything inside the band is flagged borderline instead, so float
 rounding can never manufacture or hide a violation.  A bound that is
 not finite gets no slack: +inf holds for every value and -inf fails it.
-The sweeps walk their range (_walk) through the arguments below the
-bound's rising point, then doubling spans [x, 2x - 1].  With
-L = ln ln n, the d bound rises past the larger root of
-L**2 + (c - 1) * L - 2 * c (n > 113.6 for c = 387/200), and the sigma
-bound divided by n rises where L**2 > c / e**gamma (everywhere for
-c <= 0).  Past that point the bound at a span's first argument (times
-n / that argument for sigma) is a floor for the whole span.  A span
-whose d record, or sigma(m)/m record times n, over m <= its end
-(divisors.record_maxima, after Ramanujan and Alaoglu and Erdos) lies
-below its floor at both ends, compared exactly as rationals, lies below
-that affine floor throughout: nothing in it can be flagged, and it is
-skipped.  At the default constants that is every span, for sweeps up
-to SWEEP_MAX, so the d sweep sieves only [3, 113] and the sigma sweep
-[3, 27].  The arguments before the rising point and a span that is not
-skipped are sieved, evaluated and classified one window of at most
-SWEEP_WINDOW arguments at a time, so peak memory does not depend on the
-range, and past the rising point the bound is evaluated only at the
+The d, sigma and bracket sweeps run through one driver, _records_sweep,
+which holds one or two bounds against the record maxima of d(m) and
+sigma(m)/m (divisors.record_maxima, after Ramanujan and Alaoglu and
+Erdos) and runs one check over each window it sieves.  It walks the
+range (_walk) through the arguments below the bounds' rising point,
+then doubling spans [x, 2x - 1].  With L = ln ln n, the d bound rises
+past the larger root of L**2 + (c - 1) * L - 2 * c (n > 113.6 for
+c = 387/200), and the sigma bound divided by n rises where
+L**2 > c / e**gamma (everywhere for c <= 0).  Past that point the bound
+at a span's first argument (times n / that argument for sigma) is a
+floor for the whole span.  One clearance rule, _records_clear, decides
+whether a span is skipped: the d record D, or the sigma(m)/m record
+times n, over m <= the span's end, each raised by a slack times D per
+unit of n, lies below its floor at both ends, compared exactly as
+rationals, and so below that affine floor throughout.  The raise is 0
+for the d and sigma sweeps and RELATIVE_SLACK * D for the bracket,
+which is the two bounds held at once.  At the default constants every
+span clears, for sweeps up to SWEEP_MAX, so the d sweep and the
+bracket sieve only [3, 113] and the sigma sweep [3, 27].  The
+arguments before the rising point and a span that is not skipped are
+sieved and checked one window of at most SWEEP_WINDOW arguments at a
+time, so peak memory does not depend on the range.  The d and sigma
+sweeps evaluate their bound past the rising point only at the
 arguments whose value reaches the window's floor less SCREEN_BAND of
 the bound's terms (the floor is -inf where the bound nears overflow).
 That band is many times the slack plus the float error of the bound, so
 an argument left out cannot be flagged, and the reports are the same
 floats as those of evaluating every argument.
 The monotonicity and floor checks of the d bound, nicolas_shape_check,
-walk [3, hi] the same way: they evaluate the bound at every argument up
-to 113, and at the two ends of each span only.  In between, the float
+walk [3, hi] with _walk too: they evaluate the bound at every argument
+up to 113, and at the two ends of each span only.  In between, the float
 bound provably rises: the real bound's relative step from n to n + 1
 has a lower bound from its derivative in ln n, and on every span up to
 SWEEP_MAX that step exceeds three times a stated error bound of the
 float evaluation (see _nicolas_shape); a span where it would not is
 evaluated at every argument.
-The bracket sweep skips the spans both records clear by its slack too,
-and runs its kernel over each window it sieves; the theorem sweep runs
-its kernel over every n at once, with M(n) from one prefix count.
+The theorem sweep runs its kernel over every n at once, with M(n) from
+one prefix count.
 """
 
 from __future__ import annotations
@@ -114,7 +119,7 @@ SWEEP_WINDOW = 1 << 19
 # Relative band of the floors that let the d and sigma sweeps skip
 # arguments: they evaluate their bound only at arguments whose value
 # comes within this share of the terms of a floor the real, monotone
-# bound cannot go below (see _windowed_upper_sweep).  A band of 1e-9
+# bound cannot go below (see _records_sweep).  A band of 1e-9
 # covers the float bound's few ulps of error against the real one plus
 # RELATIVE_SLACK many times over.
 SCREEN_BAND = 1e-9
@@ -372,16 +377,28 @@ def _at_or_above(
     return idx + float(first), values[idx]
 
 
+def _held(sieved: str):
+    # the bound held against the records of sieved ("d" or "sigma"): its
+    # evaluation, floor rule, rising point and report quantity.  Read when
+    # a sweep runs, so that patches of these names apply to it
+    if sieved == "d":
+        return _nicolas_values, _nicolas_floor, _nicolas_rising_from, "divisor_count"
+    return _robin_values, _robin_floor, _robin_rising_from, "divisor_sum"
+
+
 def _records_clear(
-    wlo: int, whi: int, sieved: str, slope: float, const: float
+    wlo: int, whi: int, sieved: str, slope: float, const: float, slack: float
 ) -> bool:
-    # whether the floor slope * n + const lies above the record maxima at
-    # both ends of [wlo, whi], compared exactly: every d(n) there is at
-    # most D(whi) and every sigma(n) at most A(whi) * n, and both sides
-    # are affine in n, so then no value in the window reaches the floor
+    # the one clearance rule (see _records_sweep): whether the floor
+    # slope * n + const lies above sieved's record over m <= whi, raised
+    # by slack * D(whi) per unit of n, at both ends of [wlo, whi],
+    # compared exactly; an unbounded floor clears nothing
     if not (math.isfinite(slope) and math.isfinite(const)):
         return False
     most_d, most_ratio = record_maxima(whi)
+    if slack:
+        raise_by = Fraction(slack) * most_d
+        most_d, most_ratio = most_d + raise_by, most_ratio + raise_by
     slope, const = Fraction(slope), Fraction(const)
     return all(
         (most_d if sieved == "d" else most_ratio * n) < slope * n + const
@@ -389,9 +406,10 @@ def _records_clear(
     )
 
 
-def _span_floor(a: int, b: int, bound_values, floor_of, c: float):
-    # floor_of's floor for [a, b] past the rising point, or the unbounded
-    # one where the bound nears overflow at b, which keeps inf out of it
+def _span_floor(a: int, b: int, sieved: str, c: float):
+    # the held bound's floor for [a, b] past its rising point, or the
+    # unbounded one where it nears overflow at b, which keeps inf out of it
+    bound_values, floor_of = _held(sieved)[:2]
     at_a, at_b = bound_values(np.array([a, b], dtype=np.float64), c).tolist()
     return floor_of(a, b, c, at_a) if at_b < 1e300 else (0.0, -math.inf)
 
@@ -417,69 +435,92 @@ def _walk(lo: int, hi: int, start: int, clears):
         x = end + 1
 
 
-def _records_sweep(lo: int, hi: int, start: int, clears, window_reports) -> list:
-    # the reports of window_reports(a, b) over the pieces of the walk that
-    # are not cleared; asking for the records at hi first builds the one
-    # candidate list that every span's records are read from
+def _records_sweep(lo: int, hi: int, held, slack: float, check) -> list[BoundReport]:
+    """The reports of check(a, b, held, floors) over the pieces of [lo, hi]
+    that the records do not clear, in order; a range that is empty,
+    starts below 3 or ends past SWEEP_MAX is rejected.
+
+    held lists the bounds held against the record maxima, as pairs
+    (sieved, c): Nicolas's d bound for "d" and Robin's sigma bound for
+    "sigma" (_held), at the constant c.  _walk walks the range from the
+    first integer past every held bound's rising point.  floors gives
+    each held bound's floor on the piece, as (slope, const) of the affine
+    floor slope * n + const.
+
+    Floors.  Past its rising point the real bound does not decrease (for
+    sigma, bound / n does not), so on a piece from a to b it is at least
+    its value at a (n times that value over a), and floor_of puts the
+    floor a further SCREEN_BAND of the bound's terms below.  The float
+    bound is within a few ulps of those terms of the real one (for d,
+    where the bound is finite and nonzero, its exponent and that
+    exponent's terms stay below a few thousand for n <= SWEEP_MAX).
+    Before the rising point, and where the bound nears overflow at b, the
+    floor is the unbounded (0, -inf); a bound that overflows to +inf is
+    never flagged.
+
+    Clearance.  A span past the rising point, and each window of one that
+    fails, is skipped when _records_clear holds for every held bound: the
+    record D(b) = max d(m), or A(b) * n with A(b) = max sigma(m)/m, over
+    m <= b, raised by slack * D(b) per unit of n, lies below the floor at
+    both ends, compared exactly.  Every d(n) on the piece is at most D(b)
+    and every sigma(n) at most A(b) * n, and both sides are affine in n,
+    so then no value there, raised so, reaches the floor.
+
+    The d and sigma sweeps (_upper_window) hold one bound with slack 0:
+    an argument is flagged only when its margin is within RELATIVE_SLACK
+    of the bound's terms, far inside SCREEN_BAND, so one whose value is
+    below the floor cannot be flagged.  A window that is sieved is
+    screened against its floor.  The bracket (_bracket_window) holds both
+    with slack RELATIVE_SLACK: as sigma(k) >= k + 1 and d(k) >= 2,
+    upper - middle >= k (N(k) - d(k)) and middle - lower >= R(k) - sigma(k),
+    N and R the d and sigma bounds, and its slack RELATIVE_SLACK * |middle|
+    is at most RELATIVE_SLACK * D(b) * k, as 0 <= middle <= k d(k).  The
+    floors' band is far more than either margin's float error, so a piece
+    where both raised records clear holds no flagged k.
+
+    Asking for the records at hi first builds the one candidate list that
+    every span's records are read from.
+    """
+    _require_sweep(lo, hi, 3)
+    held = [(sieved, float(c)) for sieved, c in held]
+    start = math.floor(min(max(_held(s)[2](c) for s, c in held), hi)) + 1
+
+    def floors(a, b):
+        if a < start:
+            return [(0.0, -math.inf)] * len(held)
+        return [_span_floor(a, b, sieved, c) for sieved, c in held]
+
+    def clears(a, b):
+        return all(
+            _records_clear(a, b, sieved, *floor, slack)
+            for (sieved, _), floor in zip(held, floors(a, b))
+        )
+
     record_maxima(hi)
     reports = []
     for a, b, cleared in _walk(lo, hi, start, clears):
         if not cleared:
-            reports += window_reports(a, b)
+            reports += check(a, b, held, floors(a, b))
     return reports
 
 
-def _windowed_upper_sweep(
-    lo: int,
-    hi: int,
-    sieved: str,
-    bound_values,
-    floor_of,
-    rising_from: float,
-    c: float,
-    quantity: str,
-) -> list[BoundReport]:
-    """The flagged _upper reports of value <= bound over [lo, hi], walked
-    by _walk.
+def _upper_window(a: int, b: int, held, floors) -> list[BoundReport]:
+    # value <= bound over the sieved window [a, b] of the one held bound,
+    # evaluated only at the arguments whose value reaches its floor
+    ((sieved, c),), (floor,) = held, floors
+    bound_values, _, _, quantity = _held(sieved)
+    ns, values = _at_or_above(divisor_window(a, b, sieved), a, *floor)
+    return _reports(quantity, ns, values, _upper(values, bound_values(ns, c)))
 
-    Below rising_from, where the bound may fall, each argument's bound is
-    evaluated.  From the first integer past rising_from on,
-    floor_of(start, end, c, bound at start) gives a floor for a piece
-    from start to end, as (slope, const) of the affine floor
-    slope * n + const.  It is sound: the real bound does not decrease
-    there (for sigma, bound / n does not), so it is at least its value at
-    start (n times that value over start), and the floor lies a further
-    SCREEN_BAND of the bound's terms below.  The float bound is within a
-    few ulps of those terms of the real one (for d, where the bound is
-    finite and nonzero, its exponent and that exponent's terms stay below
-    a few thousand for n <= SWEEP_MAX), and an argument is flagged only
-    when its margin is within RELATIVE_SLACK of them.  An argument whose
-    value is below the floor therefore cannot be flagged.
 
-    A span past rising_from, and each window of one that fails, is
-    skipped when the records D(end) = max d(m), or A(end) * n with
-    A(end) = max sigma(m)/m, over m <= end, lie below its floor at both
-    ends, compared exactly (_records_clear).  A window that is sieved is
-    screened against its own floor, or against the unbounded (0, -inf)
-    before rising_from and where the bound nears overflow at its end; a
-    bound that overflows to +inf is never flagged.
-    """
-    start = math.floor(min(rising_from, hi)) + 1
-
-    def floor(a, b):
-        if a < start:
-            return 0.0, -math.inf
-        return _span_floor(a, b, bound_values, floor_of, c)
-
-    def window_reports(a, b):
-        ns, values = _at_or_above(divisor_window(a, b, sieved), a, *floor(a, b))
-        checked = _upper(values, bound_values(ns, c))
-        return _reports(quantity, ns, values, checked)
-
-    return _records_sweep(
-        lo, hi, start, lambda a, b: _records_clear(a, b, sieved, *floor(a, b)),
-        window_reports,
-    )
+def _bracket_window(a: int, b: int, held, floors) -> list[BoundReport]:
+    # the bracket kernel over [a, b], sieved for d and sigma so that
+    # middle = k*d(k) - sigma(k) is exact (int64)
+    (_, nc), (_, rc) = held
+    ks = _arguments(a, b)
+    middles = ks.astype(np.int64) * divisor_window(a, b, "d")
+    middles -= divisor_window(a, b, "sigma")
+    return _reports("integral", ks, middles, _bracket(ks, middles, rc, nc))
 
 
 def verify_divisor_bound(
@@ -490,11 +531,7 @@ def verify_divisor_bound(
     Returns only the arguments that violate the bound or land inside the
     slack band; an empty list means the bound held everywhere.
     """
-    _require_sweep(lo, hi, 3)
-    return _windowed_upper_sweep(
-        lo, hi, "d", _nicolas_values, _nicolas_floor, _nicolas_rising_from(float(c)),
-        float(c), "divisor_count"
-    )
+    return _records_sweep(lo, hi, [("d", c)], 0.0, _upper_window)
 
 
 def verify_sigma_bound(
@@ -505,11 +542,7 @@ def verify_sigma_bound(
     With the default constant the sweep to 1e6 reports exactly one
     violation, at n = 12; with ROBIN_C_ALTERNATE it reports none.
     """
-    _require_sweep(lo, hi, 3)
-    return _windowed_upper_sweep(
-        lo, hi, "sigma", _robin_values, _robin_floor, _robin_rising_from(float(c)),
-        float(c), "divisor_sum"
-    )
+    return _records_sweep(lo, hi, [("sigma", c)], 0.0, _upper_window)
 
 
 def divisor_bound_at(k: int) -> BoundReport:
@@ -543,19 +576,6 @@ def verify_integral_bracket(
     return _reports("integral", [k], [middle], checked, every=True)[0]
 
 
-def _bracket_clear(a: int, b: int, nicolas_floor, robin_floor) -> bool:
-    # whether both floors clear their records on [a, b], exactly, each
-    # record raised by the bracket's slack per unit of k, RELATIVE_SLACK
-    # * D(b) (see verify_bracket_sweep); an unbounded floor clears nothing
-    if not all(map(math.isfinite, nicolas_floor + robin_floor)):
-        return False
-    (d_slope, d_const), (s_slope, s_const) = nicolas_floor, robin_floor
-    raise_by = Fraction(RELATIVE_SLACK) * record_maxima(b)[0]
-    return _records_clear(
-        a, b, "d", d_slope, Fraction(d_const) - raise_by
-    ) and _records_clear(a, b, "sigma", Fraction(s_slope) - raise_by, s_const)
-
-
 def verify_bracket_sweep(
     lo: int = 3,
     hi: int = 10**4,
@@ -565,43 +585,16 @@ def verify_bracket_sweep(
     """The violated or borderline reports of verify_integral_bracket over
     every k in [lo, hi]; an empty range is rejected.
 
-    The range is walked as the d and sigma sweeps walk theirs, from the
-    first integer past both bounds' rising points.  A window is sieved
-    for d and sigma, so middle = k*d(k) - sigma(k) is exact (int64), and
-    the bracket kernel that verify_integral_bracket applies to one k
-    checks the whole window at once; its flagged entries are the
-    reports.  As sigma(k) >= k + 1 and
-    d(k) >= 2, upper - middle >= k (N(k) - d(k)) and
-    middle - lower >= R(k) - sigma(k), N and R the d and sigma bounds,
-    and the slack RELATIVE_SLACK * |middle| is at most
-    RELATIVE_SLACK * D(end) * k, as 0 <= middle <= k d(k).  The floors
-    lie SCREEN_BAND of the bounds' terms below the float bounds (see
-    _windowed_upper_sweep), far more than either margin's float error.
-    So a span or window where the d floor clears D(end) and the sigma
-    floor A(end) * k, each raised by that slack per unit of k, at both
-    ends, compared exactly, holds no flagged k and is skipped: at the
-    default constants every span to SWEEP_MAX, so [3, 113] is sieved.
+    The d and sigma bounds are both held against their records, the
+    records raised by the bracket's slack (see _records_sweep); at the
+    default constants every span to SWEEP_MAX clears, so [3, 113] is
+    sieved.  The bracket kernel that verify_integral_bracket applies to
+    one k checks each sieved window at once; its flagged entries are the
+    reports.
     """
-    _require_sweep(lo, hi, 3)
-    rc, nc = float(robin_c), float(nicolas_c)
-    rising_from = max(_nicolas_rising_from(nc), _robin_rising_from(rc))
-
-    def clears(a, b):
-        return _bracket_clear(
-            a, b,
-            _span_floor(a, b, _nicolas_values, _nicolas_floor, nc),
-            _span_floor(a, b, _robin_values, _robin_floor, rc),
-        )
-
-    def window_reports(wlo, whi):
-        ks = _arguments(wlo, whi)
-        middles = ks.astype(np.int64) * divisor_window(wlo, whi, "d")
-        middles -= divisor_window(wlo, whi, "sigma")
-        checked = _bracket(ks, middles, rc, nc)
-        return _reports("integral", ks, middles, checked)
-
     return _records_sweep(
-        lo, hi, math.floor(min(rising_from, hi)) + 1, clears, window_reports
+        lo, hi, [("d", nicolas_c), ("sigma", robin_c)], RELATIVE_SLACK,
+        _bracket_window,
     )
 
 

@@ -86,6 +86,12 @@ BASE = [
     ("verify", "--suite", "theorem", "--max", "100"),
     ("verify", "--suite", "bracket", "--max", "1000", "--robin-c", "-1"),
     ("verify", "--suite", "bracket", "--max", "100000", "--robin-c", "-1"),
+    # past the rising point through windows the records do not clear, in
+    # full and in part
+    ("verify", "--suite", "sigma-bound", "--max", "10000000", "--robin-c", "-1"),
+    ("verify", "--suite", "sigma-bound", "--max", "10000000", "--robin-c", "0"),
+    ("verify", "--suite", "bracket", "--max", "2000000", "--robin-c", "-1"),
+    ("verify", "--suite", "bracket", "--max", "10000000", "--robin-c", "0"),
     ("verify", "--suite", "theorem", "--max", "8192"),
     ("verify", "--suite", "monotonicity", "--max", "1000"),
     ("verify", "--suite", "sigma-bound", "--max", "100", "--robin-c=-1.7e308"),

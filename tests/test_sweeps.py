@@ -25,8 +25,9 @@ verify_integral_bracket for every argument that margin flags.  The
 theorem sweep's oracle runs both scalar checks at every n.  Where they
 flag, the sweeps run with the scalar checks made to raise, since they
 build their reports from their own kernels.  The
-bracket sweep skips a span only when both records clear their floors by
-the bracket's slack, which a test pins to one ulp.
+bracket sweep skips a span only when both records, raised by the
+bracket's slack, clear their floors under the one clearance rule,
+_records_clear, which a test pins to one ulp.
 """
 
 import math
@@ -298,6 +299,10 @@ def test_unbounded_floor_keeps_the_values():
         (bounds.verify_divisor_bound, Fraction(1), None),
         (bounds.verify_sigma_bound, Fraction(-1), None),
         (bounds.verify_bracket_sweep, bounds.ROBIN_C, 0),
+        # cleared in part, to 2 * 10**6: (windows, arguments, last window,
+        # reports)
+        (bounds.verify_sigma_bound, Fraction(0), (12, 12285, (6144, 12287), 26)),
+        (bounds.verify_bracket_sweep, Fraction(0), (10, 58365, (29184, 58367), 3)),
     ],
 )
 def test_records_skip_the_windows_they_clear(monkeypatch, sweep, c, reports):
@@ -307,7 +312,8 @@ def test_records_skip_the_windows_they_clear(monkeypatch, sweep, c, reports):
     # sieve [3, 113] at most and the sigma sweep [3, 27].  d with c = 1
     # and sigma with c = -1 flag arguments all along: past the few spans
     # below 4000 that d clears, every window is sieved, none wider than
-    # SWEEP_WINDOW
+    # SWEEP_WINDOW.  sigma with c = 0 and the bracket with robin_c = 0
+    # sieve every span up to about 10**4 or 6 * 10**4 and clear the rest
     real = bounds.divisor_window
     sieved = []
 
@@ -317,6 +323,14 @@ def test_records_skip_the_windows_they_clear(monkeypatch, sweep, c, reports):
         return real(lo, hi, quantity)
 
     monkeypatch.setattr(bounds, "divisor_window", counting)
+    if isinstance(reports, tuple):
+        windows, arguments, last, flagged = reports
+        assert len(sweep(3, 2 * 10**6, c)) == flagged
+        assert len(sieved) == windows and sieved[-1] == last
+        assert sum(b - a + 1 for a, b in sieved) == arguments
+        assert sieved[0][0] == 3
+        assert all(b + 1 == a for (_, b), (a, _) in zip(sieved, sieved[1:]))
+        return
     if reports is None:
         hi = 10**7
         flagged = sweep(3, hi, c)
@@ -358,21 +372,23 @@ def test_records_are_compared_with_the_floor_exactly():
     # where rounding either product to a float could tie them
     hi = 10**6
     most_d, most_ratio = bounds.record_maxima(hi)
-    assert bounds._records_clear(3, hi, "d", 0.0, math.nextafter(most_d, math.inf))
-    assert not bounds._records_clear(3, hi, "d", 0.0, float(most_d))
+    assert bounds._records_clear(3, hi, "d", 0.0, math.nextafter(most_d, math.inf), 0.0)
+    assert not bounds._records_clear(3, hi, "d", 0.0, float(most_d), 0.0)
     at_hi = float(most_ratio * hi)
-    assert bounds._records_clear(3, hi, "sigma", 0.0, math.nextafter(at_hi, math.inf))
+    assert bounds._records_clear(
+        3, hi, "sigma", 0.0, math.nextafter(at_hi, math.inf), 0.0
+    )
     assert not bounds._records_clear(
-        3, hi, "sigma", 0.0, math.nextafter(at_hi, -math.inf)
+        3, hi, "sigma", 0.0, math.nextafter(at_hi, -math.inf), 0.0
     )
     # an affine floor checked at both ends: one above the record at hi
     # but below it at hi // 2 does not clear the window
     slope = float(most_ratio) * (1.0 + 1e-9)
     const = -float(most_ratio) * 1e-9 * 0.75 * hi
-    assert bounds._records_clear(hi // 2, hi, "sigma", slope, 0.0)
-    assert bounds._records_clear(hi - 1, hi, "sigma", slope, const)
-    assert not bounds._records_clear(hi // 2, hi, "sigma", slope, const)
-    assert not bounds._records_clear(3, hi, "d", 0.0, -math.inf)
+    assert bounds._records_clear(hi // 2, hi, "sigma", slope, 0.0, 0.0)
+    assert bounds._records_clear(hi - 1, hi, "sigma", slope, const, 0.0)
+    assert not bounds._records_clear(hi // 2, hi, "sigma", slope, const, 0.0)
+    assert not bounds._records_clear(3, hi, "d", 0.0, -math.inf, 0.0)
 
 
 def floats_around(x):
@@ -384,29 +400,31 @@ def floats_around(x):
 
 
 def test_bracket_records_are_compared_with_the_floors_exactly():
-    # a bracket span is skipped only when the d floor clears D and the
-    # sigma floor A * k, each raised by the slack per unit of k,
-    # RELATIVE_SLACK * D: one ulp above that clears, one ulp below (which
-    # still clears the bare record) does not, on either side
+    # the bracket holds both bounds with the records raised by its slack
+    # per unit of k, RELATIVE_SLACK * D: a floor one ulp above the raised
+    # record clears, one ulp below (which still clears the bare record)
+    # does not, on either side
     lo, hi = 10**6 // 2, 10**6
+    slack = bounds.RELATIVE_SLACK
     most_d, most_ratio = bounds.record_maxima(hi)
-    raise_by = Fraction(bounds.RELATIVE_SLACK) * most_d
+    raise_by = Fraction(slack) * most_d
     d_above, d_below = floats_around(most_d + raise_by)
     s_above, s_below = floats_around(most_ratio + raise_by)
     assert d_below > most_d and s_below > most_ratio
-    assert bounds._bracket_clear(lo, hi, (0.0, d_above), (s_above, 0.0))
-    assert not bounds._bracket_clear(lo, hi, (0.0, d_below), (s_above, 0.0))
-    assert not bounds._bracket_clear(lo, hi, (0.0, d_above), (s_below, 0.0))
-    assert bounds._records_clear(lo, hi, "d", 0.0, d_below)
-    assert bounds._records_clear(lo, hi, "sigma", s_below, 0.0)
+    assert bounds._records_clear(lo, hi, "d", 0.0, d_above, slack)
+    assert not bounds._records_clear(lo, hi, "d", 0.0, d_below, slack)
+    assert bounds._records_clear(lo, hi, "sigma", s_above, 0.0, slack)
+    assert not bounds._records_clear(lo, hi, "sigma", s_below, 0.0, slack)
+    assert bounds._records_clear(lo, hi, "d", 0.0, d_below, 0.0)
+    assert bounds._records_clear(lo, hi, "sigma", s_below, 0.0, 0.0)
     # the affine sigma floor is checked at both ends, and an unbounded
     # floor of either bound clears nothing
     slope = s_above * (1.0 + 1e-9)
     const = -s_above * 1e-9 * 0.75 * hi
-    assert bounds._bracket_clear(hi - 1, hi, (0.0, d_above), (slope, const))
-    assert not bounds._bracket_clear(lo, hi, (0.0, d_above), (slope, const))
-    assert not bounds._bracket_clear(lo, hi, (0.0, -math.inf), (s_above, 0.0))
-    assert not bounds._bracket_clear(lo, hi, (0.0, d_above), (0.0, -math.inf))
+    assert bounds._records_clear(hi - 1, hi, "sigma", slope, const, slack)
+    assert not bounds._records_clear(lo, hi, "sigma", slope, const, slack)
+    assert not bounds._records_clear(lo, hi, "d", 0.0, -math.inf, slack)
+    assert not bounds._records_clear(lo, hi, "sigma", 0.0, -math.inf, slack)
 
 
 def test_nicolas_rising_point_for_the_paper_constant():
