@@ -477,9 +477,6 @@ def _records_sweep(lo: int, hi: int, held, slack: float, check) -> list[BoundRep
     is at most RELATIVE_SLACK * D(b) * k, as 0 <= middle <= k d(k).  The
     floors' band is far more than either margin's float error, so a piece
     where both raised records clear holds no flagged k.
-
-    Asking for the records at hi first builds the one candidate list that
-    every span's records are read from.
     """
     _require_sweep(lo, hi, 3)
     held = [(sieved, float(c)) for sieved, c in held]
@@ -496,7 +493,6 @@ def _records_sweep(lo: int, hi: int, held, slack: float, check) -> list[BoundRep
             for (sieved, _), floor in zip(held, floors(a, b))
         )
 
-    record_maxima(hi)
     reports = []
     for a, b, cleared in _walk(lo, hi, start, clears):
         if not cleared:

@@ -11,6 +11,13 @@ census add csv lines; run picks the format and prints.  A warning the
 library raises on the way is printed as one "warning: ..." line on
 stderr, as an error is printed as "error: ...".
 
+When the first argument names a command, the parser holds that one
+subparser, so a command does not pay to build the other five.  Any
+other command line (help, no arguments, an unknown command, or a root
+option such as --format before the command) gets all six, so help and
+usage errors read as they always have; the root usage line lists every
+command either way.
+
 json and csv output format every float with exactly 10 fractional
 digits, so a command line produces identical bytes on every run apart
 from elapsed-time fields.  json writes a float that is not finite as
@@ -302,15 +309,27 @@ def _add_format_flag(p: argparse.ArgumentParser, root: bool = False):
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("count", "multiplicity", "census", "verify", "bounds", "series")
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The root parser with the subparser of the command argv starts
+    with, or with all of them when argv starts with anything else."""
     parser = argparse.ArgumentParser(
         prog="mtable",
         description="Multiplication-table censuses, multiplicities, and bound checks.",
     )
     _add_format_flag(parser, root=True)
-    sub = parser.add_subparsers(dest="command", required=True)
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    # the usage line lists every command either way; with all of them
+    # built argparse lists them itself, and its error messages name the
+    # positional "command"
+    metavar = "{" + ",".join(_COMMANDS) + "}" if only else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
     def command(name, handler, help):
+        if only not in (None, name):
+            return None
         p = sub.add_parser(name, help=help)
         _add_format_flag(p)
         p.set_defaults(handler=handler)
@@ -323,42 +342,43 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--parallel", action="store_true")
 
-    p = command("count", _cmd_count, "count distinct products of one table")
-    p.add_argument("--n", type=int, required=True)
-    table_flags(p)
+    if p := command("count", _cmd_count, "count distinct products of one table"):
+        p.add_argument("--n", type=int, required=True)
+        table_flags(p)
 
-    p = command("multiplicity", _cmd_multiplicity, "multiplicity of one product")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--method", choices=("direct", "formula", "both"), default="both")
+    if p := command("multiplicity", _cmd_multiplicity, "multiplicity of one product"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--method", choices=("direct", "formula", "both"), default="both")
 
-    p = command("census", _cmd_census, "distinct-product census over several n")
-    p.add_argument("--n-list", required=True, help="comma-separated n values")
-    p.add_argument("--cache", default=None, help="CSV cache path (columns n,m)")
-    table_flags(p)
+    if p := command("census", _cmd_census, "distinct-product census over several n"):
+        p.add_argument("--n-list", required=True, help="comma-separated n values")
+        p.add_argument("--cache", default=None, help="CSV cache path (columns n,m)")
+        table_flags(p)
 
-    p = command("verify", _cmd_verify, "run one verification suite")
-    p.add_argument("--suite", required=True, choices=tuple(_SUITES))
-    p.add_argument(
-        "--max", "--n", dest="max", type=int, default=None,
-        help="upper end of the sweep (identities: highest table size)",
-    )
-    p.add_argument("--robin-c", type=_robin_c, default=bnd.ROBIN_C)
+    if p := command("verify", _cmd_verify, "run one verification suite"):
+        p.add_argument("--suite", required=True, choices=tuple(_SUITES))
+        p.add_argument(
+            "--max", "--n", dest="max", type=int, default=None,
+            help="upper end of the sweep (identities: highest table size)",
+        )
+        p.add_argument("--robin-c", type=_robin_c, default=bnd.ROBIN_C)
 
-    p = command("bounds", _cmd_bounds, "bounds and bracket at one argument")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--robin-c", type=_robin_c, default=bnd.ROBIN_C)
+    if p := command("bounds", _cmd_bounds, "bounds and bracket at one argument"):
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--robin-c", type=_robin_c, default=bnd.ROBIN_C)
 
-    p = command("series", _cmd_series, "square identity at one (s, n)")
-    p.add_argument("--s", required=True, help="exponent, RE or RE,IM")
-    p.add_argument("--n", type=int, required=True)
+    if p := command("series", _cmd_series, "square identity at one (s, n)"):
+        p.add_argument("--s", required=True, help="exponent, RE or RE,IM")
+        p.add_argument("--n", type=int, required=True)
 
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.format == "csv" and args.command not in ("count", "census"):

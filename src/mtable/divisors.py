@@ -7,8 +7,9 @@ sieves d(m) or sigma(m) for every m in a window [lo, hi] in one pass, so
 long ranges are swept window by window.  The incomplete divisor count
 d(k; x) restricts to divisors <= x, and its integral over [1, k] has the
 closed form k*d(k) - sigma(k).  record_maxima gives the largest d(m)
-and sigma(m)/m over m <= x from the exponents of a short list of
-candidates, without factorising or sieving anything.
+and sigma(m)/m over m <= x from a frozen table of the 179 points below
+2**63 where either running maximum rises, without factorising or
+sieving anything.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Literal
 
 import numpy as np
@@ -229,77 +231,204 @@ def incomplete_divisor_integral(k: int) -> int:
     return k * len(divs) - sum(divs)
 
 
-def _record_steps(
-    bits: int,
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[Fraction, ...]]:
-    """(ms, ds, ratios): the m < 2**bits, ascending, at which the running
-    maximum of d or of sigma(m)/m rises, with both running maxima there.
-
-    Both maxima over m <= x are reached at an m whose exponents do not
-    increase over the consecutive primes 2, 3, 5, ...  Moving a number's
-    exponents, largest first, onto the smallest primes keeps d, does not
-    raise m and does not lower sigma(m)/m = prod 1 + 1/p + ... + 1/p**e,
-    whose factor falls with p for each e, and whose ratio between a
-    larger and a smaller exponent falls with p too (Ramanujan 1915 for
-    d, Alaoglu and Erdos 1944 for sigma(m)/m).  So only those candidates
-    are listed, with d and sigma taken from their exponents: 1,274 of
-    them below 1e9.
-    """
-    limit = (1 << bits) - 1
-    primes = []
-    primorial = 1
-    for p in _wheel():
-        if primorial * p > limit:
-            break
-        if _is_prime(p):
-            primes.append(p)
-            primorial *= p
-    candidates = []
-
-    def grow(m, d, sigma, i, most):
-        # m has exponents on primes[:i], the last of them `most`
-        candidates.append((m, d, sigma))
-        if i == len(primes):
-            return
-        p = primes[i]
-        power = p
-        for e in range(1, most + 1):
-            if m * power > limit:
-                break
-            grow(m * power, d * (e + 1), sigma * (power * p - 1) // (p - 1), i + 1, e)
-            power *= p
-
-    grow(1, 1, 1, 0, bits)
-    ms, ds, ratios = [], [], []
-    most_d, most_sigma, at = 0, 0, 1
-    for m, d, sigma in sorted(candidates):
-        # sigma/m against most_sigma/at, exactly
-        ratio_rises = sigma * at > most_sigma * m
-        if d > most_d or ratio_rises:
-            most_d = max(most_d, d)
-            if ratio_rises:
-                most_sigma, at = sigma, m
-            ms.append(m)
-            ds.append(most_d)
-            ratios.append(Fraction(most_sigma, at))
-    return tuple(ms), tuple(ds), tuple(ratios)
-
-
-# (bits, _record_steps(bits)) for the most bits asked for so far: its
-# steps up to any x of no more bits are those of x's own list, so a sweep
-# that asks for its upper end first builds one list.
-_longest_steps = (0, ((), (), ()))
+# m, D, A numerator and A denominator at every m < 2**63 where the
+# running maximum D of d(m) or A of sigma(m)/m over [1, m] rises, m
+# ascending, A in lowest terms.  tests/oracles.py record_steps
+# regenerates these rows from the candidates whose exponents do not
+# increase over the primes, and the tests check them against it and
+# against the sieve.  The rows are text, split once at import: as 716
+# integer literals they would take about a millisecond more to compile
+# whenever divisors.py is imported without a bytecode cache.
+_RECORDS = tuple(
+    tuple(map(int, row.split()))
+    for row in """
+                      1       1            1           1
+                      2       2            3           2
+                      4       3            7           4
+                      6       4            2           1
+                     12       6            7           3
+                     24       8            5           2
+                     36       9           91          36
+                     48      10           31          12
+                     60      12           14           5
+                    120      16            3           1
+                    180      18           91          30
+                    240      20           31          10
+                    360      24           13           4
+                    720      30          403         120
+                    840      32           24           7
+                   1260      36           52          15
+                   1680      40          124          35
+                   2520      48           26           7
+                   5040      60          403         105
+                   7560      64          403         105
+                  10080      72           39          10
+                  15120      80          248          63
+                  20160      84          248          63
+                  25200      90        12493        3150
+                  27720      96          312          77
+                  45360     100          312          77
+                  50400     108          312          77
+                  55440     120         1612         385
+                  83160     128         1612         385
+                 110880     144          234          55
+                 166320     160          992         231
+                 221760     168          992         231
+                 277200     180        24986        5775
+                 332640     192           48          11
+                 498960     200           48          11
+                 554400     216         1209         275
+                 665280     224         1016         231
+                 720720     240          248          55
+                1081080     256          248          55
+                1441440     288          252          55
+                2162160     320         1984         429
+                2882880     336         1984         429
+                3603600     360         3844         825
+                4324320     384          672         143
+                6486480     400          672         143
+                7207200     432         1302         275
+                8648640     448         2032         429
+               10810800     480        30752        6435
+               14414400     504        30752        6435
+               17297280     512        30752        6435
+               21621600     576         3472         715
+               32432400     600         3472         715
+               36756720     640        11904        2431
+               43243200     672        11904        2431
+               61261200     720        23064        4675
+               73513440     768        12096        2431
+              110270160     800        12096        2431
+              122522400     864        23436        4675
+              147026880     896        12192        2431
+              183783600     960        61504       12155
+              245044800    1008        61504       12155
+              294053760    1024        61504       12155
+              367567200    1152        62496       12155
+              551350800    1200        62496       12155
+              698377680    1280       238080       46189
+              735134400    1344        62992       12155
+             1102701600    1440        28644        5525
+             1163962800    1440        92256       17765
+             1396755360    1536       241920       46189
+             2095133040    1600       241920       46189
+             2205403200    1680       241920       46189
+             2327925600    1728        93744       17765
+             2793510720    1792       243840       46189
+             3491888400    1920       246016       46189
+             4655851200    2016       246016       46189
+             5587021440    2048       246016       46189
+             6983776800    2304       249984       46189
+            10475665200    2400       249984       46189
+            13967553600    2688       251968       46189
+            20951330400    2880       114576       20995
+            27935107200    3072        14880        2717
+            41902660800    3360       346456       62985
+            48886437600    3456        13392        2431
+            64250746560    3584        13392        2431
+            73329656400    3600        13392        2431
+            80313433200    3840      5904384     1062347
+            97772875200    4032      5904384     1062347
+           128501493120    4096      5904384     1062347
+           146659312800    4320      5904384     1062347
+           160626866400    4608      5999616     1062347
+           240940299600    4800      5999616     1062347
+           293318625600    5040      5999616     1062347
+           321253732800    5376      6047232     1062347
+           481880599200    5760      2749824      482885
+           642507465600    6144       357120       62491
+           963761198400    6720      2771648      482885
+          1124388064800    6912       321408       55913
+          1606268664000    7168       321408       55913
+          1686582097200    7200       321408       55913
+          1927522396800    7680        32736        5681
+          2248776129600    8064      2267712      391391
+          3212537328000    8192      2267712      391391
+          3373164194400    8640       147312       25415
+          4497552259200    9216       133920       23023
+          4658179125600    9216    179988480    30808063
+          6746328388800   10080      1039368      177905
+          8995104518400   10368      1039368      177905
+          9316358251200   10752    181416960    30808063
+         13492656777600   11520    181416960    30808063
+         13974537376800   11520     16498944     2800733
+         18632716502400   12288     10713600     1812239
+         26985313555200   12960     10713600     1812239
+         27949074753600   13440     16629888     2800733
+         32607253879200   13824      9642240     1621477
+         46581791256000   14336      9642240     1621477
+         48910880818800   14400      9642240     1621477
+         55898149507200   15360       982080      164749
+         65214507758400   16128     68031360    11350339
+         93163582512000   16384     68031360    11350339
+         97821761637600   17280       883872      147407
+        130429015516800   18432      4017600      667667
+        144403552893600   18432    185794560    30808063
+        195643523275200   20160      6236208     1031849
+        260858031033600   20736      6236208     1031849
+        288807105787200   21504    187269120    30808063
+        391287046550400   23040    187269120    30808063
+        433210658680800   23040     17031168     2800733
+        577614211574400   24576     11059200     1812239
+        782574093100800   25920     11059200     1812239
+        866421317361600   26880     17166336     2800733
+       1010824870255200   27648      9953280     1621477
+       1444035528936000   28672      9953280     1621477
+       1516237305382800   28800      9953280     1621477
+       1732842634723200   30720      1013760      164749
+       2021649740510400   32256     70225920    11350339
+       2888071057872000   32768     70225920    11350339
+       3032474610765600   34560       912384      147407
+       4043299481020800   36864      4147200      667667
+       6064949221531200   40320      6437376     1031849
+       8086598962041600   41472      6437376     1031849
+      10108248702552000   43008      6437376     1031849
+      10685862914126400   43008    374538240    59994649
+      12129898443062400   46080       380160       60697
+      18194847664593600   48384       380160       60697
+      20216497405104000   49152       380160       60697
+      21371725828252800   49152     22118400     3529097
+      24259796886124800   51840       925056      147407
+      30324746107656000   53760     77248512    12302815
+      32057588742379200   53760     34332672     5454059
+      36389695329187200   55296     34332672     5454059
+      37400520199442400   55296    378224640    59994649
+      48519593772249600   57600    378224640    59994649
+      60649492215312000   61440    378224640    59994649
+      64115177484758400   61440      2027520      320827
+      72779390658374400   62208      2027520      320827
+      74801040398884800   64512   2668584960   419962543
+     106858629141264000   65536   2668584960   419962543
+     112201560598327200   69120     34670592     5454059
+     149602080797769600   73728    157593600    24703679
+     224403121196654400   80640    244620288    38178413
+     299204161595539200   82944    244620288    38178413
+     374005201994424000   86016    244620288    38178413
+     448806242393308800   92160     14446080     2245789
+     673209363589963200   96768     14446080     2245789
+     748010403988848000   98304     14446080     2245789
+     897612484786617600  103680     35152128     5454059
+    1122015605983272000  107520   2935443456   455204155
+    1346418727179926400  110592      1751040      271469
+    1533421328177138400  110592  15885434880  2459780609
+    1795224969573235200  115200  15885434880  2459780609
+    2244031211966544000  122880     34670592     5355343
+    2692837454359852800  124416     34670592     5355343
+    3066842656354276800  129024  16011509760  2459780609
+    4381203794791824000  131072  16011509760  2459780609
+    4488062423933088000  138240  16011509760  2459780609
+    4600263984531415200  138240   1456164864   223616419
+    6133685312708553600  147456    945561600   144692977
+    8976124847866176000  153600    945561600   144692977
+    9200527969062830400  161280   1467721728   223616419
+""".strip().splitlines()
+)
 
 
 def record_maxima(x: int) -> tuple[int, Fraction]:
     """(max d(m), max sigma(m)/m) over 1 <= m <= x, exact, for x in
-    [1, 2**63 - 1].  The candidates below the next power of two are
-    listed when no longer list has been, and the longest list is kept."""
-    global _longest_steps
+    [1, 2**63 - 1]: the row of _RECORDS at the last step at or below x."""
     if not 1 <= x <= MAX_K:
         raise ValueError(f"x must be in [1, 2**63 - 1], got {x}")
-    if x.bit_length() > _longest_steps[0]:
-        _longest_steps = x.bit_length(), _record_steps(x.bit_length())
-    ms, ds, ratios = _longest_steps[1]
-    idx = bisect_right(ms, x) - 1
-    return ds[idx], ratios[idx]
+    _, most_d, num, den = _RECORDS[bisect_right(_RECORDS, x, key=itemgetter(0)) - 1]
+    return most_d, Fraction(num, den)

@@ -115,6 +115,14 @@ OTHER = [
     ("--format", "xml", "count", "--n", "5"),
     ("--format", "json", "count", "--n", "50"),
     ("--format", "csv", "bounds", "--k", "12"),
+    # argv shapes that decide between one subparser and all of them
+    ("-h",),
+    ("verify", "-h"),
+    ("--format=json", "bounds", "--k", "12"),
+    ("--form", "json", "count", "--n", "5"),
+    ("-5", "count"),
+    ("--format", "json", "frobnicate", "count"),
+    ("count", "--n", "5", "verify"),
 ]
 
 

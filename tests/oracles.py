@@ -5,6 +5,7 @@ kept here because nothing outside the tests needs it.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -93,6 +94,59 @@ def trial_prime_powers(k: int) -> list[tuple[int, int]]:
     if m > 1:
         factors.append((m, 1))
     return factors
+
+
+def record_steps(bits: int) -> list[tuple[int, int, Fraction]]:
+    """(m, D, A) at every m < 2**bits, ascending, at which the running
+    maximum D of d(m) or A of sigma(m)/m over [1, m] rises, with both
+    running maxima there.
+
+    Both maxima over m <= x are reached at an m whose exponents do not
+    increase over the consecutive primes 2, 3, 5, ...  Moving a number's
+    exponents, largest first, onto the smallest primes keeps d, does not
+    raise m and does not lower sigma(m)/m = prod 1 + 1/p + ... + 1/p**e,
+    whose factor falls with p for each e, and whose ratio between a
+    larger and a smaller exponent falls with p too (Ramanujan 1915 for
+    d, Alaoglu and Erdos 1944 for sigma(m)/m).  So only those candidates
+    are listed, with d and sigma taken from their exponents: 1,274 of
+    them below 1e9.
+    """
+    limit = (1 << bits) - 1
+    primes = []
+    primorial = 1
+    for p in range(2, 1 << 10):
+        if all(p % q for q in primes):
+            if primorial * p > limit:
+                break
+            primes.append(p)
+            primorial *= p
+    candidates = []
+
+    def grow(m, d, sigma, i, most):
+        # m has exponents on primes[:i], the last of them `most`
+        candidates.append((m, d, sigma))
+        if i == len(primes):
+            return
+        p = primes[i]
+        power = p
+        for e in range(1, most + 1):
+            if m * power > limit:
+                break
+            grow(m * power, d * (e + 1), sigma * (power * p - 1) // (p - 1), i + 1, e)
+            power *= p
+
+    grow(1, 1, 1, 0, bits)
+    steps = []
+    most_d, most_sigma, at = 0, 0, 1
+    for m, d, sigma in sorted(candidates):
+        # sigma/m against most_sigma/at, exactly
+        ratio_rises = sigma * at > most_sigma * m
+        if d > most_d or ratio_rises:
+            most_d = max(most_d, d)
+            if ratio_rises:
+                most_sigma, at = sigma, m
+            steps.append((m, most_d, Fraction(most_sigma, at)))
+    return steps
 
 
 def scalar_theorem_sweep(counts: np.ndarray) -> list[BoundReport]:

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, flag placement."""
 
+import argparse
 import ast
 import json
 import math
@@ -621,3 +622,213 @@ GOLDEN = [
 def test_golden_bytes(capsys, argv, exit_code, stdout):
     code, out, _ = run(capsys, *argv)
     assert (code, out) == (exit_code, stdout)
+
+
+# Exact stdout, stderr and exit code of help and usage errors at 80
+# columns, as Python 3.11's argparse formats them: the root usage line
+# lists every command whether one subparser is built or all of them.
+USAGE_GOLDEN = [
+    (
+        ("--help",),
+        0,
+        (
+            "usage: mtable [-h] [--format {text,json,csv}]\n"
+            "              {count,multiplicity,census,verify,bounds,series} ...\n"
+            "\n"
+            "Multiplication-table censuses, multiplicities, and bound checks.\n"
+            "\n"
+            "positional arguments:\n"
+            "  {count,multiplicity,census,verify,bounds,series}\n"
+            "    count               count distinct products of one table\n"
+            "    multiplicity        multiplicity of one product\n"
+            "    census              distinct-product census over several n\n"
+            "    verify              run one verification suite\n"
+            "    bounds              bounds and bracket at one argument\n"
+            "    series              square identity at one (s, n)\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --format {text,json,csv}\n"
+            "                        output format (csv only for count and census)\n"
+        ),
+        "",
+    ),
+    (
+        ("count", "--help"),
+        0,
+        (
+            "usage: mtable count [-h] [--format {text,json,csv}] --n N\n"
+            "                    [--segment-bits SEGMENT_BITS] [--parallel]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --format {text,json,csv}\n"
+            "                        output format (csv only for count and census)\n"
+            "  --n N\n"
+            "  --segment-bits SEGMENT_BITS\n"
+            "                        window length in values (default 1048576)\n"
+            "  --parallel\n"
+        ),
+        "",
+    ),
+    (
+        ("multiplicity", "--help"),
+        0,
+        (
+            "usage: mtable multiplicity [-h] [--format {text,json,csv}] --n N --k K\n"
+            "                           [--method {direct,formula,both}]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --format {text,json,csv}\n"
+            "                        output format (csv only for count and census)\n"
+            "  --n N\n"
+            "  --k K\n"
+            "  --method {direct,formula,both}\n"
+        ),
+        "",
+    ),
+    (
+        ("census", "--help"),
+        0,
+        (
+            "usage: mtable census [-h] [--format {text,json,csv}] --n-list N_LIST\n"
+            "                     [--cache CACHE] [--segment-bits SEGMENT_BITS]\n"
+            "                     [--parallel]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --format {text,json,csv}\n"
+            "                        output format (csv only for count and census)\n"
+            "  --n-list N_LIST       comma-separated n values\n"
+            "  --cache CACHE         CSV cache path (columns n,m)\n"
+            "  --segment-bits SEGMENT_BITS\n"
+            "                        window length in values (default 1048576)\n"
+            "  --parallel\n"
+        ),
+        "",
+    ),
+    (
+        ("verify", "--help"),
+        0,
+        (
+            "usage: mtable verify [-h] [--format {text,json,csv}] --suite\n"
+            "                     {identities,divisor-bound,sigma-bound,"
+            "theorem,bracket,monotonicity}\n"
+            "                     [--max MAX] [--robin-c ROBIN_C]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --format {text,json,csv}\n"
+            "                        output format (csv only for count and census)\n"
+            "  --suite {identities,divisor-bound,sigma-bound,theorem,bracket,monotonicity}\n"
+            "  --max MAX, --n MAX    upper end of the sweep (identities: highest table\n"
+            "                        size)\n"
+            "  --robin-c ROBIN_C\n"
+        ),
+        "",
+    ),
+    (
+        ("bounds", "--help"),
+        0,
+        (
+            "usage: mtable bounds [-h] [--format {text,json,csv}] --k K [--robin-c ROBIN_C]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --format {text,json,csv}\n"
+            "                        output format (csv only for count and census)\n"
+            "  --k K\n"
+            "  --robin-c ROBIN_C\n"
+        ),
+        "",
+    ),
+    (
+        ("series", "--help"),
+        0,
+        (
+            "usage: mtable series [-h] [--format {text,json,csv}] --s S --n N\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --format {text,json,csv}\n"
+            "                        output format (csv only for count and census)\n"
+            "  --s S                 exponent, RE or RE,IM\n"
+            "  --n N\n"
+        ),
+        "",
+    ),
+    (
+        (),
+        2,
+        "",
+        (
+            "usage: mtable [-h] [--format {text,json,csv}]\n"
+            "              {count,multiplicity,census,verify,bounds,series} ...\n"
+            "mtable: error: the following arguments are required: command\n"
+        ),
+    ),
+    (
+        ("frobnicate",),
+        2,
+        "",
+        (
+            "usage: mtable [-h] [--format {text,json,csv}]\n"
+            "              {count,multiplicity,census,verify,bounds,series} ...\n"
+            "mtable: error: argument command: invalid choice: 'frobnicate' "
+            "(choose from 'count', 'multiplicity', 'census', 'verify', 'bounds', "
+            "'series')\n"
+        ),
+    ),
+    (
+        ("--format", "xml", "count", "--n", "5"),
+        2,
+        "",
+        (
+            "usage: mtable [-h] [--format {text,json,csv}]\n"
+            "              {count,multiplicity,census,verify,bounds,series} ...\n"
+            "mtable: error: argument --format: invalid choice: 'xml' "
+            "(choose from 'text', 'json', 'csv')\n"
+        ),
+    ),
+    (
+        ("count",),
+        2,
+        "",
+        (
+            "usage: mtable count [-h] [--format {text,json,csv}] --n N\n"
+            "                    [--segment-bits SEGMENT_BITS] [--parallel]\n"
+            "mtable count: error: the following arguments are required: --n\n"
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, stdout, stderr",
+    USAGE_GOLDEN,
+    ids=[" ".join(g[0]) or "no arguments" for g in USAGE_GOLDEN],
+)
+def test_usage_golden_bytes(capsys, monkeypatch, argv, exit_code, stdout, stderr):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *argv) == (exit_code, stdout, stderr)
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [(("verify", "--suite", "divisor-bound"), ["verify"]), (("--help",), list(cli._COMMANDS))],
+)
+def test_one_subparser_per_invoked_command(capsys, monkeypatch, argv, built):
+    # a command line that starts with a command builds that command's
+    # subparser alone; anything else builds all six, the commands the
+    # one-command usage line lists
+    real = argparse._SubParsersAction.add_parser
+    names = []
+
+    def recording(self, name, **kwargs):
+        names.append(name)
+        return real(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
+    assert run(capsys, *argv)[0] == 0
+    assert names == built

@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import divisor_step_integral, trial_prime_powers
+from oracles import divisor_step_integral, record_steps, trial_prime_powers
 
 from mtable import divisors
 from mtable.divisors import (
     MAX_K,
     _is_prime,
     _prime_powers,
-    _record_steps,
     divisor_count,
     divisor_list,
     divisor_sum,
@@ -249,7 +248,7 @@ def test_record_maxima_are_the_running_maxima_of_the_sieve():
     # D(x) and A(x) are step functions of x, so equal steps make them
     # equal at every x <= 1e7
     hi = 10**7
-    steps = [s for s in zip(*_record_steps(hi.bit_length())) if s[0] <= hi]
+    steps = [s for s in record_steps(hi.bit_length()) if s[0] <= hi]
     assert steps == sieved_record_steps(hi)
     for m, most_d, most_ratio in steps:
         assert record_maxima(m) == (most_d, most_ratio)
@@ -258,11 +257,34 @@ def test_record_maxima_are_the_running_maxima_of_the_sieve():
     assert record_maxima(hi) == steps[-1][1:]
 
 
+def table_steps():
+    return [(m, most_d, Fraction(num, den)) for m, most_d, num, den in divisors._RECORDS]
+
+
+def test_record_table_is_the_candidates_steps():
+    # the frozen table is every step below 2**63 of the running maxima
+    # over the candidates with exponents falling along the primes
+    steps = table_steps()
+    assert len(steps) == 179
+    assert steps == record_steps(63)
+
+
+def test_record_maxima_at_every_step():
+    # at each step the maxima are that row's; one below it, the row
+    # before's
+    steps = table_steps()
+    assert record_maxima(1) == steps[0][1:]
+    for before, (m, most_d, most_ratio) in zip(steps, steps[1:]):
+        assert record_maxima(m) == (most_d, most_ratio), m
+        assert record_maxima(m - 1) == before[1:], m
+    assert record_maxima(MAX_K) == steps[-1][1:]
+
+
 def test_records_are_their_own_divisor_counts_and_sums():
     # where D rises at m it is d(m), and where A rises it is sigma(m)/m,
-    # from the scalar factorisation; up to 1e12
+    # from the scalar factorisation; at every step below 2**63
     previous_d, previous_ratio = 0, 0
-    for m, most_d, most_ratio in zip(*_record_steps(40)):
+    for m, most_d, most_ratio in table_steps():
         if most_d > previous_d:
             assert divisor_count(m) == most_d, m
         if most_ratio > previous_ratio:
@@ -270,23 +292,6 @@ def test_records_are_their_own_divisor_counts_and_sums():
         previous_d, previous_ratio = most_d, most_ratio
     # the d record to 1e9 is 735134400 = 2**6 * 3**3 * 5**2 * 7 * 11 * 13 * 17
     assert record_maxima(10**9)[0] == divisor_count(735134400) == 1344
-
-
-def test_record_maxima_read_the_longest_list(monkeypatch):
-    # once the list for 2**40 is built, a smaller x builds none and gets
-    # the maxima its own, shorter list gives
-    xs = (1, 2, 12, 1000, 2**20, 735134400, 10**9, 2**40 - 1)
-    own = {}
-    for x in xs:
-        ms, ds, ratios = _record_steps(x.bit_length())
-        idx = max(j for j, m in enumerate(ms) if m <= x)
-        own[x] = ds[idx], ratios[idx]
-    monkeypatch.setattr(divisors, "_longest_steps", (0, ((), (), ())))
-    record_maxima(2**40 - 1)
-    built = []
-    monkeypatch.setattr(divisors, "_record_steps", built.append)
-    assert {x: record_maxima(x) for x in xs} == own
-    assert built == []
 
 
 def test_record_maxima_rejects_out_of_range():

@@ -37,7 +37,7 @@ import numpy as np
 import pytest
 from oracles import scalar_theorem_sweep
 
-from mtable import bounds, divisors, products
+from mtable import bounds, products
 
 # at least three windows, ending off a window edge
 LO = 5
@@ -345,26 +345,6 @@ def test_records_skip_the_windows_they_clear(monkeypatch, sweep, c, reports):
         assert len(sweep(3, hi, c)) == reports
         assert sieved[0][0] == 3
         assert sum(b - a + 1 for a, b in sieved) <= most, hi
-
-
-@pytest.mark.parametrize(
-    "sweep",
-    [bounds.verify_divisor_bound, bounds.verify_sigma_bound, bounds.verify_bracket_sweep],
-)
-def test_one_record_list_per_sweep(monkeypatch, sweep):
-    # the sweep asks for the records at its upper end first, so every
-    # span below reads that one candidate list
-    real = divisors._record_steps
-    built = []
-
-    def counting(bits):
-        built.append(bits)
-        return real(bits)
-
-    monkeypatch.setattr(divisors, "_longest_steps", (0, ((), (), ())))
-    monkeypatch.setattr(divisors, "_record_steps", counting)
-    sweep(3, 10**9)
-    assert built == [(10**9).bit_length()]
 
 
 def test_records_are_compared_with_the_floor_exactly():
