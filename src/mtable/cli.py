@@ -98,9 +98,7 @@ def _census_row(p: products.TableCensus) -> dict:
 
 
 def _cmd_count(args):
-    (p,) = products.census(
-        [args.n], None, segment_bits=args.segment_bits, parallel=args.parallel
-    )
+    (p,) = products.census([args.n], parallel=args.parallel)
     text = (
         f"M({p.n}) = {p.distinct_count}  density {_ffmt(p.density)}  "
         f"mean multiplicity {_ffmt(p.mean_multiplicity)}  [{p.elapsed:.3f}s]"
@@ -112,9 +110,7 @@ def _cmd_census(args):
     n_values = [int(part) for part in args.n_list.split(",") if part.strip()]
     if not n_values:
         raise ValueError("--n-list must contain at least one integer")
-    points = products.census(
-        n_values, args.cache, segment_bits=args.segment_bits, parallel=args.parallel
-    )
+    points = products.census(n_values, args.cache, parallel=args.parallel)
     text = [
         f"{'n':>8} {'m':>14} {'density':>14} {'mean_mult':>14} "
         f"{'erdos_ref':>12} {'ford_ref':>12}  elapsed"
@@ -335,16 +331,9 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    def table_flags(p):
-        p.add_argument(
-            "--segment-bits", type=int, default=products.SEGMENT_BITS_DEFAULT,
-            help="window length in values (default %(default)s)",
-        )
-        p.add_argument("--parallel", action="store_true")
-
     if p := command("count", _cmd_count, "count distinct products of one table"):
         p.add_argument("--n", type=int, required=True)
-        table_flags(p)
+        p.add_argument("--parallel", action="store_true")
 
     if p := command("multiplicity", _cmd_multiplicity, "multiplicity of one product"):
         p.add_argument("--n", type=int, required=True)
@@ -354,7 +343,7 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     if p := command("census", _cmd_census, "distinct-product census over several n"):
         p.add_argument("--n-list", required=True, help="comma-separated n values")
         p.add_argument("--cache", default=None, help="CSV cache path (columns n,m)")
-        table_flags(p)
+        p.add_argument("--parallel", action="store_true")
 
     if p := command("verify", _cmd_verify, "run one verification suite"):
         p.add_argument("--suite", required=True, choices=tuple(_SUITES))

@@ -41,10 +41,9 @@ __all__ = [
 # 64 MiB at N = 8192, where the whole prefix takes about half a second.
 PREFIX_N_MAX = 8192
 
-# Window length (number of product values per window) for the segmented
-# sweep, and the smallest length accepted.
-SEGMENT_BITS_DEFAULT = 1 << 20
-SEGMENT_BITS_MIN = 1 << 16
+# Window length (number of product values per window) of the segmented
+# sweep.  It changes no count, only the time and the memory of a window.
+SEGMENT_WINDOW = 1 << 20
 
 _MAX_WORKERS = 8
 
@@ -129,13 +128,6 @@ def _require_count_n(n: int):
         raise ValueError(f"n must be in [1, {COUNT_N_MAX}], got {n}")
 
 
-def _require_segment_bits(segment_bits: int):
-    if segment_bits < SEGMENT_BITS_MIN:
-        raise ValueError(
-            f"segment_bits must be >= {SEGMENT_BITS_MIN}, got {segment_bits}"
-        )
-
-
 def _require_cache_path(path: str | Path):
     # a directory, or a path in a directory that does not exist, can be
     # neither read nor replaced as a cache file
@@ -218,10 +210,8 @@ def _count_window(args: tuple[int, int, int]) -> int:
     return int(np.count_nonzero(window))
 
 
-def count_distinct_segmented(
-    n: int, segment_bits: int = SEGMENT_BITS_DEFAULT, parallel: bool = False
-) -> int:
-    """M(n) by sweeping [1, n^2] in windows of segment_bits values.
+def count_distinct_segmented(n: int, *, parallel: bool = False) -> int:
+    """M(n) by sweeping [1, n^2] in windows of SEGMENT_WINDOW values.
 
     Peak memory is one window plus the sparse rows' indices (see
     _count_window).  The per-window counts are exact integers, so the
@@ -232,8 +222,7 @@ def count_distinct_segmented(
     n may be at most COUNT_N_MAX.
     """
     _require_count_n(n)
-    _require_segment_bits(segment_bits)
-    jobs = [(n, lo, hi) for lo, hi in _window_ranges(1, n * n, segment_bits)]
+    jobs = [(n, lo, hi) for lo, hi in _window_ranges(1, n * n, SEGMENT_WINDOW)]
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -346,26 +335,24 @@ def census(
     n_values: Iterable[int],
     cache_path: str | Path | None = None,
     *,
-    segment_bits: int = SEGMENT_BITS_DEFAULT,
     parallel: bool = False,
 ) -> list[TableCensus]:
     """Census points for each n, using (and updating) an optional cache.
 
     The cache stores n,m pairs only; density and mean multiplicity are
-    always rederived, and the window length and pool never change a
-    stored value.  segment_bits, every n (at most COUNT_N_MAX) and the
-    cache path (not a directory, and in a directory that exists) are
-    checked on entry, before the cache is read or any n is counted, also
-    when every n is cached.  The cache file is written only when some n
-    was computed, under a lock on a sidecar file: the cache is read again
-    there and the new entries are merged in, so concurrent writers keep
-    each other's entries.  A cache that fails to parse, or holds an entry
-    that conflicts with this census, is recomputed and overwritten.
+    always rederived, and the pool never changes a stored value.  Every
+    n (at most COUNT_N_MAX) and the cache path (not a directory, and in
+    a directory that exists) are checked on entry, before the cache is
+    read or any n is counted, also when every n is cached.  The cache
+    file is written only when some n was computed, under a lock on a
+    sidecar file: the cache is read again there and the new entries are
+    merged in, so concurrent writers keep each other's entries.  A cache
+    that fails to parse, or holds an entry that conflicts with this
+    census, is recomputed and overwritten.
     """
     n_values = list(n_values)
     for n in n_values:
         _require_count_n(n)
-    _require_segment_bits(segment_bits)
     if cache_path is not None:
         _require_cache_path(cache_path)
     cached = {} if cache_path is None else _read_cache(cache_path)
@@ -376,7 +363,7 @@ def census(
         if n in cached:
             m = cached[n]
         else:
-            m = cached[n] = count_distinct_segmented(n, segment_bits, parallel)
+            m = cached[n] = count_distinct_segmented(n, parallel=parallel)
             computed = True
         out.append(TableCensus.from_count(n, m, time.perf_counter() - start))
     if cache_path is not None and computed:

@@ -1,4 +1,4 @@
-"""Byte-for-byte parity of the mtable command line between two source trees.
+"""Byte-for-byte parity of the mtable command line.
 
     python tests/cli_parity.py OLD_SRC [NEW_SRC]
 
@@ -10,6 +10,16 @@ command.  Elapsed times and the temporary cache directory are masked.
 Prints each command that differs and exits 1, or exits 0 when all match.
 Use it to check that a change to ``cli.py`` leaves its output alone,
 with OLD_SRC an unpacked copy of the parent commit.
+
+    python tests/cli_parity.py --write
+
+records the same results for this checkout's ``src``, in one fresh
+interpreter, and writes them to ``cli_corpus.json`` beside this script:
+one entry per command with its output split into lines, together with
+the numpy version, Python version and machine they were recorded on.
+``tests/test_parity.py`` compares a fresh record against that file.  A
+change that moves output on purpose regenerates it; commands are
+appended to the lists below, never removed.
 """
 
 from __future__ import annotations
@@ -18,12 +28,16 @@ import contextlib
 import io
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
+
+CORPUS = Path(__file__).with_name("cli_corpus.json")
 
 FORMATS = ("text", "json", "csv")
 SUITES = ("identities", "divisor-bound", "sigma-bound", "theorem", "bracket", "monotonicity")
@@ -137,11 +151,12 @@ def _mask(text: str, tmp: str) -> str:
 
 
 def record() -> list[dict]:
-    """Run every command in this interpreter; the result of each."""
+    """Run every command in this interpreter, help text formatted at 80
+    columns; the result of each."""
     from mtable import cli
 
     results = []
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, COLUMNS="80"):
         for argv in commands():
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -160,8 +175,26 @@ def record() -> list[dict]:
     return results
 
 
+def host() -> dict:
+    """What a recorded float repr or help text can depend on."""
+    import numpy
+
+    return {
+        "numpy": numpy.__version__,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+    }
+
+
+def corpus_entry(result: dict) -> dict:
+    """A result of record() as the corpus stores it: each output as a
+    list of its lines, so a diff of the file shows the line that moved."""
+    return {key: value.split("\n") if key in ("stdout", "stderr") else value
+            for key, value in result.items()}
+
+
 def _run_tree(src: str) -> list[dict]:
-    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, __file__, "--record"],
         env=env, capture_output=True, text=True, check=True,
@@ -173,10 +206,18 @@ def main(argv: list[str]) -> int:
     if argv == ["--record"]:
         print(json.dumps(record()))
         return 0
+    here_src = str(Path(__file__).resolve().parents[1] / "src")
+    if argv == ["--write"]:
+        entries = [corpus_entry(r) for r in _run_tree(here_src)]
+        with open(CORPUS, "w") as fh:
+            json.dump({**host(), "commands": entries}, fh, indent=1, ensure_ascii=False)
+            fh.write("\n")
+        print(f"wrote {len(entries)} commands to {CORPUS}")
+        return 0
     if len(argv) not in (1, 2):
         print(__doc__, file=sys.stderr)
         return 2
-    new_src = argv[1] if len(argv) == 2 else str(Path(__file__).resolve().parents[1] / "src")
+    new_src = argv[1] if len(argv) == 2 else here_src
     old, new = _run_tree(argv[0]), _run_tree(new_src)
     differ = [(a, b) for a, b in zip(old, new) if a != b]
     for a, b in differ:

@@ -5,6 +5,7 @@ import ast
 import json
 import math
 import re
+import shlex
 import time
 import warnings
 from pathlib import Path
@@ -62,19 +63,25 @@ def test_json_floats_have_ten_digits(capsys):
         assert len(frac) == 10
 
 
-def test_count_forced_segmented(capsys):
-    code, out, _ = run(
-        capsys, "count", "--n", "300", "--segment-bits", "65536", "--format", "json"
-    )
+def test_count_forced_segmented(capsys, monkeypatch):
+    monkeypatch.setattr(products, "SEGMENT_WINDOW", 1 << 16)
+    code, out, _ = run(capsys, "count", "--n", "300", "--format", "json")
     assert code == 0
     row = json.loads(out)
     assert row["m"] == count_distinct_dense(300)
 
 
-def test_segment_bits_floor(capsys):
-    code, _, err = run(capsys, "count", "--n", "100", "--segment-bits", "1024")
-    assert code == 2
-    assert "65536" in err
+def test_window_length_is_not_an_argument(capsys):
+    # a caller that still passes a window length fails instead of having
+    # it taken as another argument, such as parallel
+    with pytest.raises(TypeError):
+        products.count_distinct_segmented(300, 1 << 16)
+    with pytest.raises(TypeError):
+        products.census([10], None, segment_bits=1 << 16)
+    for argv in (("count", "--n", "300"), ("census", "--n-list", "10")):
+        code, out, err = run(capsys, *argv, "--segment-bits", "65536")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --segment-bits 65536" in err
 
 
 def test_cache_flag(tmp_path, capsys):
@@ -212,7 +219,7 @@ def test_census_cache_path_that_cannot_be_written(
     # a cache in a missing directory, or a cache path that is a directory,
     # is rejected before the cache is read or any n is counted: one error
     # line, exit 2, no warning, and no lock file beside the directory
-    def no_count(*args):
+    def no_count(*args, **kwargs):
         raise AssertionError("an n was counted")
 
     monkeypatch.setattr(products, "count_distinct_segmented", no_count)
@@ -657,16 +664,13 @@ USAGE_GOLDEN = [
         ("count", "--help"),
         0,
         (
-            "usage: mtable count [-h] [--format {text,json,csv}] --n N\n"
-            "                    [--segment-bits SEGMENT_BITS] [--parallel]\n"
+            "usage: mtable count [-h] [--format {text,json,csv}] --n N [--parallel]\n"
             "\n"
             "options:\n"
             "  -h, --help            show this help message and exit\n"
             "  --format {text,json,csv}\n"
             "                        output format (csv only for count and census)\n"
             "  --n N\n"
-            "  --segment-bits SEGMENT_BITS\n"
-            "                        window length in values (default 1048576)\n"
             "  --parallel\n"
         ),
         "",
@@ -693,8 +697,7 @@ USAGE_GOLDEN = [
         0,
         (
             "usage: mtable census [-h] [--format {text,json,csv}] --n-list N_LIST\n"
-            "                     [--cache CACHE] [--segment-bits SEGMENT_BITS]\n"
-            "                     [--parallel]\n"
+            "                     [--cache CACHE] [--parallel]\n"
             "\n"
             "options:\n"
             "  -h, --help            show this help message and exit\n"
@@ -702,8 +705,6 @@ USAGE_GOLDEN = [
             "                        output format (csv only for count and census)\n"
             "  --n-list N_LIST       comma-separated n values\n"
             "  --cache CACHE         CSV cache path (columns n,m)\n"
-            "  --segment-bits SEGMENT_BITS\n"
-            "                        window length in values (default 1048576)\n"
             "  --parallel\n"
         ),
         "",
@@ -796,8 +797,7 @@ USAGE_GOLDEN = [
         2,
         "",
         (
-            "usage: mtable count [-h] [--format {text,json,csv}] --n N\n"
-            "                    [--segment-bits SEGMENT_BITS] [--parallel]\n"
+            "usage: mtable count [-h] [--format {text,json,csv}] --n N [--parallel]\n"
             "mtable count: error: the following arguments are required: --n\n"
         ),
     ),
@@ -832,3 +832,23 @@ def test_one_subparser_per_invoked_command(capsys, monkeypatch, argv, built):
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
     assert run(capsys, *argv)[0] == 0
     assert names == built
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of every mtable line in the README's Command line block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("mtable ")]
+
+
+def test_readme_commands_run(capsys, monkeypatch, tmp_path):
+    # every command the README advertises parses and runs; a removed flag
+    # would exit 2 with an error line
+    monkeypatch.chdir(tmp_path)
+    argvs = _readme_commands()
+    assert len(argvs) >= 10
+    for argv in argvs:
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1) and "error:" not in err, (argv, code, err)

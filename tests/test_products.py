@@ -17,8 +17,6 @@ from mtable.products import (
     COUNT_N_MAX,
     DENSE_ROW_MIN,
     PREFIX_N_MAX,
-    SEGMENT_BITS_DEFAULT,
-    SEGMENT_BITS_MIN,
     TableCensus,
     _CacheError,
     _count_window,
@@ -51,7 +49,7 @@ def test_dense_matches_brute_force():
 
 def test_window_ranges_partition():
     for n in (10, 300, 2000):
-        ranges = _window_ranges(1, n * n, SEGMENT_BITS_MIN)
+        ranges = _window_ranges(1, n * n, 1 << 16)
         assert ranges[0][0] == 1
         assert ranges[-1][1] == n * n
         for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
@@ -196,16 +194,15 @@ def test_count_window_matches_bitmap(n, data):
     assert _count_window((n, lo, hi)) == window_oracle(n, lo, hi)
 
 
-def test_segmented_equals_dense():
+def test_segmented_equals_dense(monkeypatch):
     for n in (1, 2, 17, 256, 257, 1000):
         expect = count_distinct_dense(n)
-        for bits in (SEGMENT_BITS_MIN, SEGMENT_BITS_DEFAULT):
-            assert count_distinct_segmented(n, bits) == expect, (n, bits)
+        for bits in (1 << 16, 1 << 20):
+            monkeypatch.setattr(products, "SEGMENT_WINDOW", bits)
+            assert count_distinct_segmented(n) == expect, (n, bits)
 
 
-def test_segmented_rejects_small_window():
-    with pytest.raises(ValueError):
-        count_distinct_segmented(100, SEGMENT_BITS_MIN - 1)
+def test_segmented_rejects_empty_table():
     with pytest.raises(ValueError):
         count_distinct_segmented(0)
 
@@ -324,9 +321,9 @@ def _census_in_step(barrier, n_values, path):
     # count nothing until every writer has read the cache
     real = products.count_distinct_segmented
 
-    def count_after_barrier(*args):
+    def count_after_barrier(*args, **kwargs):
         barrier.wait(timeout=60)
-        return real(*args)
+        return real(*args, **kwargs)
 
     products.count_distinct_segmented = count_after_barrier
     census(n_values, cache_path=path)
@@ -362,9 +359,9 @@ def test_census_merges_entries_written_meanwhile(tmp_path, monkeypatch):
     real = products.count_distinct_segmented
     meanwhile = {}
 
-    def count_while_another_writes(*args):
+    def count_while_another_writes(*args, **kwargs):
         save_cache(path, meanwhile)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(
         products, "count_distinct_segmented", count_while_another_writes
@@ -380,12 +377,14 @@ def test_census_merges_entries_written_meanwhile(tmp_path, monkeypatch):
     assert load_cache(path) == {10: 42, 100: 2906}
 
 
-def test_census_rejects_small_window_when_cached(tmp_path):
-    # checked on entry, not only when a count runs
+def test_census_rejects_large_n_when_cached(tmp_path):
+    # checked on entry, not only when a count runs: a plausible entry
+    # past COUNT_N_MAX is in the cache, and still rejected
     path = tmp_path / "census.csv"
-    census([10], cache_path=path)
-    with pytest.raises(ValueError, match=str(SEGMENT_BITS_MIN)):
-        census([10], cache_path=path, segment_bits=SEGMENT_BITS_MIN - 1)
+    n = COUNT_N_MAX + 1
+    save_cache(path, {n: 2 * n - 1})
+    with pytest.raises(ValueError, match=str(COUNT_N_MAX)):
+        census([n], cache_path=path)
 
 
 def test_census_trusts_stored_counts(tmp_path):

@@ -1,11 +1,13 @@
 """Randomized invariants, cross-checking independent routes."""
 
 import math
+from unittest import mock
 
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from oracles import count_distinct_dense
 
+from mtable import products
 from mtable.divisors import divisor_count, divisor_sum, incomplete_divisor_count
 from mtable.multiplicity import multiplicity_direct, multiplicity_formula
 from mtable.products import count_distinct_segmented
@@ -35,7 +37,9 @@ def test_incomplete_count_monotone(k, x):
 
 @given(st.integers(1, 400), st.integers(16, 22).map(lambda e: 1 << e))
 def test_segmented_any_window_length(n, bits):
-    assert count_distinct_segmented(n, bits) == count_distinct_dense(n)
+    # patched in the body: hypothesis rejects function-scoped fixtures
+    with mock.patch.object(products, "SEGMENT_WINDOW", bits):
+        assert count_distinct_segmented(n) == count_distinct_dense(n)
 
 
 @given(st.floats(1.5, 6), st.floats(-8, 8), st.integers(1, 800))
