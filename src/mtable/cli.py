@@ -3,8 +3,14 @@
 Subcommands map onto the library: count and census for distinct
 products, multiplicity for single table entries, bounds for the explicit
 d/sigma bounds at one argument, series for the square identity, and
-verify for the sweep suites.  Exit status: 0 clean, 1 when any violation
-was reported, 2 for usage or domain errors.
+verify for the sweep suites.  multiplicity always computes both of its
+routes and compares them.  Exit status: 0 clean, 1 when any violation
+was reported (or multiplicity's routes disagree), 2 for usage or domain
+errors.
+
+An option's value may start with "-": a negative --robin-c such as
+-1.7e308 or -1/2, or an --s such as -1,1, reads the same after a space
+as after "=".
 
 A handler returns (json payload, text lines, exit code), and count and
 census add csv lines; run picks the format and prints.  A warning the
@@ -31,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -135,19 +142,12 @@ def _cmd_census(args):
 
 
 def _cmd_multiplicity(args):
-    n, k, method = args.n, args.k, args.method
-    head = f"multiplicity of {k} in the {n}-table: "
-    if method != "both":
-        fn = multiplicity_direct if method == "direct" else multiplicity_formula
-        count = fn(n, k)
-        payload = {"n": n, "k": k, "method": method, "count": count}
-        return payload, [f"{head}{count} ({method})"], 0
-    direct = multiplicity_direct(n, k)
-    formula = multiplicity_formula(n, k)
+    n, k = args.n, args.k
+    direct, formula = multiplicity_direct(n, k), multiplicity_formula(n, k)
     agree = direct == formula
     payload = {"n": n, "k": k, "direct": direct, "formula": formula, "agree": agree}
-    text = f"{head}direct {direct}, formula {formula}, {'agree' if agree else 'DISAGREE'}"
-    return payload, [text], 0 if agree else 1
+    text = f"multiplicity of {k} in the {n}-table: direct {direct}, formula {formula}, "
+    return payload, [text + ("agree" if agree else "DISAGREE")], 0 if agree else 1
 
 
 def _cmd_bounds(args):
@@ -305,6 +305,13 @@ def _add_format_flag(p: argparse.ArgumentParser, root: bool = False):
     )
 
 
+# an argument that starts with "-" and a digit, or "-." and a digit, is
+# a value, not an option: argparse's own rule takes only plain decimals,
+# so "--robin-c -1.7e308", "--robin-c -1/2" and "--s -1,1" would read as
+# options and fail with "expected one argument".  No option of mtable
+# starts that way.
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
 _COMMANDS = ("count", "multiplicity", "census", "verify", "bounds", "series")
 
 
@@ -315,6 +322,7 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
         prog="mtable",
         description="Multiplication-table censuses, multiplicities, and bound checks.",
     )
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     _add_format_flag(parser, root=True)
     only = argv[0] if argv and argv[0] in _COMMANDS else None
     # the usage line lists every command either way; with all of them
@@ -327,6 +335,7 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
         if only not in (None, name):
             return None
         p = sub.add_parser(name, help=help)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         _add_format_flag(p)
         p.set_defaults(handler=handler)
         return p
@@ -338,7 +347,6 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     if p := command("multiplicity", _cmd_multiplicity, "multiplicity of one product"):
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--k", type=int, required=True)
-        p.add_argument("--method", choices=("direct", "formula", "both"), default="both")
 
     if p := command("census", _cmd_census, "distinct-product census over several n"):
         p.add_argument("--n-list", required=True, help="comma-separated n values")

@@ -6,6 +6,12 @@ it: direct enumeration over the divisors of k, and a closed form built
 from incomplete divisor counts plus a boundary indicator.  The closed
 form is only valid inside the table (k <= n*n) and is rejected outside
 that domain.
+
+Whole-table arrays hold the multiplicity of every k in [0, n*n].  One
+builder grows them: the n-table is the (n-1)-table plus an L-shaped
+border, so one array passes through every table size, and both
+table_multiplicities and the identities sweep of mtable.series read
+their tables from it.  table_sum_checks takes a table's two exact sums.
 """
 
 from __future__ import annotations
@@ -73,16 +79,23 @@ def _check_table_n(n: int):
         raise ValueError(f"n must be in [1, {TABLE_N_MAX}], got {n}")
 
 
-def table_multiplicities(n: int) -> np.ndarray:
-    """Multiplicities of every k in [0, n*n] by direct product marking.
+def _grown_tables(n_max: int):
+    # the multiplicities of every k in [0, n*n], n in [1, n_max], as views
+    # of one array that grows by each n-table's border: the products n*a
+    # and a*n for a < n, and n*n.  Each step writes into the views already
+    # yielded, so a caller that keeps one copies it.
+    grown = np.zeros(n_max * n_max + 1, dtype=np.int64)
+    for n in range(1, n_max + 1):
+        grown[n : n * (n - 1) + 1 : n] += 2
+        grown[n * n] += 1
+        yield grown[: n * n + 1]
 
-    Row a contributes one count at each of a, 2a, ..., na; entry 0 is
-    always 0.
-    """
+
+def table_multiplicities(n: int) -> np.ndarray:
+    """Multiplicities of every k in [0, n*n], grown border by border
+    through every smaller table; entry 0 is always 0."""
     _check_table_n(n)
-    counts = np.zeros(n * n + 1, dtype=np.int64)
-    for a in range(1, n + 1):
-        counts[a : a * n + 1 : a] += 1
+    *_, counts = _grown_tables(n)
     return counts
 
 
@@ -94,10 +107,5 @@ def table_sum_checks(n: int) -> tuple[int, int]:
     those closed forms.  n is limited to TABLE_N_MAX, where the weighted
     sum is still far inside int64.
     """
-    return _table_sums(table_multiplicities(n))
-
-
-def _table_sums(counts: np.ndarray) -> tuple[int, int]:
-    # (sum of k * counts[k], sum of counts[k]) over a table's multiplicities
-    ks = np.arange(counts.size, dtype=np.int64)
-    return int(np.dot(ks, counts)), int(counts.sum())
+    counts = table_multiplicities(n)
+    return int(np.arange(counts.size, dtype=np.int64) @ counts), int(counts.sum())

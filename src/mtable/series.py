@@ -19,7 +19,11 @@ multiplicity and sums over the table's distinct products, so a wrong
 multiplicity shows as a failed identity.  The single check evaluates
 the powers at its own table's products; the sweep evaluates them once
 at the n_max-table's products, which hold every smaller table's, and
-grows one multiplicity table through every n.
+reads every n-table from the one builder in mtable.multiplicity, which
+grows a table border by border.  At s = 0 and s = -1 the multiplicity
+route weights each product by 1 and by itself, so the sweep takes it as
+the table's two exact sums, n**2 and (n(n+1)/2)**2 when the table is
+right, in the same pass.
 
 The multiplicity route and the single-n sums, zeta_partial and
 zeta_square_truncation, are accumulated by _fsum_blocks (numpy within a
@@ -37,7 +41,7 @@ import numpy as np
 
 from .bounds import BoundReport
 from .divisors import divisor_window
-from .multiplicity import _table_sums, table_multiplicities
+from .multiplicity import _grown_tables, table_multiplicities
 from .products import _window_ranges
 
 __all__ = [
@@ -54,9 +58,10 @@ IDENTITY_N_MAX = 2000
 
 # Largest n_max verify_identities_sweep accepts (the reach of acceptance
 # criterion 03).  It evaluates O(n_max**2) powers per exponent, but the
-# exact table sums and the multiplicity route visit every table up to
-# n_max, O(n_max**3) integer and float work: on 2 shared vCPUs it took
-# 12 ms at 100 and 0.5 s at 500.
+# multiplicity routes, the table sums among them, visit every table up
+# to n_max, O(n_max**3) integer and float work: on 2 shared vCPUs it
+# took 5 ms at 100 and 0.3 s at 500.  The table sums stay below 2**53
+# up to this cap, so their complex128 copies are exact.
 IDENTITY_SWEEP_N_MAX = 500
 _IDENTITY_EXPONENTS = (0, -1, 2, 3, 2 + 3j)
 
@@ -266,13 +271,15 @@ def verify_identities_sweep(n_max: int) -> list[BoundReport]:
     at each of the exponents 0, -1, 2, 3 and 2+3j, over every table size
     n in [1, n_max].
 
-    One multiplicity table grows through every table size and gives, at
-    each n, the exact table sums and the multiplicity route at each
-    exponent, whose powers are evaluated once at the n_max-table's
-    distinct products.  Each exponent's grid and zeta routes at every n
-    come from one pass, so each comparison is verify_square_identity(s,
-    n)'s own.  n_max below 1 or above IDENTITY_SWEEP_N_MAX is rejected
-    before any table runs.
+    The multiplicity tables come from the one builder that grows a table
+    border by border through every size.  At each n, one pass over the
+    table's distinct products gives the two exact sums, which are also the
+    multiplicity routes at s = 0 and s = -1, and the multiplicity route at
+    each float exponent, whose powers are evaluated once at the
+    n_max-table's distinct products.  Each exponent's grid and zeta routes
+    at every n come from one pass, so each comparison is
+    verify_square_identity(s, n)'s own.  n_max below 1 or above
+    IDENTITY_SWEEP_N_MAX is rejected before any table runs.
     """
     if n_max < 1:
         raise ValueError(f"empty range [1, {n_max}]")
@@ -283,48 +290,44 @@ def verify_identities_sweep(n_max: int) -> list[BoundReport]:
         )
     exponents = [complex(s) for s in _IDENTITY_EXPONENTS]
     # every smaller table's products are among the n_max-table's, so each
-    # exponent's powers, indexed by product, serve every n
+    # float exponent's powers, indexed by product, serve every n
     products = np.flatnonzero(table_multiplicities(n_max))
     powers = []
-    for s in exponents:
-        terms = _terms(products, s)
-        powers.append(np.zeros(n_max * n_max + 1, dtype=terms.dtype))
-        powers[-1][products] = terms
+    for s in exponents[2:]:
+        powers.append(np.zeros(n_max * n_max + 1, complex if s.imag else float))
+        powers[-1][products] = _power_terms(products, s)
     mult = np.zeros((len(exponents), n_max), dtype=np.complex128)
-    found: list[list[BoundReport]] = [[] for _ in range(n_max)]
-    # the n-table is the (n-1)-table plus the products n*a and a*n for
-    # a < n and n*n, so one array grows through every table size
-    grown = np.zeros(n_max * n_max + 1, dtype=np.int64)
-    for n in range(1, n_max + 1):
-        grown[n : n * (n - 1) + 1 : n] += 2
-        grown[n * n] += 1
-        table = grown[: n * n + 1]
-        weighted, plain = _table_sums(table)
-        for quantity, got, expected in (
-            ("table_sum", plain, n * n),
-            ("table_sum_weighted", weighted, (n * (n + 1) // 2) ** 2),
-        ):
-            if got != expected:
-                found[n - 1].append(BoundReport(
-                    n, quantity, float(got), float(expected), float(expected - got),
-                    violated=True, borderline=False,
-                ))
+    for n, table in enumerate(_grown_tables(n_max), 1):
         # the n-table's distinct products, ascending (a bool array's
         # nonzero entries are listed several times faster than an int64's)
         present = np.flatnonzero(table > 0)
         weights = table[present]
-        for j, power in enumerate(powers):
+        # at s = 0 and s = -1 each product weighs 1 and itself: those
+        # multiplicity routes are the table's two exact sums
+        mult[:2, n - 1] = weights.sum(), present @ weights
+        for j, power in enumerate(powers, 2):
             mult[j, n - 1] = _multiplicity_route(weights, power[present])
+    # one row (quantity, value, bound, flagged) per check, over every n
     ns = np.arange(1, n_max + 1)
+    closed = (ns * ns, (ns * (ns + 1) // 2) ** 2)
+    rows = [
+        (quantity, got, want.astype(np.float64), got != want)
+        for quantity, got, want in zip(("table_sum", "table_sum_weighted"), mult.real, closed)
+    ]
     for s, label, route in zip(exponents, _IDENTITY_EXPONENTS, mult):
         *_, deviation, tolerance = _identity_routes(s, ns, route)
-        for i in np.flatnonzero(~(deviation <= tolerance)).tolist():
-            dev, tol = float(deviation[i]), float(tolerance[i])
-            found[i].append(BoundReport(
-                i + 1, f"square_identity_s_{label}", dev, tol, tol - dev,
-                violated=True, borderline=False,
-            ))
-    return [report for reports in found for report in reports]
+        rows.append((
+            f"square_identity_s_{label}", deviation, tolerance, ~(deviation <= tolerance)
+        ))
+    # the flagged checks by n, and within one n in the order of rows
+    reports = []
+    for i, j in np.argwhere(np.array([row[3] for row in rows]).T).tolist():
+        quantity, value, bound, _ = rows[j]
+        reports.append(BoundReport(
+            i + 1, quantity, float(value[i]), float(bound[i]),
+            float(bound[i] - value[i]), violated=True, borderline=False,
+        ))
+    return reports
 
 
 @lru_cache(maxsize=16)

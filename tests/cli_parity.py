@@ -137,6 +137,11 @@ OTHER = [
     ("-5", "count"),
     ("--format", "json", "frobnicate", "count"),
     ("count", "--n", "5", "verify"),
+    # negative option values after a space, read as their "=" spelling
+    ("verify", "--suite", "sigma-bound", "--max", "100", "--robin-c", "-1.7e308"),
+    ("verify", "--suite", "bracket", "--max", "100", "--robin-c", "-1e3"),
+    ("bounds", "--k", "12", "--robin-c", "-1/2"),
+    ("series", "--s", "-1,1", "--n", "3"),
 ]
 
 

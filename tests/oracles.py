@@ -1,7 +1,9 @@
 """Reference routes the library's production code is tested against.
 
 Each one computes a library quantity a second, independent way, and is
-kept here because nothing outside the tests needs it.
+kept here because nothing outside the tests needs it.  One more,
+grown_with_extra_count, builds deliberately wrong multiplicity tables
+for the tests that check a wrong table is reported.
 """
 
 import math
@@ -9,10 +11,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from mtable import bounds, series
+from mtable import bounds, multiplicity, series
 from mtable.bounds import BoundReport
 from mtable.divisors import divisor_list, divisor_window
-from mtable.multiplicity import multiplicity_direct, table_multiplicities
+from mtable.multiplicity import (
+    multiplicity_direct,
+    table_multiplicities,
+    table_sum_checks,
+)
 
 
 def product_bitmap(n: int) -> np.ndarray:
@@ -62,6 +68,22 @@ def table_multiplicities_formula(n: int) -> np.ndarray:
         counts[a * n :: a] -= 1
     counts[n :: n] += 1
     return counts
+
+
+def grown_with_extra_count(k: int, at_n: int | None = None):
+    """multiplicity._grown_tables with the multiplicity of k one too high
+    in the at_n-table, or in every table when at_n is None: a wrong table
+    for the fault-injection tests to feed the sweep through the builder."""
+    grown_tables = multiplicity._grown_tables
+
+    def grown(n_max):
+        for n, table in enumerate(grown_tables(n_max), 1):
+            if at_n in (None, n):
+                table = table.copy()
+                table[k] += 1
+            yield table
+
+    return grown
 
 
 def zeta_square_truncation_partial(s: float, k_max: int) -> float:
@@ -187,13 +209,11 @@ def per_call_identities_sweep(
     n_max: int,
 ) -> tuple[list[BoundReport], list[series.SeriesComparison]]:
     """(verify_identities_sweep's reports, the comparisons they rest on)
-    from the sums of table_multiplicities(n) and one verify_square_identity
-    call per (n, s), each building its own table.  The sums are taken by
-    series._table_sums, where the sweep finds it, so a test that patches
-    it there patches both."""
+    from table_sum_checks(n) and one verify_square_identity call per
+    (n, s), each building its own table."""
     reports, comparisons = [], []
     for n in range(1, n_max + 1):
-        weighted, plain = series._table_sums(table_multiplicities(n))
+        weighted, plain = table_sum_checks(n)
         for quantity, got, expected in (
             ("table_sum", plain, n * n),
             ("table_sum_weighted", weighted, (n * (n + 1) // 2) ** 2),

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import count_distinct_dense
+from oracles import count_distinct_dense, grown_with_extra_count
 
 from mtable import bounds, series
 from mtable.divisors import divisor_count, divisor_sum, incomplete_divisor_integral
@@ -359,12 +359,13 @@ def test_every_report_hashes(monkeypatch):
         bounds.verify_theorem_lower_bound(5, count_distinct_dense(5)),
         bounds.verify_mean_bound(5, count_distinct_dense(5)),
     ]
-    # forced failures: counts of 0 fail both theorem checks, and wrong
-    # table sums and a wrong partial zeta sum fail the identities suite
+    # forced failures: counts of 0 fail both theorem checks, and a table
+    # that counts the product 1 once too often (both table sums off by
+    # one) and a wrong partial zeta sum fail the identities suite
     monkeypatch.setattr(
         bounds, "distinct_count_prefix", lambda hi: np.zeros(hi + 1, dtype=np.int64)
     )
-    monkeypatch.setattr(series, "_table_sums", lambda counts: (0, 0))
+    monkeypatch.setattr(series, "_grown_tables", grown_with_extra_count(1))
     monkeypatch.setattr(series, "_zeta_route", lambda s, n_max: np.arange(2, n_max + 2))
     theorem = bounds.verify_theorem_sweep(10)
     identities = series.verify_identities_sweep(3)

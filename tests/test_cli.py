@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import count_distinct_dense
+from oracles import count_distinct_dense, grown_with_extra_count
 
 from mtable import cli, products, series
 from mtable.bounds import SWEEP_MAX
@@ -127,9 +127,7 @@ def test_multiplicity_both_routes(capsys):
 
 
 def test_multiplicity_domain_error(capsys):
-    code, _, err = run(
-        capsys, "multiplicity", "--n", "2", "--k", "12", "--method", "formula"
-    )
+    code, _, err = run(capsys, "multiplicity", "--n", "2", "--k", "12")
     assert code == 2
     assert "k <= n*n" in err
 
@@ -197,6 +195,22 @@ def test_verify_with_an_overflowing_bound(capsys, suite):
     assert code == 1
     assert err == ""
     assert out
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (("verify", "--suite", "sigma-bound", "--max", "100"), "--robin-c", "-1.7e308"),
+        (("verify", "--suite", "bracket", "--max", "100"), "--robin-c", "-1e3"),
+        (("bounds", "--k", "12"), "--robin-c", "-1/2"),
+        (("series", "--n", "3"), "--s", "-1,1"),
+    ],
+)
+def test_negative_value_after_a_space(capsys, argv, option, value):
+    # a value that starts with "-" reads the same after a space as after "="
+    by_equals = run(capsys, *argv, f"{option}={value}")
+    assert by_equals[0] in (0, 1)
+    assert run(capsys, *argv, option, value) == by_equals
 
 
 @pytest.mark.parametrize(
@@ -293,20 +307,26 @@ def test_verify_n_spells_max(capsys):
 
 
 def test_verify_identities_reports_failure(capsys, monkeypatch):
-    sums = series._table_sums
-
-    def short_by_one(counts):
-        weighted, plain = sums(counts)
-        return weighted, plain - 1
-
-    monkeypatch.setattr(series, "_table_sums", short_by_one)
+    # the 2-table counts 3, which is no product of the 2-table, once: the
+    # plain table sum and the s = 0 route move by one, the weighted sum and
+    # the s = -1 route by three, and the float routes, with no power at 3,
+    # stay
+    monkeypatch.setattr(series, "_grown_tables", grown_with_extra_count(3, at_n=2))
     code, out, _ = run(
         capsys, "verify", "--suite", "identities", "--n", "2", "--format", "json"
     )
     assert code == 1
     row = json.loads(out)
-    assert [v["quantity"] for v in row["violations"]] == ["table_sum", "table_sum"]
-    assert row["violated_count"] == 2
+    assert [
+        (v["argument"], v["quantity"], v["value"], v["bound"], v["margin"])
+        for v in row["violations"]
+    ] == [
+        (2, "table_sum", 5, 4, -1),
+        (2, "table_sum_weighted", 12, 9, -3),
+        (2, "square_identity_s_0", 1, 0, -1),
+        (2, "square_identity_s_-1", 3, 0, -3),
+    ]
+    assert row["violated_count"] == 4
 
 
 def test_verify_divisor_bound_clean(capsys):
@@ -610,10 +630,12 @@ GOLDEN = [
         0,
         "multiplicity of 12 in the 6-table: direct 4, formula 4, agree\n",
     ),
+    # multiplicity always computes both routes: there is no --method to
+    # pick one, so the flag is a usage error
     (
         ("multiplicity", "--n", "6", "--k", "12", "--method", "direct", "--format", "json"),
-        0,
-        '{"n": 6, "k": 12, "method": "direct", "count": 4}\n',
+        2,
+        "",
     ),
     (
         ("count", "--n", "50", "--format", "csv"),
@@ -680,7 +702,6 @@ USAGE_GOLDEN = [
         0,
         (
             "usage: mtable multiplicity [-h] [--format {text,json,csv}] --n N --k K\n"
-            "                           [--method {direct,formula,both}]\n"
             "\n"
             "options:\n"
             "  -h, --help            show this help message and exit\n"
@@ -688,7 +709,6 @@ USAGE_GOLDEN = [
             "                        output format (csv only for count and census)\n"
             "  --n N\n"
             "  --k K\n"
-            "  --method {direct,formula,both}\n"
         ),
         "",
     ),

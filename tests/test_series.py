@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 from oracles import (
+    grown_with_extra_count,
     per_call_identities_sweep,
     square_identity_sums,
+    table_multiplicities_formula,
     zeta_square_truncation_partial,
 )
 
-from mtable import series
+from mtable import multiplicity, series
 from mtable.multiplicity import table_multiplicities
 
 
@@ -85,22 +87,24 @@ def test_identity_tolerance_and_verdict(monkeypatch):
 
 
 def test_identities_sweep_reports_table_sum_failure(monkeypatch):
-    # the plain table sum comes back one short at every n
-    sums = series._table_sums
-
-    def short_by_one(counts):
-        weighted, plain = sums(counts)
-        return weighted, plain - 1
-
-    monkeypatch.setattr(series, "_table_sums", short_by_one)
-    reports = series.verify_identities_sweep(2)
-    assert [(r.argument, r.quantity) for r in reports] == [
-        (1, "table_sum"),
-        (2, "table_sum"),
+    # a count at 0 in the 2-table adds one to the plain table sum, which
+    # is also the multiplicity route at s = 0, and nothing to the weighted
+    # sum or to any other route: 0 weighs 0 at s = -1 and, being no
+    # product, has no power at the float exponents
+    monkeypatch.setattr(series, "_grown_tables", grown_with_extra_count(0, at_n=2))
+    reports = series.verify_identities_sweep(3)
+    assert [(r.argument, r.quantity, r.value, r.bound, r.margin) for r in reports] == [
+        (2, "table_sum", 5.0, 4.0, -1.0),
+        (2, "square_identity_s_0", 1.0, 0.0, -1.0),
     ]
-    r = reports[1]
-    assert (r.value, r.bound, r.margin) == (3.0, 4.0, 1.0)
-    assert r.violated and not r.borderline
+    assert all(r.violated and not r.borderline for r in reports)
+
+
+def test_identities_sweep_cap_keeps_table_sums_exact():
+    # the sweep keeps both table sums as complex128; below 2**53 every
+    # integer is exact there, so the reported floats are the integers
+    n = series.IDENTITY_SWEEP_N_MAX
+    assert (n * (n + 1) // 2) ** 2 < 2**53
 
 
 def _bits(cmp):
@@ -134,19 +138,19 @@ def test_identities_sweep_matches_per_call_oracle(monkeypatch):
     # routes at every n from one pass; each comparison must be
     # verify_square_identity's own, bit for bit, and the reports those
     # built from them.  The grid route is pushed off at a few (s, n) and
-    # the table sum at one n, so the reports are not all empty.
-    grid_route, sums = series._grid_route, series._table_sums
+    # the 12-table counts the product 6 once too often, in the builder
+    # both the sweep and table_multiplicities read, so the reports are not
+    # all empty.
+    grid_route = series._grid_route
 
     def off_grid(s, n_max):
         shift = np.isin(np.arange(1, n_max + 1), (7, 31)) * 1e-6
         return grid_route(s, n_max) + (0.0 if s in (0, -1) else shift)
 
-    def off_sums(counts):
-        weighted, plain = sums(counts)
-        return (weighted + 1, plain) if counts.size == 12 * 12 + 1 else (weighted, plain)
-
     monkeypatch.setattr(series, "_grid_route", off_grid)
-    monkeypatch.setattr(series, "_table_sums", off_sums)
+    extra = grown_with_extra_count(6, at_n=12)
+    monkeypatch.setattr(series, "_grown_tables", extra)
+    monkeypatch.setattr(multiplicity, "_grown_tables", extra)
     reports, comparisons = per_call_identities_sweep(40)
     routes = _record_routes(monkeypatch)
     assert series.verify_identities_sweep(40) == reports
@@ -160,10 +164,18 @@ def test_identities_sweep_matches_per_call_oracle(monkeypatch):
         (7, "square_identity_s_2"),
         (7, "square_identity_s_3"),
         (7, "square_identity_s_(2+3j)"),
+        (12, "table_sum"),
         (12, "table_sum_weighted"),
+        *((12, f"square_identity_s_{s}") for s in EXPONENTS),
         (31, "square_identity_s_2"),
         (31, "square_identity_s_3"),
         (31, "square_identity_s_(2+3j)"),
+    ]
+    assert [(r.value, r.bound, r.margin) for r in reports[3:7]] == [
+        (145.0, 144.0, -1.0),
+        (6090.0, 6084.0, -6.0),
+        (1.0, 0.0, -1.0),
+        (6.0, 0.0, -6.0),
     ]
 
 
@@ -182,27 +194,28 @@ def test_square_identity_matches_sweep_at_band_edges(monkeypatch):
 
 
 def test_identities_sweep_grows_every_table(monkeypatch):
-    # the table the sweep grows is table_multiplicities(n) at every n;
+    # every table the sweep reads is the closed-form oracle's at its n;
     # only the 60-table, whose distinct products the powers are evaluated
-    # at, is built from scratch
+    # at, is built again
     tables, built = [], []
-    sums = series._table_sums
+    grown_tables = series._grown_tables
 
-    def recording(counts):
-        tables.append(counts.copy())
-        return sums(counts)
+    def recording(n_max):
+        for table in grown_tables(n_max):
+            tables.append(table.copy())
+            yield table
 
     def building(n):
         built.append(n)
         return table_multiplicities(n)
 
-    monkeypatch.setattr(series, "_table_sums", recording)
+    monkeypatch.setattr(series, "_grown_tables", recording)
     monkeypatch.setattr(series, "table_multiplicities", building)
     assert series.verify_identities_sweep(60) == []
     assert built == [60]
     assert len(tables) == 60
     for n, counts in enumerate(tables, 1):
-        assert np.array_equal(counts, table_multiplicities(n)), n
+        assert np.array_equal(counts, table_multiplicities_formula(n)), n
 
 
 def test_identities_sweep_evaluates_each_power_once(monkeypatch):
