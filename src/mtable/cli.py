@@ -22,7 +22,9 @@ subparser, so a command does not pay to build the other five.  Any
 other command line (help, no arguments, an unknown command, or a root
 option such as --format before the command) gets all six, so help and
 usage errors read as they always have; the root usage line lists every
-command either way.
+command either way.  An argument a command does not know is reported
+with that command's usage line, an unknown root option before the
+command with the root's.
 
 json and csv output format every float with exactly 10 fractional
 digits, so a command line produces identical bytes on every run apart
@@ -315,6 +317,19 @@ _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 _COMMANDS = ("count", "multiplicity", "census", "verify", "bounds", "series")
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's subparser.  It reports an argument it does not know
+    with its own usage line, as "mtable COMMAND: error: ..."; argparse
+    would hand the argument back to the root parser, which reports it
+    with the root usage line."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     """The root parser with the subparser of the command argv starts
     with, or with all of them when argv starts with anything else."""
@@ -329,7 +344,9 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     # built argparse lists them itself, and its error messages name the
     # positional "command"
     metavar = "{" + ",".join(_COMMANDS) + "}" if only else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar=metavar, parser_class=_CommandParser
+    )
 
     def command(name, handler, help):
         if only not in (None, name):

@@ -4,14 +4,16 @@ M(n) is the number of distinct values a*b with 1 <= a, b <= n.  The
 segmented counter sweeps the product range in fixed-size windows so
 memory stays bounded, and its windows are independent, which makes the
 parallel variant a plain map over windows followed by an integer sum; the
-count is exact.  Each window takes the bounds of all its rows in one numpy
-pass, gives every row with at least DENSE_ROW_MIN products in it a
-strided write, and writes the products of all sparser rows at once, so
-peak memory is one window plus fewer than DENSE_ROW_MIN index entries per
-row.  Row a > 1 starts past b = n // p(a), p(a) the least prime factor of
-a: every product keeps its least row, and the writes fall to about 85% of
-n^2/2.  The prefix counter gives M(1), ..., M(N) from one bitmap by
-counting, row by row, only the products that are new in that row.
+count is exact.  A window is one bytearray.  The bounds of all its rows
+come from one numpy pass; every row with at least DENSE_ROW_MIN products
+in it gets one strided slice assignment of that many ones, and the
+products of all sparser rows are written at once through a zero-copy
+numpy view, so peak memory is one window plus fewer than DENSE_ROW_MIN
+index entries per row.  Row a > 1 starts past b = n // p(a), p(a) the
+least prime factor of a: every product keeps its least row, and the
+writes fall to about 85% of n^2/2.  The prefix counter gives M(1), ...,
+M(N) from one bitmap by counting, row by row, only the products that are
+new in that row.
 """
 
 from __future__ import annotations
@@ -56,16 +58,33 @@ COUNT_N_MAX = 1 << 16
 
 # Rows with at least this many products in a window get their own strided
 # write in _count_window; the rest share one batched write.  Median
-# seconds of count_distinct_segmented on 2 shared vCPUs, fresh
-# interpreters, the four values interleaved (8 rounds at n = 2^14, 4 at
-# 2^15), for 16 / 32 / 64 / 128: 0.624 / 0.606 / 0.596 / 0.738 at 2^14
-# and 3.65 / 3.63 / 3.58 / 3.77 at 2^15; 64 was fastest in 4 of 8 and
-# 1 of 4 rounds, 32 in 3 and 2, so no value beat 64 in most rounds.
+# seconds of count_distinct_segmented with the bytearray write, on 2
+# shared vCPUs, fresh interpreters, the values interleaved.  For 16 / 32
+# / 64 / 128 (10 rounds): 0.373 / 0.398 / 0.386 / 0.636 at n = 2^14 and
+# 0.036 / 0.036 / 0.039 / 0.038 at 5000; 16 was fastest in 5 rounds at
+# 2^14, 16 and 32 in 4 each at 5000.  For 16 / 32 / 64 again (12 rounds):
+# 0.459 / 0.468 / 0.467 and 0.034 / 0.039 / 0.034; 64 was fastest in 6
+# rounds at both sizes.  No value was fastest in most rounds at both
+# sizes, so 64 stays.
 DENSE_ROW_MIN = 64
 
-# The right-hand side of every write in _count_window: numpy assigns a
-# 0-d array to a slice faster than it converts the Python True each time.
+# The right-hand side of the batched write in _count_window: numpy
+# assigns a 0-d array faster than it converts the Python True each time.
 _TRUE = np.ones((), dtype=bool)
+
+# Strided writes of fewer than _RUN_CAP products take their right-hand
+# side from _runs(); a longer row, 3% of the strided writes at n = 2^14,
+# builds its own (as fast as giving it numpy's write, in interleaved runs
+# at 2^14 and 5000).
+_RUN_CAP = 512
+
+
+@lru_cache(maxsize=1)
+def _runs() -> list[bytearray]:
+    """runs[c] is a bytearray of c ones, for every c < _RUN_CAP (128 KiB
+    in all), built on first use.  A bytearray, not bytes: bytearray's
+    slice assignment copies any other right-hand side first."""
+    return [bytearray(b"\x01") * c for c in range(_RUN_CAP)]
 
 
 @dataclass(frozen=True)
@@ -177,15 +196,23 @@ def _count_window(args: tuple[int, int, int]) -> int:
 
     Every row's bounds come from one numpy pass, and rows with no product
     in the window are skipped there.  A row with at least DENSE_ROW_MIN
-    products gets one strided write; the indices of all other rows are
-    built with np.repeat and cumsum and written at once.  An index may
-    repeat across rows, which is harmless because every write stores
-    True.  Those sparse indices number fewer than DENSE_ROW_MIN per row,
-    so besides the window they take at most 8 * (DENSE_ROW_MIN - 1) * n
-    bytes per int64 array.
+    products gets one strided write into the window's bytearray,
+    buf[start:stop:step] = a run of exactly that many ones: CPython runs
+    it in its own C loop, with less overhead per call than numpy's
+    slice assignment, and raises if the run and the slice differ in
+    length.  The indices of all other rows are built with np.repeat and
+    cumsum and written at once through a numpy view of the same buffer,
+    which also counts it.  An index may repeat across rows, which is
+    harmless because every write stores True.  Those sparse indices
+    number fewer than DENSE_ROW_MIN per row, so besides the window they
+    take at most 8 * (DENSE_ROW_MIN - 1) * n bytes per int64 array.
     """
     n, lo, hi = args
-    window = np.zeros(hi - lo + 1, dtype=bool)
+    buf = bytearray(hi - lo + 1)
+    # a zero-copy view for the batched write and the count; while it
+    # exists buf cannot be resized, so a step-1 write of the wrong length
+    # raises BufferError as a strided one raises ValueError
+    window = np.frombuffer(buf, dtype=bool)
     a_lo, a_hi = max(1, -(-lo // n)), min(n, math.isqrt(hi))
     a = np.arange(a_lo, a_hi + 1, dtype=np.int64)
     b_lo = np.maximum(_row_starts(n)[a_lo : a_hi + 1], -(-lo // a))
@@ -194,10 +221,16 @@ def _count_window(args: tuple[int, int, int]) -> int:
     starts = a * b_lo - lo
     lasts = a * b_hi - lo
     dense = counts >= DENSE_ROW_MIN
-    for start, stop, step in zip(
-        starts[dense].tolist(), (lasts[dense] + 1).tolist(), a[dense].tolist()
+    runs = _runs()
+    for start, stop, step, count in zip(
+        starts[dense].tolist(),
+        (lasts[dense] + 1).tolist(),
+        a[dense].tolist(),
+        counts[dense].tolist(),
     ):
-        window[start:stop:step] = _TRUE
+        buf[start:stop:step] = (
+            runs[count] if count < _RUN_CAP else bytearray(b"\x01") * count
+        )
     sparse = (counts > 0) & ~dense
     if sparse.any():
         a, counts = a[sparse], counts[sparse]

@@ -821,6 +821,25 @@ USAGE_GOLDEN = [
             "mtable count: error: the following arguments are required: --n\n"
         ),
     ),
+    (
+        ("count", "--n", "5", "--bogus"),
+        2,
+        "",
+        (
+            "usage: mtable count [-h] [--format {text,json,csv}] --n N [--parallel]\n"
+            "mtable count: error: unrecognized arguments: --bogus\n"
+        ),
+    ),
+    (
+        ("--bogus", "count", "--n", "5"),
+        2,
+        "",
+        (
+            "usage: mtable [-h] [--format {text,json,csv}]\n"
+            "              {count,multiplicity,census,verify,bounds,series} ...\n"
+            "mtable: error: unrecognized arguments: --bogus\n"
+        ),
+    ),
 ]
 
 

@@ -168,6 +168,65 @@ def test_count_window_row_start_boundary():
                     )
 
 
+def test_count_window_run_cap_boundary():
+    # a window holding exactly cap - 1, cap and cap + 1 products of row a:
+    # the strided write takes its run from the table below the cap and
+    # builds it at and above; row 2 starts at b = 1001, row 3 at b = 667
+    n, cap = 2000, products._RUN_CAP
+    for a, b in ((2, 1001), (3, 700)):
+        for width in (cap - 1, cap, cap + 1):
+            lo, hi = a * b, a * (b + width - 1)
+            assert row_counts(n, lo, hi)[a] == width
+            assert _count_window((n, lo, hi)) == window_oracle(n, lo, hi)
+            # the same row again, starting between two of its products
+            assert _count_window((n, lo + 1, hi + 1)) == window_oracle(n, lo + 1, hi + 1)
+
+
+def test_count_window_row_one():
+    # row 1 is a step-1 write, a contiguous slice of the window's buffer
+    # while the numpy view of that buffer exists; it holds fewer products
+    # than the cap, more, or all n
+    n = 2000
+    for lo, hi in ((1, DENSE_ROW_MIN), (1, 600), (37, 1999), (1, n), (5, 2 * n)):
+        assert row_counts(n, lo, hi)[1] >= DENSE_ROW_MIN
+        assert _count_window((n, lo, hi)) == window_oracle(n, lo, hi), (lo, hi)
+
+
+def test_count_window_mixes_runs_big_rows_and_sparse_rows():
+    # a whole table swept window by window; the first window gives some
+    # rows a run from the table, some a run of their own and the rest the
+    # batched write
+    n, width, cap = 2000, 1 << 18, products._RUN_CAP
+    total = 0
+    for lo in range(1, n * n + 1, width):
+        hi = min(lo + width - 1, n * n)
+        got = _count_window((n, lo, hi))
+        assert got == window_oracle(n, lo, hi), (lo, hi)
+        total += got
+        if lo == 1:
+            kinds = {
+                (c >= DENSE_ROW_MIN) + (c >= cap) for c in row_counts(n, lo, hi).values()
+            }
+            assert kinds == {0, 1, 2}
+    assert total == CENSUS_COUNTS[2000]
+
+
+def test_count_window_run_of_wrong_length_raises(monkeypatch):
+    # every strided write checks its run's length: one product too many
+    # raises ValueError in a strided row and BufferError in row 1, whose
+    # step-1 write would otherwise resize the window
+    runs = [bytearray(b"\x01") * (c + 1) for c in range(products._RUN_CAP)]
+    monkeypatch.setattr(products, "_runs", lambda: runs)
+    n = 2000
+    counts = row_counts(n, 2002, 2200)
+    assert 1 not in counts and counts[2] >= DENSE_ROW_MIN
+    with pytest.raises(ValueError, match="extended slice"):
+        _count_window((n, 2002, 2200))
+    assert set(row_counts(n, 1, 100)) == {1}
+    with pytest.raises(BufferError):
+        _count_window((n, 1, 100))
+
+
 def test_least_prime_factors_match_trial_division():
     top = 1 << 16
     expect = np.array([least_prime_factor(a) for a in range(top + 1)])
