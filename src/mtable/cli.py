@@ -4,9 +4,11 @@ Subcommands map onto the library: count and census for distinct
 products, multiplicity for single table entries, bounds for the explicit
 d/sigma bounds at one argument, series for the square identity, and
 verify for the sweep suites.  multiplicity always computes both of its
-routes and compares them.  Exit status: 0 clean, 1 when any violation
-was reported (or multiplicity's routes disagree), 2 for usage or domain
-errors.
+routes and compares them.  count and census still accept --parallel for
+old command lines; it has no effect, since the library decides from the
+size of the table whether to start its worker pool.  Exit status: 0
+clean, 1 when any violation was reported (or multiplicity's routes
+disagree), 2 for usage or domain errors.
 
 An option's value may start with "-": a negative --robin-c such as
 -1.7e308 or -1/2, or an --s such as -1,1, reads the same after a space
@@ -107,7 +109,7 @@ def _census_row(p: products.TableCensus) -> dict:
 
 
 def _cmd_count(args):
-    (p,) = products.census([args.n], parallel=args.parallel)
+    (p,) = products.census([args.n])
     text = (
         f"M({p.n}) = {p.distinct_count}  density {_ffmt(p.density)}  "
         f"mean multiplicity {_ffmt(p.mean_multiplicity)}  [{p.elapsed:.3f}s]"
@@ -119,7 +121,7 @@ def _cmd_census(args):
     n_values = [int(part) for part in args.n_list.split(",") if part.strip()]
     if not n_values:
         raise ValueError("--n-list must contain at least one integer")
-    points = products.census(n_values, args.cache, parallel=args.parallel)
+    points = products.census(n_values, args.cache)
     text = [
         f"{'n':>8} {'m':>14} {'density':>14} {'mean_mult':>14} "
         f"{'erdos_ref':>12} {'ford_ref':>12}  elapsed"
@@ -359,7 +361,7 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
 
     if p := command("count", _cmd_count, "count distinct products of one table"):
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--parallel", action="store_true")
+        p.add_argument("--parallel", action="store_true", help="has no effect")
 
     if p := command("multiplicity", _cmd_multiplicity, "multiplicity of one product"):
         p.add_argument("--n", type=int, required=True)
@@ -368,7 +370,7 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     if p := command("census", _cmd_census, "distinct-product census over several n"):
         p.add_argument("--n-list", required=True, help="comma-separated n values")
         p.add_argument("--cache", default=None, help="CSV cache path (columns n,m)")
-        p.add_argument("--parallel", action="store_true")
+        p.add_argument("--parallel", action="store_true", help="has no effect")
 
     if p := command("verify", _cmd_verify, "run one verification suite"):
         p.add_argument("--suite", required=True, choices=tuple(_SUITES))

@@ -2,18 +2,19 @@
 
 M(n) is the number of distinct values a*b with 1 <= a, b <= n.  The
 segmented counter sweeps the product range in fixed-size windows so
-memory stays bounded, and its windows are independent, which makes the
-parallel variant a plain map over windows followed by an integer sum; the
-count is exact.  A window is one bytearray.  The bounds of all its rows
-come from one numpy pass; every row with at least DENSE_ROW_MIN products
-in it gets one strided slice assignment of that many ones, and the
-products of all sparser rows are written at once through a zero-copy
-numpy view, so peak memory is one window plus fewer than DENSE_ROW_MIN
-index entries per row.  Row a > 1 starts past b = n // p(a), p(a) the
-least prime factor of a: every product keeps its least row, and the
-writes fall to about 85% of n^2/2.  The prefix counter gives M(1), ...,
-M(N) from one bitmap by counting, row by row, only the products that are
-new in that row.
+memory stays bounded, and its windows are independent: a count of at
+least POOL_MIN_WINDOWS windows maps them over a process pool and sums
+the integers, a smaller one counts them in the calling process, and the
+count is exact either way.  A window is one bytearray.  The bounds of
+all its rows come from one numpy pass; every row with at least
+DENSE_ROW_MIN products in it gets one strided slice assignment of that
+many ones, and the products of all sparser rows are written at once
+through a zero-copy numpy view, so peak memory is one window plus fewer
+than DENSE_ROW_MIN index entries per row.  Row a > 1 starts past
+b = n // p(a), p(a) the least prime factor of a: every product keeps its
+least row, and the writes fall to about 85% of n^2/2.  The prefix
+counter gives M(1), ..., M(N) from one bitmap by counting, row by row,
+only the products that are new in that row.
 """
 
 from __future__ import annotations
@@ -49,11 +50,33 @@ SEGMENT_WINDOW = 1 << 20
 
 _MAX_WORKERS = 8
 
+# count_distinct_segmented starts a pool when the table spans at least
+# this many windows (n >= 9981 at 2^20-value windows) and more than one
+# CPU is usable; below it, starting the pool costs about what the second
+# worker saves, or more.  Median seconds of one count in a fresh
+# interpreter, serial / 2 workers, and the rounds of 12 that the pool
+# won, on 2 shared vCPUs, interleaved (two passes where two are given):
+#   24 windows (n = 5000)  0.026 / 0.048   1
+#   35 (6000)              0.041 / 0.050   3
+#   47 (7000)              0.063 / 0.064   4
+#   54 (7500)              0.061 / 0.065   6
+#   64 (8192)              0.075 / 0.071   8;  0.072 / 0.078   8
+#   78 (9000)              0.091 / 0.078  10;  0.093 / 0.087   9
+#   87 (9500)              0.096 / 0.091   9;  0.103 / 0.092  11
+#   96 (10000)             0.118 / 0.091  12;  0.117 / 0.095  10
+#   116 (11000)            0.138 / 0.109  12
+#   138 (12000)            0.172 / 0.123  12
+#   256 (2^14)             0.379 / 0.218  12
+# An earlier pass of 10 rounds gave the pool 6 of 10 at 78 windows and 9
+# of 10 at 96; 96 is the least count at which it won at least five
+# rounds in six in every pass.
+POOL_MIN_WINDOWS = 96
+
 # Largest n count_distinct_segmented and census accept.  The count grows
-# about as n**2.6: on one of 2 shared vCPUs M(2**16) = 911705949 took
-# 15.5 s, so 2**17 would take about 90 s.  A larger n is rejected before
-# any window is built (at n = 10**7 the window list alone would need
-# gigabytes).
+# about as n**2.6: on 2 shared vCPUs M(2**16) = 911705949 took 7.7 and
+# 7.9 s with its 2-worker pool (13.0 s in one process), so 2**17 would
+# take about 47 s.  A larger n is rejected before any window is built
+# (at n = 10**7 the window list alone would need gigabytes).
 COUNT_N_MAX = 1 << 16
 
 # Rows with at least this many products in a window get their own strided
@@ -243,16 +266,16 @@ def _count_window(args: tuple[int, int, int]) -> int:
     return int(np.count_nonzero(window))
 
 
-def count_distinct_segmented(n: int, *, parallel: bool = False) -> int:
+def count_distinct_segmented(n: int) -> int:
     """M(n) by sweeping [1, n^2] in windows of SEGMENT_WINDOW values.
 
     Peak memory is one window plus the sparse rows' indices (see
     _count_window).  The per-window counts are exact integers, so the
-    total is independent of the window length and of whether the windows
-    run in parallel.  With parallel, they go to a pool of one worker per
-    usable CPU (at most one per window and _MAX_WORKERS); when that is
-    one worker, they are counted in this process and no pool starts.
-    n may be at most COUNT_N_MAX.
+    total is independent of the window length and of where the windows
+    are counted.  With at least POOL_MIN_WINDOWS windows they go to a
+    pool of one worker per usable CPU, at most _MAX_WORKERS; with fewer
+    windows, or one usable CPU, they are counted in this process and no
+    pool starts.  n may be at most COUNT_N_MAX.
     """
     _require_count_n(n)
     jobs = [(n, lo, hi) for lo, hi in _window_ranges(1, n * n, SEGMENT_WINDOW)]
@@ -260,8 +283,8 @@ def count_distinct_segmented(n: int, *, parallel: bool = False) -> int:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    workers = min(len(jobs), cpus, _MAX_WORKERS) if parallel else 1
-    if workers > 1:
+    workers = min(cpus, _MAX_WORKERS)
+    if len(jobs) >= POOL_MIN_WINDOWS and workers > 1:
         from multiprocessing import Pool
 
         with Pool(processes=workers) as pool:
@@ -365,15 +388,12 @@ def _cache_lock(path: str | Path):
 
 
 def census(
-    n_values: Iterable[int],
-    cache_path: str | Path | None = None,
-    *,
-    parallel: bool = False,
+    n_values: Iterable[int], cache_path: str | Path | None = None
 ) -> list[TableCensus]:
     """Census points for each n, using (and updating) an optional cache.
 
     The cache stores n,m pairs only; density and mean multiplicity are
-    always rederived, and the pool never changes a stored value.  Every
+    always rederived.  Every
     n (at most COUNT_N_MAX) and the cache path (not a directory, and in
     a directory that exists) are checked on entry, before the cache is
     read or any n is counted, also when every n is cached.  The cache
@@ -396,7 +416,7 @@ def census(
         if n in cached:
             m = cached[n]
         else:
-            m = cached[n] = count_distinct_segmented(n, parallel=parallel)
+            m = cached[n] = count_distinct_segmented(n)
             computed = True
         out.append(TableCensus.from_count(n, m, time.perf_counter() - start))
     if cache_path is not None and computed:

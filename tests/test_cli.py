@@ -73,7 +73,7 @@ def test_count_forced_segmented(capsys, monkeypatch):
 
 def test_window_length_is_not_an_argument(capsys):
     # a caller that still passes a window length fails instead of having
-    # it taken as another argument, such as parallel
+    # it taken as another argument
     with pytest.raises(TypeError):
         products.count_distinct_segmented(300, 1 << 16)
     with pytest.raises(TypeError):
@@ -82,6 +82,24 @@ def test_window_length_is_not_an_argument(capsys):
         code, out, err = run(capsys, *argv, "--segment-bits", "65536")
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --segment-bits 65536" in err
+
+
+def test_parallel_is_not_an_argument():
+    # the count picks its pool from the table's size, not from the caller
+    with pytest.raises(TypeError):
+        products.count_distinct_segmented(300, parallel=True)
+    with pytest.raises(TypeError):
+        products.census([10], None, parallel=True)
+
+
+def test_parallel_flag_changes_no_output(capsys):
+    for argv in (("count", "--n", "2000"), ("census", "--n-list", "10,100")):
+        rows = []
+        for extra in ((), ("--parallel",)):
+            code, out, _ = run(capsys, *argv, *extra, "--format", "json")
+            assert code == 0
+            rows.append(re.sub(r'"elapsed": [^,}]+', '"elapsed": <t>', out))
+        assert rows[0] == rows[1]
 
 
 def test_cache_flag(tmp_path, capsys):
@@ -693,7 +711,7 @@ USAGE_GOLDEN = [
             "  --format {text,json,csv}\n"
             "                        output format (csv only for count and census)\n"
             "  --n N\n"
-            "  --parallel\n"
+            "  --parallel            has no effect\n"
         ),
         "",
     ),
@@ -725,7 +743,7 @@ USAGE_GOLDEN = [
             "                        output format (csv only for count and census)\n"
             "  --n-list N_LIST       comma-separated n values\n"
             "  --cache CACHE         CSV cache path (columns n,m)\n"
-            "  --parallel\n"
+            "  --parallel            has no effect\n"
         ),
         "",
     ),

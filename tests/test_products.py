@@ -280,19 +280,115 @@ def test_oversized_table_is_rejected_up_front(monkeypatch):
         census([10, COUNT_N_MAX + 1])
 
 
-def test_parallel_invariant():
+def test_parallel_invariant(monkeypatch):
     for n in (100, 1500):
         serial = count_distinct_segmented(n)
-        assert count_distinct_segmented(n, parallel=True) == serial
+        with monkeypatch.context() as m:
+            m.setattr(products, "POOL_MIN_WINDOWS", 1)
+            assert count_distinct_segmented(n) == serial
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a pool was started")
 
 
 def test_parallel_on_one_usable_cpu_starts_no_pool(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
-
+    monkeypatch.setattr(products, "POOL_MIN_WINDOWS", 1)
     monkeypatch.setattr(products.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    assert count_distinct_segmented(2000, parallel=True) == CENSUS_COUNTS[2000]
+    monkeypatch.setattr(multiprocessing, "Pool", _no_pool)
+    assert count_distinct_segmented(2000) == CENSUS_COUNTS[2000]
+
+
+def _first_n_with_windows(count):
+    """The least n whose table [1, n^2] spans count windows."""
+    return math.isqrt((count - 1) * products.SEGMENT_WINDOW) + 1
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The sizes of the pools that counts start; each pool maps in this
+    process."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, jobs):
+            return list(map(func, jobs))
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    return started
+
+
+def _usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(
+        products.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+    )
+
+
+def test_pool_starts_at_the_window_threshold(monkeypatch, pools):
+    n = _first_n_with_windows(products.POOL_MIN_WINDOWS)
+    assert len(_window_ranges(1, (n - 1) ** 2, products.SEGMENT_WINDOW)) == (
+        products.POOL_MIN_WINDOWS - 1
+    )
+    assert len(_window_ranges(1, n * n, products.SEGMENT_WINDOW)) == (
+        products.POOL_MIN_WINDOWS
+    )
+    _usable_cpus(monkeypatch, 16)
+    assert len(_window_ranges(1, 5000**2, products.SEGMENT_WINDOW)) == 24
+    assert count_distinct_segmented(5000) == CENSUS_COUNTS[5000]
+    count_distinct_segmented(n - 1)
+    assert pools == []
+    pooled = count_distinct_segmented(n)
+    assert pools == [8]
+    # one usable CPU counts in this process, also past the threshold
+    _usable_cpus(monkeypatch, 1)
+    assert count_distinct_segmented(n) == pooled
+    assert pools == [8]
+
+
+def test_pool_has_one_worker_per_usable_cpu_up_to_eight(monkeypatch, pools):
+    monkeypatch.setattr(products, "POOL_MIN_WINDOWS", 1)
+    for cpus in (2, 3, 8, 9, 64):
+        _usable_cpus(monkeypatch, cpus)
+        assert count_distinct_segmented(2000) == CENSUS_COUNTS[2000]
+    assert pools == [2, 3, 8, 8, 8]
+
+
+def test_cpu_count_fallback_without_affinity(monkeypatch, pools):
+    # a platform without os.sched_getaffinity sizes the pool from
+    # os.cpu_count(), and counts in this process when that is unknown
+    monkeypatch.delattr(products.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(products, "POOL_MIN_WINDOWS", 1)
+    monkeypatch.setattr(products.os, "cpu_count", lambda: None)
+    assert count_distinct_segmented(2000) == CENSUS_COUNTS[2000]
+    assert pools == []
+    monkeypatch.setattr(products.os, "cpu_count", lambda: 4)
+    assert count_distinct_segmented(2000) == CENSUS_COUNTS[2000]
+    assert pools == [4]
+
+
+def _window_that_raises(args):
+    raise RuntimeError(f"window {args} failed")
+
+
+def test_pool_leaves_no_child_process(monkeypatch):
+    monkeypatch.setattr(products, "POOL_MIN_WINDOWS", 1)
+    _usable_cpus(monkeypatch, 2)
+    assert count_distinct_segmented(2000) == CENSUS_COUNTS[2000]
+    assert multiprocessing.active_children() == []
+    # a window that raises in a worker ends the count, and the pool too
+    monkeypatch.setattr(products, "_count_window", _window_that_raises)
+    with pytest.raises(RuntimeError, match="failed"):
+        count_distinct_segmented(2000)
+    assert multiprocessing.active_children() == []
 
 
 def test_census_point_fields():
