@@ -3,6 +3,7 @@
 import csv
 import math
 import multiprocessing
+from bisect import bisect_left
 from functools import lru_cache
 
 import numpy as np
@@ -21,7 +22,7 @@ from mtable.products import (
     _CacheError,
     _count_window,
     _least_prime_factors,
-    _row_starts,
+    _plan,
     _window_ranges,
     census,
     count_distinct_segmented,
@@ -61,9 +62,22 @@ def _bitmap(n):
     return product_bitmap(n)
 
 
+@lru_cache(maxsize=None)
+def _order(n):
+    """The 2-adic order of [1, n^2]: every k sorted by v2(k), then by k.
+    Returns the k at each position (order[p - 1] for position p) and the
+    position of each k (position[k], entry 0 unused)."""
+    k = np.arange(1, n * n + 1, dtype=np.int32)
+    order = k[np.argsort(k & -k, kind="stable")]
+    position = np.zeros(n * n + 1, dtype=np.int32)
+    position[order] = k
+    return order, position
+
+
 def window_oracle(n, lo, hi):
-    """Distinct products of the n-table in [lo, hi], from the dense bitmap."""
-    return int(np.count_nonzero(_bitmap(n)[lo : hi + 1]))
+    """Distinct products of the n-table at positions [lo, hi] of the
+    2-adic order, from the dense bitmap."""
+    return int(np.count_nonzero(_bitmap(n)[_order(n)[0][lo - 1 : hi]]))
 
 
 def least_prime_factor(a):
@@ -73,16 +87,106 @@ def least_prime_factor(a):
     return next((d for d in range(2, math.isqrt(a) + 1) if a % d == 0), a)
 
 
+def limit(n, j, a):
+    """The largest b with a * b * 2^j = x * y, x = 2^i * a and y = 2^(j-i) * b
+    both at most n, by trial of every i <= j (0 if there is none)."""
+    return max((n >> (j - i) for i in range(j + 1) if a << i <= n), default=0)
+
+
+@lru_cache(maxsize=None)
+def plan_rows(n):
+    """(j, a, first b, last b) for every row of the n-table in 2-adic order
+    with at least one product, sorted by j and a: row 1 of level j takes
+    the odd b from 1, row a > 1 the odd b >= a past limit(j, a/p) // p,
+    p its least prime factor by trial division, and every row stops at
+    limit(j, a)."""
+    rows = []
+    for j in range((n * n).bit_length()):
+        for a in range(1, n + 1, 2):
+            if a * a << j > n * n:
+                break
+            p = least_prime_factor(a)
+            first = 1 if a == 1 else max(a, limit(n, j, a // p) // p + 1) | 1
+            last = (limit(n, j, a) - 1) | 1
+            if first <= last:
+                rows.append((j, a, first, last))
+    return rows
+
+
 def row_counts(n, lo, hi):
-    """Products row a puts into [lo, hi], for every row that puts any
-    there: row 1 takes every b, row a > 1 the b >= a with b > n//p(a)."""
+    """Products each row puts at positions [lo, hi], keyed by (j, a), for
+    every row that puts any there."""
+    position = _order(n)[1]
     counts = {}
-    for a in range(1, n + 1):
-        first = max(a, -(-lo // a), 1 if a == 1 else n // least_prime_factor(a) + 1)
-        c = min(n, hi // a) - first + 1
-        if c > 0:
-            counts[a] = c
+    for j, a, first, last in plan_rows(n):
+        at = position[(a * np.arange(first, last + 1, 2)) << j]
+        count = int(np.count_nonzero((lo <= at) & (at <= hi)))
+        if count:
+            counts[j, a] = count
     return counts
+
+
+def position_of(n, j, a, b):
+    """The position of the product a * b * 2^j in the 2-adic order."""
+    return int(_order(n)[1][(a * b) << j])
+
+
+def test_positions_are_a_bijection():
+    # offsets[j] + (m + 1)/2 for k = 2^j * m, m odd, is the 2-adic order
+    # of [1, n^2], a permutation of it, for every n up to 300: n^2 a power
+    # of two (1, 2, 4, ...) or not
+    for n in range(1, 301):
+        top = n * n
+        offsets = _plan(n)[0]
+        assert len(offsets) == top.bit_length() + 1 and offsets[-1] == top
+        k = np.arange(1, top + 1)
+        low = k & -k
+        j = np.log2(low).astype(np.int64)
+        at = np.array(offsets)[j] + (k // low + 1) // 2
+        assert np.array_equal(np.sort(at), k), n
+        assert np.array_equal(at, _order(n)[1][1:]), n
+
+
+def test_plan_matches_trial_division():
+    for n in (1, 2, 3, 12, 299, 300, 2000):
+        offsets, keys, steps, firsts, lasts = _plan(n)
+        k = np.arange(1, n * n + 1)
+        assert offsets == [
+            int(np.count_nonzero((k & -k) < (1 << j)))
+            for j in range((n * n).bit_length() + 1)
+        ], n
+        rows = plan_rows(n)
+        assert keys.tolist() == [j * (n + 1) + a for j, a, _, _ in rows], n
+        assert steps.tolist() == [a for _, a, _, _ in rows], n
+        assert firsts.tolist() == [position_of(n, j, a, b) for j, a, b, _ in rows]
+        assert lasts.tolist() == [position_of(n, j, a, b) for j, a, _, b in rows]
+        assert len(rows) < 2 * n
+        for array in keys, steps, firsts, lasts:
+            assert array.dtype == np.int64 and not array.flags.writeable
+
+
+def test_windows_sum_to_brute_force_at_every_width():
+    # whole tables swept window by window add up to M(n) by brute force:
+    # every n up to 300 at widths 64 and 1000, widths 1 and 7 up to 48,
+    # and width 7 at 128 and 255; the windows at the top of a table span
+    # several levels, which hold from n^2/2 values down to one
+    spans = set()
+    for n in range(1, 301):
+        expect = brute_count(n)
+        widths = (64, 1000)
+        if n <= 48:
+            widths = (1, 7, 64, 1000)
+        elif n in (128, 255):
+            widths = (7, 64, 1000)
+        offsets = _plan(n)[0]
+        for width in widths:
+            windows = _window_ranges(1, n * n, width)
+            total = sum(_count_window((n, lo, hi)) for lo, hi in windows)
+            assert total == expect, (n, width)
+            spans.update(
+                bisect_left(offsets, hi) - bisect_left(offsets, lo) for lo, hi in windows
+            )
+    assert max(spans) >= 5
 
 
 def test_count_window_narrow_windows():
@@ -99,33 +203,40 @@ def test_count_window_narrow_windows():
 
 
 def test_count_window_no_rows():
-    # a_lo = ceil(lo/n) > a_hi = min(n, isqrt(hi)): inside the table
-    # ([91, 99] at n = 10) and above it
-    for n, lo, hi in (
-        (10, 91, 99), (10, 99, 99), (3, 10, 10), (100, 10**4 + 1, 10**4 + 500),
-    ):
-        assert -(-lo // n) > min(n, math.isqrt(hi))
+    # no row of the window's level has a in [ceil(m_lo/n), isqrt(m_hi)]:
+    # m in [91, 99] at n = 10, [7, 7] at n = 3, [9901, 9999] at 100
+    for n, lo, hi in ((10, 46, 50), (10, 50, 50), (3, 4, 4), (100, 4951, 5000)):
+        order = _order(n)[0]
+        m_lo, m_hi = int(order[lo - 1]), int(order[hi - 1])
+        assert m_lo % 2 == m_hi % 2 == 1 and hi <= (n * n + 1) // 2
+        assert -(-m_lo // n) > math.isqrt(m_hi)
         assert _count_window((n, lo, hi)) == 0
-    # rows in range, yet each misses the window: row 9 at n = 10 holds
-    # 81 and 90, not 83
-    assert row_counts(10, 83, 83) == {}
-    assert _count_window((10, 83, 83)) == 0
+    # past the table
+    for n, lo, hi in ((3, 10, 10), (100, 10**4 + 1, 10**4 + 500)):
+        assert _count_window((n, lo, hi)) == 0
+    # a row in range, yet it misses the window: position 42 at n = 10 is
+    # m = 83, and row 9 of level 0 holds 81 only
+    assert _order(10)[0][41] == 83
+    assert row_counts(10, 41, 41) == {(0, 9): 1}
+    assert row_counts(10, 42, 42) == {}
+    assert _count_window((10, 42, 42)) == 0
 
 
 def test_count_window_cut_off_boundary():
     # a window holding exactly cut-off - 1 and exactly cut-off products of
-    # row a, so both the batched and the strided write run, and meet at
-    # the boundary
-    n, a = 300, 3
+    # row 3 of level 0, up to its last one, b = 299, and past it the dense
+    # row 5 and sparse rows, so both the batched and the strided write run
+    n = 300
+    assert (0, 3, 101, 299) in plan_rows(n)
+    hi = position_of(n, 0, 3, 299) + 400
     for width in (DENSE_ROW_MIN - 1, DENSE_ROW_MIN):
-        lo = a * 101
-        hi = a * (101 + width - 1)
+        lo = position_of(n, 0, 3, 299 - 2 * (width - 1))
         counts = row_counts(n, lo, hi)
-        assert counts[a] == width
+        assert counts[0, 3] == width and counts[0, 5] >= DENSE_ROW_MIN
         assert {c >= DENSE_ROW_MIN for c in counts.values()} == {False, True}
         assert _count_window((n, lo, hi)) == window_oracle(n, lo, hi)
         # the same row again, starting between two of its products
-        assert _count_window((n, lo + 1, hi + 1)) == window_oracle(n, lo + 1, hi + 1)
+        assert _count_window((n, lo + 1, hi)) == window_oracle(n, lo + 1, hi)
 
 
 def test_count_window_mixes_both_branches():
@@ -141,7 +252,7 @@ def test_count_window_mixes_both_branches():
             got = _count_window((n, lo, hi))
             assert got == window_oracle(n, lo, hi), (n, lo, hi)
             total += got
-            if n == 300:
+            if n == 300 and len(kinds) < 2:
                 kinds.update(c >= DENSE_ROW_MIN for c in row_counts(n, lo, hi).values())
         assert total == count_distinct_dense(n), n
     # strided and batched rows both occurred
@@ -149,34 +260,45 @@ def test_count_window_mixes_both_branches():
 
 
 def test_count_window_row_start_boundary():
-    # windows that start or end at a * (n//p(a)), the last product the
-    # row start leaves out, and at a * (n//p(a) + 1), its first one: a
-    # even, odd composite with p = 3 and p = 5, prime, and a = 1, whose
-    # row starts at b = 1 (its boundary is the row's end, n)
+    # windows that start or end at the last odd b that a row's start
+    # leaves out and at its first one: odd composites with p = 3 and
+    # p = 5 and a prime, at level 0 and at a level where lim_j(a) < n;
+    # and row 1, whose boundary is its end, lim_j(1)
     n = 299
-    for a, p in ((12, 2), (21, 3), (35, 5), (13, 13), (1, 1)):
+    rows = {(j, a): (first, last) for j, a, first, last in plan_rows(n)}
+    for j, a, p in ((0, 21, 3), (4, 21, 3), (0, 35, 5), (4, 35, 5), (0, 13, 13),
+                    (0, 1, 1), (9, 1, 1)):
         assert least_prime_factor(a) == p
-        q = n // p
+        assert (limit(n, j, a) < n) == (j > 0)
+        first, last = rows[j, a]
         if a > 1:
-            assert row_counts(n, a * q, a * q).get(a) is None
-            assert row_counts(n, a * (q + 1), a * (q + 1))[a] == 1
-        for x in (a * q, a * (q + 1)):
+            assert first > a and limit(n, j, a // p) // p in (first - 1, first - 2)
+            left_out, written = first - 2, first
+        else:
+            assert first == 1 and last == (limit(n, j, 1) - 1) | 1
+            left_out, written = last + 2, last
+        for b, count in ((left_out, None), (written, 1)):
+            x = position_of(n, j, a, b)
+            assert row_counts(n, x, x).get((j, a)) == count
             for width in (1, 2, a + 1, DENSE_ROW_MIN, 4 * DENSE_ROW_MIN * a, 5000):
                 for lo, hi in ((x, x + width - 1), (max(1, x - width + 1), x)):
                     assert _count_window((n, lo, hi)) == window_oracle(n, lo, hi), (
-                        a, lo, hi,
+                        j, a, lo, hi,
                     )
 
 
 def test_count_window_run_cap_boundary():
-    # a window holding exactly cap - 1, cap and cap + 1 products of row a:
+    # a window holding exactly cap - 1, cap and cap + 1 products of a row:
     # the strided write takes its run from the table below the cap and
-    # builds it at and above; row 2 starts at b = 1001, row 3 at b = 667
+    # builds it at and above; row 3 of level 0 starts at b = 667, row 5
+    # of level 1 at b = 401
     n, cap = 2000, products._RUN_CAP
-    for a, b in ((2, 1001), (3, 700)):
+    rows = plan_rows(n)
+    for j, a, b in ((0, 3, 667), (1, 5, 401)):
+        assert (j, a, b, 1999) in rows
         for width in (cap - 1, cap, cap + 1):
-            lo, hi = a * b, a * (b + width - 1)
-            assert row_counts(n, lo, hi)[a] == width
+            lo, hi = position_of(n, j, a, b), position_of(n, j, a, b + 2 * (width - 1))
+            assert row_counts(n, lo, hi)[j, a] == width
             assert _count_window((n, lo, hi)) == window_oracle(n, lo, hi)
             # the same row again, starting between two of its products
             assert _count_window((n, lo + 1, hi + 1)) == window_oracle(n, lo + 1, hi + 1)
@@ -185,10 +307,13 @@ def test_count_window_run_cap_boundary():
 def test_count_window_row_one():
     # row 1 is a step-1 write, a contiguous slice of the window's buffer
     # while the numpy view of that buffer exists; it holds fewer products
-    # than the cap, more, or all n
+    # than the cap, more, or all of its level's: positions 1 to 1000 at
+    # level 0, and 2000001 on at level 1
     n = 2000
-    for lo, hi in ((1, DENSE_ROW_MIN), (1, 600), (37, 1999), (1, n), (5, 2 * n)):
-        assert row_counts(n, lo, hi)[1] >= DENSE_ROW_MIN
+    for lo, hi in ((1, DENSE_ROW_MIN), (1, 600), (37, 999), (1, 1000), (5, 2000),
+                   (2000001, 2000600)):
+        counts = row_counts(n, lo, hi)
+        assert max(counts[j, a] for j, a in counts if a == 1) >= DENSE_ROW_MIN
         assert _count_window((n, lo, hi)) == window_oracle(n, lo, hi), (lo, hi)
 
 
@@ -218,11 +343,11 @@ def test_count_window_run_of_wrong_length_raises(monkeypatch):
     runs = [bytearray(b"\x01") * (c + 1) for c in range(products._RUN_CAP)]
     monkeypatch.setattr(products, "_runs", lambda: runs)
     n = 2000
-    counts = row_counts(n, 2002, 2200)
-    assert 1 not in counts and counts[2] >= DENSE_ROW_MIN
+    counts = row_counts(n, 1001, 1200)
+    assert all(a > 1 for _, a in counts) and counts[0, 3] >= DENSE_ROW_MIN
     with pytest.raises(ValueError, match="extended slice"):
-        _count_window((n, 2002, 2200))
-    assert set(row_counts(n, 1, 100)) == {1}
+        _count_window((n, 1001, 1200))
+    assert set(row_counts(n, 1, 100)) == {(0, 1)}
     with pytest.raises(BufferError):
         _count_window((n, 1, 100))
 
@@ -234,15 +359,6 @@ def test_least_prime_factors_match_trial_division():
         assert np.array_equal(_least_prime_factors(n), expect[: n + 1]), n
     table = _least_prime_factors(top)
     assert table.dtype == np.int32 and np.array_equal(table, expect)
-
-
-def test_row_starts_follow_least_prime_factors():
-    for n in (1, 2, 12, 299, 5000):
-        starts = _row_starts(n)
-        assert not starts.flags.writeable
-        assert starts[1:].tolist() == [1] + [
-            max(a, n // least_prime_factor(a) + 1) for a in range(2, n + 1)
-        ], n
 
 
 @given(st.integers(1, 300), st.data())
@@ -320,7 +436,7 @@ def pools(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, func, jobs):
+        def map(self, func, jobs, chunksize=None):
             return list(map(func, jobs))
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
