@@ -24,7 +24,6 @@ from .products import (
     TableCensus,
     census,
     count_distinct_segmented,
-    distinct_count_prefix,
 )
 from .bounds import (
     BoundReport,
@@ -70,7 +69,6 @@ __all__ = [
     "TableCensus",
     "census",
     "count_distinct_segmented",
-    "distinct_count_prefix",
     "BoundReport",
     "EULER_GAMMA",
     "NICOLAS_C",

@@ -63,8 +63,8 @@ has a lower bound from its derivative in ln n, and on every span up to
 SWEEP_MAX that step exceeds three times a stated error bound of the
 float evaluation (see _nicolas_shape); a span where it would not is
 evaluated at every argument.
-The theorem sweep runs its kernel over every n at once, with M(n) from
-one prefix count.
+The theorem sweep runs its kernel over every n at once, and counts M(n)
+only at the n whose verdicts a smaller table's count cannot settle.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ from .divisors import (
     divisor_count, divisor_sum, divisor_window, incomplete_divisor_integral,
     record_maxima,
 )
-from .products import _window_ranges, distinct_count_prefix
+from .products import _require_count_n, _window_ranges, count_distinct_segmented
 
 __all__ = [
     "BoundReport",
@@ -621,20 +621,46 @@ def verify_mean_bound(n: int, m: int) -> BoundReport:
 
 def verify_theorem_sweep(hi: int = 500) -> list[BoundReport]:
     """The violated or borderline reports of verify_theorem_lower_bound
-    and verify_mean_bound over every n in [2, hi]; hi < 2 is rejected.
+    and verify_mean_bound over every n in [2, hi]; hi < 2 is rejected,
+    and so is hi > products.COUNT_N_MAX, before anything is counted.
 
-    Every M(n) comes from one distinct_count_prefix pass, so hi may be
-    at most products.PREFIX_N_MAX.  The kernel the two scalar checks
-    apply to one n checks every n at once, and raises as
-    verify_mean_bound does where the bound is below 12; its flagged
-    entries are the reports, each n's lower bound before its mean check.
+    The tables nest, so M(n) >= M(a) for every n >= a.  The sweep counts
+    M(a) with count_distinct_segmented, from a = 2, takes it as the count
+    of every n >= a, and runs the kernel the two scalar checks apply to
+    one n over every n at once; the first n > a that the kernel flags is
+    the next a.  The kernel raises as verify_mean_bound does where the
+    bound is below 12.  When it flags no n past a, its flagged entries
+    are the reports, each n's lower bound before its mean check.  Four
+    counts, M(2), M(20), M(212) and M(3412), clear every n up to
+    COUNT_N_MAX.
+
+    The reports are those of the exact count at every n, because a
+    verdict that is clean at a count L is clean at every integer count
+    M >= L in the same float evaluation: so an n that is not counted is
+    clean at M(n), and every flagged n is counted.  The lower check is
+    clean when its margin fl(floor - count) is below minus a slack that
+    depends on the floor alone, and that margin falls as the count
+    rises.  The mean check is clean when its margin fl(x - n**2), with
+    x = fl(count * N(n**2)) >= 12 for a count >= 1, exceeds the slack
+    fl(RELATIVE_SLACK * x).  As the count rises, x either stays put, and
+    so does the verdict, or rises by at least an ulp of x, more than
+    2**-53 * x.  The margin gains that rise less its rounding, while the
+    slack gains only RELATIVE_SLACK of it, and the roundings of margin
+    and slack move them by far less than 2**-53 * x.
     """
     if hi < 2:
         raise ValueError(f"empty range [2, {hi}]")
-    counts = distinct_count_prefix(hi)[2:]
+    _require_count_n(hi)
     ns = _arguments(2, hi)
     squares = ns * ns
-    lower, mean = _theorem(squares, counts)
+    counts = np.empty(hi - 1, dtype=np.int64)
+    a = 2
+    while a <= hi:
+        counts[a - 2 :] = count_distinct_segmented(a)
+        lower, mean = _theorem(squares, counts)
+        flagged = lower[2] | lower[3] | mean[2] | mean[3]
+        later = np.flatnonzero(flagged[a - 1 :])
+        a = a + 1 + int(later[0]) if later.size else hi + 1
     reports = _reports("table_count", ns, counts, lower)
     reports += _reports("table_count", ns, squares, mean)
     return sorted(reports, key=lambda r: r.argument)

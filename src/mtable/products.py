@@ -16,9 +16,7 @@ sparser rows are written at once through a zero-copy numpy view, so
 peak memory is one window plus fewer than DENSE_ROW_MIN index entries
 per row.  Row a > 1 starts past the b that row a/p(a) already covers,
 p(a) the least prime factor of a: every m keeps its least row, and the
-writes fall to about 68% of n^2/2.  The prefix counter gives M(1), ...,
-M(N) from one bitmap by counting, row by row, only the products that
-are new in that row.
+writes fall to about 68% of n^2/2.
 """
 
 from __future__ import annotations
@@ -40,15 +38,10 @@ import numpy as np
 __all__ = [
     "TableCensus",
     "count_distinct_segmented",
-    "distinct_count_prefix",
     "census",
     "load_cache",
     "save_cache",
 ]
-
-# Largest N distinct_count_prefix accepts: its bitmap holds N*N + 1 bytes,
-# 64 MiB at N = 8192, where the whole prefix takes about half a second.
-PREFIX_N_MAX = 8192
 
 # Window length (number of positions of the 2-adic order per window) of
 # the segmented sweep.  It changes no count, only the time and the memory
@@ -157,25 +150,6 @@ class TableCensus:
             mean_multiplicity=square / m,
             elapsed=elapsed,
         )
-
-
-def distinct_count_prefix(n_max: int) -> np.ndarray:
-    """M(n) for every n in [0, n_max] (int64, M(0) = 0), in one pass.
-
-    The n-table is the (n-1)-table plus the row n*1, ..., n*n, so M(n) is
-    M(n-1) plus the number of products in that row not seen before.  One
-    bitmap over [0, n_max^2] remembers every product seen so far; each
-    row costs one strided read and one strided write.
-    """
-    if not 1 <= n_max <= PREFIX_N_MAX:
-        raise ValueError(f"n_max must be in [1, {PREFIX_N_MAX}], got {n_max}")
-    seen = np.zeros(n_max * n_max + 1, dtype=bool)
-    counts = np.zeros(n_max + 1, dtype=np.int64)
-    for n in range(1, n_max + 1):
-        row = seen[n : n * n + 1 : n]
-        counts[n] = counts[n - 1] + row.size - np.count_nonzero(row)
-        row[:] = True
-    return counts
 
 
 def _window_ranges(lo: int, hi: int, width: int) -> list[tuple[int, int]]:

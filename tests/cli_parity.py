@@ -116,6 +116,8 @@ BASE = [
     ("verify", "--suite", "divisor-bound", "--max", "1000000001"),
     ("verify", "--suite", "identities", "--max", "501"),
     ("verify", "--suite", "everything"),
+    ("verify", "--suite", "theorem", "--max", "65536"),
+    ("verify", "--suite", "theorem", "--max", "65537"),
 ]
 
 # run as they are

@@ -39,6 +39,25 @@ def count_distinct_dense(n: int) -> int:
     return int(np.count_nonzero(product_bitmap(n)))
 
 
+def prefix_counts(n_max: int) -> np.ndarray:
+    """M(n) for every n in [0, n_max] (int64, M(0) = 0), in one pass.
+
+    The n-table is the (n-1)-table plus the row n*1, ..., n*n, so M(n) is
+    M(n-1) plus the number of products in that row not seen before (the
+    incremental count of Brent, Pomerance, Purdum and Webster,
+    arXiv:1908.04251).  One bitmap over [0, n_max^2] remembers every
+    product seen so far, 64 MiB at n_max = 8192; each row costs one
+    strided read and one strided write.
+    """
+    seen = np.zeros(n_max * n_max + 1, dtype=bool)
+    counts = np.zeros(n_max + 1, dtype=np.int64)
+    for n in range(1, n_max + 1):
+        row = seen[n : n * n + 1 : n]
+        counts[n] = counts[n - 1] + row.size - np.count_nonzero(row)
+        row[:] = True
+    return counts
+
+
 def divisor_step_integral(k: int) -> int:
     """Integral of d(k; x) over x in [1, k] as the area under its step
     function: between the i-th and (i+1)-th divisor d(k; x) equals i."""

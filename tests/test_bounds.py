@@ -359,12 +359,11 @@ def test_every_report_hashes(monkeypatch):
         bounds.verify_theorem_lower_bound(5, count_distinct_dense(5)),
         bounds.verify_mean_bound(5, count_distinct_dense(5)),
     ]
-    # forced failures: counts of 0 fail both theorem checks, and a table
-    # that counts the product 1 once too often (both table sums off by
-    # one) and a wrong partial zeta sum fail the identities suite
-    monkeypatch.setattr(
-        bounds, "distinct_count_prefix", lambda hi: np.zeros(hi + 1, dtype=np.int64)
-    )
+    # forced failures: counts of 0 fail both theorem checks, so the sweep
+    # counts every n and reports each twice; a table that counts the
+    # product 1 once too often (both table sums off by one) and a wrong
+    # partial zeta sum fail the identities suite
+    monkeypatch.setattr(bounds, "count_distinct_segmented", lambda n: 0)
     monkeypatch.setattr(series, "_grown_tables", grown_with_extra_count(1))
     monkeypatch.setattr(series, "_zeta_route", lambda s, n_max: np.arange(2, n_max + 2))
     theorem = bounds.verify_theorem_sweep(10)

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 from oracles import count_distinct_dense, grown_with_extra_count
 
-from mtable import cli, products, series
+from mtable import bounds, cli, products, series
 from mtable.bounds import SWEEP_MAX
-from mtable.products import COUNT_N_MAX, PREFIX_N_MAX
+from mtable.products import COUNT_N_MAX
 
 
 def run(capsys, *argv):
@@ -366,9 +366,13 @@ def test_verify_sweeps_reject_max_above_cap(capsys):
         assert str(SWEEP_MAX) in err
 
 
-def test_verify_theorem_and_bracket_reject_max_above_cap(capsys):
+def test_verify_theorem_and_bracket_reject_max_above_cap(capsys, monkeypatch):
     # rejected before M(n) is counted or a window is sieved
-    for suite, top in (("theorem", PREFIX_N_MAX), ("bracket", SWEEP_MAX)):
+    def no_count(*args, **kwargs):
+        raise AssertionError("an n was counted")
+
+    monkeypatch.setattr(bounds, "count_distinct_segmented", no_count)
+    for suite, top in (("theorem", COUNT_N_MAX), ("bracket", SWEEP_MAX)):
         code, out, err = run(capsys, "verify", "--suite", suite, "--max", str(top + 1))
         assert code == 2, suite
         assert out == ""

@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import count_distinct_dense, product_bitmap
+from oracles import count_distinct_dense, prefix_counts, product_bitmap
 from test_acceptance import CENSUS_COUNTS
 
 from mtable import products
 from mtable.products import (
     COUNT_N_MAX,
     DENSE_ROW_MIN,
-    PREFIX_N_MAX,
     TableCensus,
     _CacheError,
     _count_window,
@@ -26,7 +25,6 @@ from mtable.products import (
     _window_ranges,
     census,
     count_distinct_segmented,
-    distinct_count_prefix,
     load_cache,
     save_cache,
 )
@@ -702,19 +700,13 @@ def test_load_cache_rejects_malformed(tmp_path, body):
 
 
 def test_prefix_matches_dense():
-    counts = distinct_count_prefix(300)
+    counts = prefix_counts(300)
     assert len(counts) == 301 and counts[0] == 0
     for n in range(1, 301):
         assert counts[n] == count_distinct_dense(n), n
 
 
 def test_prefix_matches_census_counts():
-    counts = distinct_count_prefix(max(CENSUS_COUNTS))
+    counts = prefix_counts(max(CENSUS_COUNTS))
     for n, m in CENSUS_COUNTS.items():
         assert counts[n] == m, n
-
-
-def test_prefix_rejects_out_of_range():
-    for n_max in (0, PREFIX_N_MAX + 1):
-        with pytest.raises(ValueError):
-            distinct_count_prefix(n_max)

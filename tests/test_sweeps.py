@@ -31,11 +31,14 @@ _records_clear, which a test pins to one ulp.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import scalar_theorem_sweep
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import prefix_counts, scalar_theorem_sweep
 
 from mtable import bounds, products
 
@@ -675,10 +678,40 @@ def test_inf_bound_is_never_flagged():
     assert [v.tolist() for v in verdicts] == [[False, True], [False, False]]
 
 
-@pytest.mark.parametrize("hi", [2, 3, 114, 500, 1500, products.PREFIX_N_MAX])
+@pytest.mark.parametrize("hi", [2, 3, 114, 500, 1500, 8192])
 def test_theorem_sweep_matches_scalar_checks(hi):
-    counts = products.distinct_count_prefix(hi)
-    assert bounds.verify_theorem_sweep(hi) == scalar_theorem_sweep(counts)
+    assert bounds.verify_theorem_sweep(hi) == scalar_theorem_sweep(prefix_counts(hi))
+
+
+def recorded_counts(monkeypatch, count):
+    """The n the theorem sweep counts, in order, once it takes each
+    count from count(n)."""
+    counted = []
+
+    def seam(n):
+        counted.append(n)
+        return count(n)
+
+    monkeypatch.setattr(bounds, "count_distinct_segmented", seam)
+    return counted
+
+
+def test_theorem_sweep_counts_four_tables_to_the_cap(monkeypatch):
+    counted = recorded_counts(monkeypatch, products.count_distinct_segmented)
+    assert bounds.verify_theorem_sweep(products.COUNT_N_MAX) == []
+    assert counted == [2, 20, 212, 3412]
+
+
+def test_theorem_sweep_memory_stays_small():
+    # a few arrays of hi entries and one count's window and plan, where a
+    # bitmap over [0, hi**2] would take 64 MiB
+    tracemalloc.start()
+    try:
+        bounds.verify_theorem_sweep(8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def _theorem_floor(n):
@@ -687,13 +720,18 @@ def _theorem_floor(n):
 
 @pytest.mark.parametrize("slack", [bounds.RELATIVE_SLACK, 1e-6])
 def test_theorem_sweep_with_counts_at_the_floor(monkeypatch, slack):
-    # counts just below the floor are violations; at a slack of 1e-6 the
-    # band holds integers, and counts rounded to a floor inside it are
-    # borderline.  Counts just above the floor are clean.
+    # every count is 2 above the floor's integer part, which is clean, and
+    # past n = 559 the floor rises by more than 2 at each step, so the
+    # sweep counts every n from 560 on.  There, counts just below the
+    # floor are violations; at a slack of 1e-6 the band holds integers,
+    # and counts rounded to a floor inside it are borderline.  Counts just
+    # above the floor are clean.
     hi = 3000
     monkeypatch.setattr(bounds, "RELATIVE_SLACK", slack)
-    counts = products.distinct_count_prefix(hi)
-    below = [5, 114, 1000, 2999, hi]
+    counts = np.array(
+        [0, 0, *(math.floor(_theorem_floor(n)) + 2 for n in range(2, hi + 1))]
+    )
+    below = [560, 561, 1000, 2999, hi]
     for n in below:
         counts[n] = math.ceil(_theorem_floor(n)) - 1
     inside = [
@@ -704,16 +742,42 @@ def test_theorem_sweep_with_counts_at_the_floor(monkeypatch, slack):
     ][:5]
     for n in inside:
         counts[n] = round(_theorem_floor(n))
-    for n in (3, 700, 2000):
+    for n in (600, 700, 2000):
         counts[n] = math.ceil(_theorem_floor(n)) + 1
-    monkeypatch.setattr(bounds, "distinct_count_prefix", lambda hi: counts[: hi + 1])
+    counted = recorded_counts(monkeypatch, lambda n: int(counts[n]))
     expected = scalar_theorem_sweep(counts)
     scalar_checks_raise(monkeypatch)
     reports = bounds.verify_theorem_sweep(hi)
     assert reports == expected
+    assert counted == sorted(set(counted)) and counted[0] == 2
+    assert set(range(560, hi + 1)) <= set(counted)
     assert {r.argument for r in reports if r.violated} == set(below)
     assert {r.argument for r in reports if r.borderline} == set(inside)
     assert len(inside) == (5 if slack == 1e-6 else 0)
+
+
+@pytest.mark.parametrize("slack", [bounds.RELATIVE_SLACK, 1e-6])
+@given(data=st.data())
+def test_theorem_verdicts_carry_to_larger_counts(slack, data):
+    # a verdict of the kernel that is clean at a count L is clean at every
+    # count M >= L, which is why the sweep need not count every n; L and M
+    # are drawn around both checks' edges, near the floor
+    n = data.draw(st.integers(2, 10**6), label="n")
+    floor = math.floor(_theorem_floor(n))
+    reach = math.ceil(3 * slack * floor) + 3
+    low = data.draw(st.integers(max(floor - reach, 0), floor + reach), label="L")
+    high = data.draw(st.integers(low, floor + reach), label="M")
+    square = np.array([float(n * n)])
+
+    def clean(count):
+        # (the lower check is clean, the mean check is clean) at count
+        checked = bounds._theorem(square, np.array([count]))
+        return [not (violated | borderline)[0] for _, _, violated, borderline in checked]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounds, "RELATIVE_SLACK", slack)
+        at_low, at_high = clean(low), clean(high)
+    assert all(at_high[i] for i in (0, 1) if at_low[i])
 
 
 def test_theorem_sweep_checks_the_bound_above_12_everywhere(monkeypatch):
@@ -732,7 +796,7 @@ def test_theorem_sweep_checks_the_bound_above_12_everywhere(monkeypatch):
 
     monkeypatch.setattr(bounds, "_nicolas_values", dipped_values)
     monkeypatch.setattr(bounds, "nicolas_bound", dipped_bound)
-    counts = products.distinct_count_prefix(1000)
+    counts = prefix_counts(1000)
     assert dip * dip / 12 < counts[dip] < dip * dip
     with pytest.raises(RuntimeError, match="fell below 12"):
         bounds.verify_theorem_sweep(1000)
