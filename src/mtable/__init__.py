@@ -18,7 +18,6 @@ from .multiplicity import (
     multiplicity_direct,
     multiplicity_formula,
     table_multiplicities,
-    table_sum_checks,
 )
 from .products import (
     TableCensus,
@@ -40,7 +39,6 @@ from .bounds import (
     verify_bracket_sweep,
     verify_divisor_bound,
     verify_integral_bracket,
-    verify_mean_bound,
     verify_sigma_bound,
     verify_theorem_lower_bound,
     verify_theorem_sweep,
@@ -65,7 +63,6 @@ __all__ = [
     "multiplicity_direct",
     "multiplicity_formula",
     "table_multiplicities",
-    "table_sum_checks",
     "TableCensus",
     "census",
     "count_distinct_segmented",
@@ -83,7 +80,6 @@ __all__ = [
     "verify_bracket_sweep",
     "verify_divisor_bound",
     "verify_integral_bracket",
-    "verify_mean_bound",
     "verify_sigma_bound",
     "verify_theorem_lower_bound",
     "verify_theorem_sweep",

@@ -13,14 +13,14 @@ That this gives the bits of the same argument's element in an array is
 a property of the installed numpy (which may pick its exp and log loops
 by stride), checked by test_scalar_bounds_are_the_array_evaluation, not
 a guarantee.  Each check has one array kernel that returns its bounds,
-margins and verdicts: _upper for value <= bound (the d and sigma bounds
-and the theorem's mean check), _bracket for the integral bracket, and
-_theorem for the theorem's lower bound and mean check together.  A
-sweep applies its kernel to a window of arguments at once; the scalar
-checks (divisor_bound_at, sigma_bound_at, verify_integral_bracket,
-verify_theorem_lower_bound, verify_mean_bound) apply it to a one-entry
-array.  One builder, _reports, makes the BoundReports, plain values
-with no constants, of a sweep's flagged entries and a scalar check's.
+margins and verdicts: _upper for value <= bound (the d and sigma
+bounds), _bracket for the integral bracket, and _theorem for the
+theorem's one inequality, M(n) >= n**2 / N(n**2).  A sweep applies its
+kernel to a window of arguments at once; the scalar checks
+(divisor_bound_at, sigma_bound_at, verify_integral_bracket,
+verify_theorem_lower_bound) apply it to a one-entry array.  One
+builder, _reports, makes the BoundReports, plain values with no
+constants, of a sweep's flagged entries and a scalar check's.
 Every verdict comes from one rule, _classify_upper or _classify_lower,
 applied to an array of margins: a comparison only counts as a
 violation when it fails by more than a relative slack of 1e-12;
@@ -64,7 +64,7 @@ SWEEP_MAX that step exceeds three times a stated error bound of the
 float evaluation (see _nicolas_shape); a span where it would not is
 evaluated at every argument.
 The theorem sweep runs its kernel over every n at once, and counts M(n)
-only at the n whose verdicts a smaller table's count cannot settle.
+only at the n whose verdict a smaller table's count cannot settle.
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ __all__ = [
     "verify_integral_bracket",
     "verify_bracket_sweep",
     "verify_theorem_lower_bound",
-    "verify_mean_bound",
     "verify_theorem_sweep",
     "nicolas_shape_check",
     "reference_densities",
@@ -151,8 +150,8 @@ class BoundReport:
     distance from value to the nearest edge, positive inside).  For
     single bounds margin = bound - value, so its healthy sign depends on
     the direction of the inequality: positive for upper bounds
-    (divisor_count, divisor_sum, the scaled mean check), negative for
-    the lower bound on the distinct count.  violated is True only when
+    (divisor_count, divisor_sum), negative for the lower bound on the
+    distinct count (table_count).  violated is True only when
     the failure exceeds the relative slack; borderline marks any
     comparison inside the slack band.  Its fields are plain, so it hashes.
     """
@@ -249,7 +248,7 @@ def _one(x) -> np.ndarray:
 
 
 def _upper(values, bounds):
-    # value <= bound: the d and sigma bounds and the scaled mean check
+    # value <= bound: the d and sigma bounds
     margins = bounds - values
     return (bounds, margins, *_classify_upper(margins, bounds))
 
@@ -267,9 +266,9 @@ def _bracket(ks, middles, robin_c: float, nicolas_c: float):
 
 
 def _theorem(squares, counts):
-    # at n**2 and M(n): (the lower bound M(n) >= n**2 / N(n**2), the mean
-    # check n**2 <= M(n) N(n**2)), N at NICOLAS_C; the mean check's chain
-    # step max(12, N) = N is checked at every n first, and a NaN fails it
+    # M(n) >= n**2 / N(n**2) at n**2 and M(n), N at NICOLAS_C; the chain
+    # step max(12, N) = N of the theorem is checked at every n first, and
+    # a NaN fails it
     caps = _nicolas_values(squares, float(NICOLAS_C))
     below = np.flatnonzero(~(caps >= 12.0))
     if below.size:
@@ -279,8 +278,7 @@ def _theorem(squares, counts):
         )
     floors = squares / caps
     margins = floors - counts
-    lower = (floors, margins, *_classify_lower(margins, floors))
-    return lower, _upper(squares, counts * caps)
+    return floors, margins, *_classify_lower(margins, floors)
 
 
 def _reports(quantity, arguments, values, checked, every=False) -> list:
@@ -598,55 +596,36 @@ def verify_theorem_lower_bound(n: int, m: int) -> BoundReport:
     """Check M(n) >= n^2 / nicolas_bound(n^2), for n >= 2.
 
     m is the distinct-product count M(n), supplied by the caller; the
-    healthy margin (bound - value) is negative here.
+    healthy margin (bound - value) is negative here.  The theorem's
+    chain step max(12, bound) = bound is verified on the way: the check
+    raises where the bound is below 12.
     """
     _require_n(n, 2)
-    lower, _ = _theorem(_one(n * n), _one(m))
-    return _reports("table_count", [n], [m], lower, every=True)[0]
-
-
-def verify_mean_bound(n: int, m: int) -> BoundReport:
-    """Check n^2 / M(n) <= nicolas_bound(n^2) for n >= 2.
-
-    The inequality is scaled by m so the compared value n^2 stays an
-    exact integer: n^2 <= m * nicolas_bound(n^2).  The chain step
-    max(12, bound) = bound is verified on the way (the bound never dips
-    to 12 on this domain), by the kernel both theorem checks share, so
-    verify_theorem_lower_bound raises too where it fails.
-    """
-    _require_n(n, 2)
-    _, mean = _theorem(_one(n * n), _one(m))
-    return _reports("table_count", [n], [n * n], mean, every=True)[0]
+    checked = _theorem(_one(n * n), _one(m))
+    return _reports("table_count", [n], [m], checked, every=True)[0]
 
 
 def verify_theorem_sweep(hi: int = 500) -> list[BoundReport]:
     """The violated or borderline reports of verify_theorem_lower_bound
-    and verify_mean_bound over every n in [2, hi]; hi < 2 is rejected,
-    and so is hi > products.COUNT_N_MAX, before anything is counted.
+    over every n in [2, hi], in order; hi < 2 is rejected, and so is
+    hi > products.COUNT_N_MAX, before anything is counted.
 
     The tables nest, so M(n) >= M(a) for every n >= a.  The sweep counts
     M(a) with count_distinct_segmented, from a = 2, takes it as the count
-    of every n >= a, and runs the kernel the two scalar checks apply to
-    one n over every n at once; the first n > a that the kernel flags is
-    the next a.  The kernel raises as verify_mean_bound does where the
-    bound is below 12.  When it flags no n past a, its flagged entries
-    are the reports, each n's lower bound before its mean check.  Four
-    counts, M(2), M(20), M(212) and M(3412), clear every n up to
-    COUNT_N_MAX.
+    of every n >= a, and runs the kernel the scalar check applies to one
+    n over every n at once; the first n > a that the kernel flags is the
+    next a.  The kernel raises as the scalar check does where the bound
+    is below 12.  When it flags no n past a, its flagged entries are the
+    reports.  Four counts, M(2), M(20), M(212) and M(3412), clear every n
+    up to COUNT_N_MAX.
 
     The reports are those of the exact count at every n, because a
     verdict that is clean at a count L is clean at every integer count
     M >= L in the same float evaluation: so an n that is not counted is
-    clean at M(n), and every flagged n is counted.  The lower check is
-    clean when its margin fl(floor - count) is below minus a slack that
-    depends on the floor alone, and that margin falls as the count
-    rises.  The mean check is clean when its margin fl(x - n**2), with
-    x = fl(count * N(n**2)) >= 12 for a count >= 1, exceeds the slack
-    fl(RELATIVE_SLACK * x).  As the count rises, x either stays put, and
-    so does the verdict, or rises by at least an ulp of x, more than
-    2**-53 * x.  The margin gains that rise less its rounding, while the
-    slack gains only RELATIVE_SLACK of it, and the roundings of margin
-    and slack move them by far less than 2**-53 * x.
+    clean at M(n), and every flagged n is counted.  The check is clean
+    when its margin fl(floor - count) is below minus a slack that
+    depends on the floor alone, and rounding is monotone, so that margin
+    does not rise as the count rises.
     """
     if hi < 2:
         raise ValueError(f"empty range [2, {hi}]")
@@ -657,13 +636,10 @@ def verify_theorem_sweep(hi: int = 500) -> list[BoundReport]:
     a = 2
     while a <= hi:
         counts[a - 2 :] = count_distinct_segmented(a)
-        lower, mean = _theorem(squares, counts)
-        flagged = lower[2] | lower[3] | mean[2] | mean[3]
-        later = np.flatnonzero(flagged[a - 1 :])
+        checked = _theorem(squares, counts)
+        later = np.flatnonzero((checked[2] | checked[3])[a - 1 :])
         a = a + 1 + int(later[0]) if later.size else hi + 1
-    reports = _reports("table_count", ns, counts, lower)
-    reports += _reports("table_count", ns, squares, mean)
-    return sorted(reports, key=lambda r: r.argument)
+    return _reports("table_count", ns, counts, checked)
 
 
 def _nicolas_step(a: int, b: int) -> float:

@@ -11,7 +11,7 @@ Whole-table arrays hold the multiplicity of every k in [0, n*n].  One
 builder grows them: the n-table is the (n-1)-table plus an L-shaped
 border, so one array passes through every table size, and both
 table_multiplicities and the identities sweep of mtable.series read
-their tables from it.  table_sum_checks takes a table's two exact sums.
+their tables from it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "multiplicity_formula",
     "boundary_indicator",
     "table_multiplicities",
-    "table_sum_checks",
 ]
 
 # Full-table arrays hold n*n + 1 int64 entries; 4096 keeps that under 135 MB.
@@ -98,14 +97,3 @@ def table_multiplicities(n: int) -> np.ndarray:
     *_, counts = _grown_tables(n)
     return counts
 
-
-def table_sum_checks(n: int) -> tuple[int, int]:
-    """(sum of k * multiplicity, sum of multiplicities) over the n-table.
-
-    Both sums are taken exactly over table_multiplicities(n) and should
-    equal (n*(n+1)/2)^2 and n^2 respectively; callers compare against
-    those closed forms.  n is limited to TABLE_N_MAX, where the weighted
-    sum is still far inside int64.
-    """
-    counts = table_multiplicities(n)
-    return int(np.arange(counts.size, dtype=np.int64) @ counts), int(counts.sum())

@@ -14,11 +14,7 @@ import numpy as np
 from mtable import bounds, multiplicity, series
 from mtable.bounds import BoundReport
 from mtable.divisors import divisor_list, divisor_window
-from mtable.multiplicity import (
-    multiplicity_direct,
-    table_multiplicities,
-    table_sum_checks,
-)
+from mtable.multiplicity import multiplicity_direct, table_multiplicities
 
 
 def product_bitmap(n: int) -> np.ndarray:
@@ -70,6 +66,18 @@ def multiplicity_at_k_and_next(k: int) -> tuple[int, int]:
     direct enumeration.  From n = k on every divisor pair of k fits, so
     both equal d(k)."""
     return multiplicity_direct(k, k), multiplicity_direct(k + 1, k)
+
+
+def table_sum_checks(n: int) -> tuple[int, int]:
+    """(sum of k * multiplicity, sum of multiplicities) over the n-table.
+
+    Both sums are taken exactly over table_multiplicities(n) and should
+    equal (n*(n+1)/2)^2 and n^2 respectively; callers compare against
+    those closed forms.  n is limited to TABLE_N_MAX, where the weighted
+    sum is still far inside int64.
+    """
+    counts = table_multiplicities(n)
+    return int(np.arange(counts.size, dtype=np.int64) @ counts), int(counts.sum())
 
 
 def table_multiplicities_formula(n: int) -> np.ndarray:
@@ -191,16 +199,13 @@ def record_steps(bits: int) -> list[tuple[int, int, Fraction]]:
 
 
 def scalar_theorem_sweep(counts: np.ndarray) -> list[BoundReport]:
-    """verify_theorem_sweep's reports from verify_theorem_lower_bound and
-    verify_mean_bound run at every n in [2, len(counts) - 1], where
-    counts[n] is M(n)."""
+    """verify_theorem_sweep's reports from verify_theorem_lower_bound run
+    at every n in [2, len(counts) - 1], where counts[n] is M(n)."""
     reports = []
     for n in range(2, counts.size):
-        m = int(counts[n])
-        for check in (bounds.verify_theorem_lower_bound, bounds.verify_mean_bound):
-            r = check(n, m)
-            if r.violated or r.borderline:
-                reports.append(r)
+        r = bounds.verify_theorem_lower_bound(n, int(counts[n]))
+        if r.violated or r.borderline:
+            reports.append(r)
     return reports
 
 

@@ -13,15 +13,12 @@ from oracles import (
     count_distinct_dense,
     divisor_step_integral,
     multiplicity_at_k_and_next,
+    table_sum_checks,
 )
 
 from mtable import bounds, products, series
 from mtable.divisors import divisor_count, incomplete_divisor_integral
-from mtable.multiplicity import (
-    multiplicity_direct,
-    multiplicity_formula,
-    table_sum_checks,
-)
+from mtable.multiplicity import multiplicity_direct, multiplicity_formula
 
 CENSUS_COUNTS = {
     10: 42,

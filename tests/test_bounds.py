@@ -319,16 +319,6 @@ def test_theorem_lower_bound_flags_undercount():
     assert bounds.verify_theorem_lower_bound(2, 0).violated
 
 
-def test_mean_bound_healthy():
-    for n in (2, 10, 100):
-        m = count_distinct_dense(n)
-        r = bounds.verify_mean_bound(n, m)
-        assert r.value == n * n
-        assert r.bound == m * bounds.nicolas_bound(n * n)
-        assert r.margin == r.bound - n * n > 0
-        assert not r.violated and not r.borderline
-
-
 def test_monotonicity_and_floor_checks():
     assert bounds.nicolas_shape_check(10**4) == (True, True)
     # the bound rises from 114 on, not from 113, and its minimum there
@@ -357,10 +347,9 @@ def test_every_report_hashes(monkeypatch):
         bounds.sigma_bound_at(12),
         bounds.verify_integral_bracket(12),
         bounds.verify_theorem_lower_bound(5, count_distinct_dense(5)),
-        bounds.verify_mean_bound(5, count_distinct_dense(5)),
     ]
-    # forced failures: counts of 0 fail both theorem checks, so the sweep
-    # counts every n and reports each twice; a table that counts the
+    # forced failures: counts of 0 fail the theorem's check, so the sweep
+    # counts every n and reports each once; a table that counts the
     # product 1 once too often (both table sums off by one) and a wrong
     # partial zeta sum fail the identities suite
     monkeypatch.setattr(bounds, "count_distinct_segmented", lambda n: 0)
@@ -368,7 +357,9 @@ def test_every_report_hashes(monkeypatch):
     monkeypatch.setattr(series, "_zeta_route", lambda s, n_max: np.arange(2, n_max + 2))
     theorem = bounds.verify_theorem_sweep(10)
     identities = series.verify_identities_sweep(3)
-    assert len(theorem) == 18
+    assert [(r.argument, r.value, r.violated) for r in theorem] == [
+        (n, 0, True) for n in range(2, 11)
+    ]
     assert {r.quantity for r in identities} == {
         "table_sum", "table_sum_weighted",
         *(f"square_identity_s_{s}" for s in (0, -1, 2, 3, 2 + 3j)),

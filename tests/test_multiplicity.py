@@ -4,7 +4,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import multiplicity_at_k_and_next, table_multiplicities_formula
+from oracles import (
+    multiplicity_at_k_and_next,
+    table_multiplicities_formula,
+    table_sum_checks,
+)
 
 from mtable.divisors import divisor_count, divisor_list, incomplete_divisor_count
 from mtable.multiplicity import (
@@ -13,7 +17,6 @@ from mtable.multiplicity import (
     multiplicity_direct,
     multiplicity_formula,
     table_multiplicities,
-    table_sum_checks,
 )
 
 
@@ -124,8 +127,9 @@ def test_table_formula_route_agrees():
 
 
 def test_table_rejects_oversize():
-    with pytest.raises(ValueError):
-        table_multiplicities(TABLE_N_MAX + 1)
+    for n in (0, TABLE_N_MAX + 1):
+        with pytest.raises(ValueError):
+            table_multiplicities(n)
 
 
 def test_sum_checks_closed_forms():
@@ -138,9 +142,3 @@ def test_sum_checks_closed_forms():
 def test_sum_checks_routes_agree():
     for n in (1, 7, 64, 65, 200):
         assert table_sum_checks(n) == divisor_route_sums(n)
-
-
-def test_sum_checks_rejects_oversize():
-    for n in (0, TABLE_N_MAX + 1):
-        with pytest.raises(ValueError):
-            table_sum_checks(n)
