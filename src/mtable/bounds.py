@@ -15,7 +15,8 @@ by stride), checked by test_scalar_bounds_are_the_array_evaluation, not
 a guarantee.  Each check has one array kernel that returns its bounds,
 margins and verdicts: _upper for value <= bound (the d and sigma
 bounds), _bracket for the integral bracket, and _theorem for the
-theorem's one inequality, M(n) >= n**2 / N(n**2).  A sweep applies its
+theorem's one inequality, M(n) >= n**2 / N(n**2), whose floors
+n**2 / N(n**2) come from _theorem_floors.  A sweep applies its
 kernel to a window of arguments at once; the scalar checks
 (divisor_bound_at, sigma_bound_at, verify_integral_bracket,
 verify_theorem_lower_bound) apply it to a one-entry array.  One
@@ -238,7 +239,8 @@ def _robin_values(ns: np.ndarray, c: float) -> np.ndarray:
 
 # The kernels of the three checks.  Each takes arrays with one entry per
 # argument, a sweep's window or a scalar check's one argument (_one), and
-# returns (bounds, margins, violated, borderline), what _reports reads.
+# returns (bounds, margins, violated, borderline), what _reports reads;
+# _theorem takes the floors of its arguments, which depend on them alone.
 
 
 def _one(x) -> np.ndarray:
@@ -265,10 +267,10 @@ def _bracket(ks, middles, robin_c: float, nicolas_c: float):
     return ((lowers, uppers), margins, *_classify_upper(margins, middles))
 
 
-def _theorem(squares, counts):
-    # M(n) >= n**2 / N(n**2) at n**2 and M(n), N at NICOLAS_C; the chain
-    # step max(12, N) = N of the theorem is checked at every n first, and
-    # a NaN fails it
+def _theorem_floors(squares):
+    # the floors n**2 / N(n**2) of M(n), N at NICOLAS_C, which depend on n
+    # alone; the chain step max(12, N) = N of the theorem is checked at
+    # every n, and a NaN fails it
     caps = _nicolas_values(squares, float(NICOLAS_C))
     below = np.flatnonzero(~(caps >= 12.0))
     if below.size:
@@ -276,7 +278,11 @@ def _theorem(squares, counts):
         raise RuntimeError(
             f"nicolas_bound({int(squares[i])}) = {float(caps[i])} fell below 12"
         )
-    floors = squares / caps
+    return squares / caps
+
+
+def _theorem(floors, counts):
+    # M(n) >= n**2 / N(n**2), the floors from _theorem_floors
     margins = floors - counts
     return floors, margins, *_classify_lower(margins, floors)
 
@@ -601,7 +607,7 @@ def verify_theorem_lower_bound(n: int, m: int) -> BoundReport:
     raises where the bound is below 12.
     """
     _require_n(n, 2)
-    checked = _theorem(_one(n * n), _one(m))
+    checked = _theorem(_theorem_floors(_one(n * n)), _one(m))
     return _reports("table_count", [n], [m], checked, every=True)[0]
 
 
@@ -614,10 +620,12 @@ def verify_theorem_sweep(hi: int = 500) -> list[BoundReport]:
     M(a) with count_distinct_segmented, from a = 2, takes it as the count
     of every n >= a, and runs the kernel the scalar check applies to one
     n over every n at once; the first n > a that the kernel flags is the
-    next a.  The kernel raises as the scalar check does where the bound
-    is below 12.  When it flags no n past a, its flagged entries are the
-    reports.  Four counts, M(2), M(20), M(212) and M(3412), clear every n
-    up to COUNT_N_MAX.
+    next a.  The floors n^2 / N(n^2) depend on n alone, so they are
+    evaluated once per sweep, over [2, hi] before the first count, and
+    that evaluation raises as the scalar check does where the bound is
+    below 12.  When the kernel flags no n past a, its flagged entries
+    are the reports.  Four counts, M(2), M(20), M(212) and M(3412),
+    clear every n up to COUNT_N_MAX.
 
     The reports are those of the exact count at every n, because a
     verdict that is clean at a count L is clean at every integer count
@@ -631,12 +639,12 @@ def verify_theorem_sweep(hi: int = 500) -> list[BoundReport]:
         raise ValueError(f"empty range [2, {hi}]")
     _require_count_n(hi)
     ns = _arguments(2, hi)
-    squares = ns * ns
+    floors = _theorem_floors(ns * ns)
     counts = np.empty(hi - 1, dtype=np.int64)
     a = 2
     while a <= hi:
         counts[a - 2 :] = count_distinct_segmented(a)
-        checked = _theorem(squares, counts)
+        checked = _theorem(floors, counts)
         later = np.flatnonzero((checked[2] | checked[3])[a - 1 :])
         a = a + 1 + int(later[0]) if later.size else hi + 1
     return _reports("table_count", ns, counts, checked)

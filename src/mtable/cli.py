@@ -6,7 +6,7 @@ d/sigma bounds at one argument, series for the square identity, and
 verify for the sweep suites.  multiplicity always computes both of its
 routes and compares them.  count and census still accept --parallel for
 old command lines; it has no effect, since the library decides from the
-size of the table whether to start its worker pool.  Exit status: 0
+size of the table whether to fork counting workers.  Exit status: 0
 clean, 1 when any violation was reported (or multiplicity's routes
 disagree), 2 for usage or domain errors.
 

@@ -5,8 +5,9 @@ segmented counter sweeps [1, n^2] in its 2-adic order: k = 2^j * m, m
 odd, level j after level j - 1 and m rising within a level.  It takes
 fixed-size windows of that order so memory stays bounded, and its
 windows are independent: a count of at least POOL_MIN_WINDOWS windows
-maps them over a process pool and sums the integers, a smaller one
-counts them in the calling process, and the count is exact either way.
+deals them out to forked child processes (POSIX only) and sums their
+integers, a smaller one counts them in the calling process, and the
+count is exact either way.
 A window is one bytearray.  Its rows are (level j, odd a) pairs from a
 per-n plan; row a writes m = a*b for a range of odd b, and in its level
 those products step by a.  The bounds of all its rows come from one
@@ -54,37 +55,30 @@ SEGMENT_WINDOW = 1 << 20
 
 _MAX_WORKERS = 8
 
-# count_distinct_segmented starts a pool when the table spans at least
-# this many windows (n >= 9981 at 2^20-value windows) and more than one
-# CPU is usable; below it, starting the pool costs about what the second
-# worker saves, or more.  Median seconds of one count in a fresh
-# interpreter, serial / 2 workers, and the rounds of 10 that the pool
-# won (of 12 where marked), on 2 shared vCPUs, interleaved, one entry
-# per pass:
-#   24 windows (n = 5000)  0.027 / 0.051   0
-#   64 (8192)              0.068 / 0.078   2
-#   78 (9000)              0.088 / 0.084   7
-#   87 (9500)              0.104 / 0.096   6;  0.102 / 0.100   6
-#   96 (10000)             0.092 / 0.097   5;  0.111 / 0.100   7;
-#                          0.107 / 0.103   9*
-#   106 (10500)            0.119 / 0.108  10*
-#   116 (11000)            0.129 / 0.096   9;  0.146 / 0.110   8;
-#                          0.133 / 0.112  10*
-#   138 (12000)            0.154 / 0.121  10
-#   256 (2^14)             0.311 / 0.185  10
-# The pool won 21 of 32 rounds at 96 windows, and at least 8 of 10 in
-# every pass from 106 on.
+# count_distinct_segmented forks its workers (see _fan_out) when the
+# table spans at least this many windows (n >= 9981 at 2^20-value
+# windows) and more than one CPU is usable; at every smaller count
+# measured, some pass saw the workers win fewer than 8 rounds of 10,
+# the rule this threshold keeps.  Range of the pass medians of one
+# count in a fresh interpreter, seconds, serial / 2 forked workers, and
+# the rounds of 10 the workers won in each pass, on 2 shared vCPUs,
+# interleaved:
+#   24 windows (n = 5000)  0.026-0.027 / 0.025-0.029   3 3 5 6
+#   30 (5600)              0.028-0.036 / 0.027-0.031   7 7 9
+#   47 (7000)              0.044-0.060 / 0.036-0.044   9 9 5 9 7 10 9
+#   64 (8192)              0.056-0.085 / 0.046-0.062   10 10 10 10 10 10
+#                                                      9 6 9 10 10 10 10
+#   78 (9000)              0.067-0.086 / 0.053-0.069   9 10 6 8 10 10 6
+#                                                      10 9
+#   87 (9500)              0.079-0.101 / 0.058-0.071   8 9 9 7 10 10
+#   96 (10000)             0.087-0.128 / 0.063-0.080   10 10 10 10 10 8
+#                                                      10 10 10
+#   106 (10500)            0.089-0.118 / 0.069-0.086   10 8 10 10 10 10
+#   138 (12000)            0.166 / 0.108               8
+#   256 (2^14)             0.271 / 0.184               10
+# The workers' median is lower in 53 of the 55 passes from 30 windows
+# on, and they win at least 8 rounds of 10 in every pass from 96 on.
 POOL_MIN_WINDOWS = 96
-
-# Windows per task that the pool hands a worker.  pool.map's default
-# gives each worker 4 chunks, 32 windows each at n = 2^14, and the
-# heaviest windows, those at the start of each level of the 2-adic
-# order, then pile up in the last chunks.  Median seconds of one pooled
-# count at 2^14 in a fresh interpreter, 2 workers on 2 shared vCPUs,
-# interleaved, default / 8: 0.216 / 0.177 (10 rounds, 8 faster in all;
-# chunks of 1 and 4 took 0.220 and 0.192) and 0.204 / 0.181 (12 rounds,
-# 8 faster in 7); 1.09 / 1.02 at 2^15 (4 rounds, 8 faster in 3).
-_POOL_CHUNK = 8
 
 # Largest n count_distinct_segmented and census accept.  The count grows
 # about as n**2.3: on 2 shared vCPUs M(2**16) = 911705949 took 3.4 and
@@ -313,21 +307,102 @@ def _count_window(args: tuple[int, int, int]) -> int:
     return int(np.count_nonzero(window))
 
 
+def _count_share(fd: int, jobs: list[tuple[int, int, int]]):
+    """The body of a forked worker: count jobs, write the sum in decimal
+    (or the exception's type and message) to fd, and leave through
+    os._exit, exit status 0 only after a sum is written.  It never
+    returns, so the child never unwinds into its parent's stack or
+    flushes its parent's stdio buffers."""
+    status = 1
+    try:
+        try:
+            reply, counted = str(sum(map(_count_window, jobs))), True
+        except BaseException as exc:
+            reply, counted = f"{type(exc).__name__}: {exc}", False
+        data = reply.encode(errors="replace")
+        while data:
+            data = data[os.write(fd, data) :]
+        status = 0 if counted else 1
+    finally:
+        os._exit(status)
+
+
+def _fan_out(jobs: list[tuple[int, int, int]], workers: int) -> int:
+    """The sum of _count_window over jobs, counted by workers forked
+    children, child k taking the interleaved share jobs[k::workers].
+
+    The caller counts nothing.  It reads each child's pipe to EOF, reaps
+    the child with waitpid and adds its integer; a child's error message,
+    or EOF without an integer, or a nonzero exit status, raises
+    RuntimeError.  Whatever ends the call, a finally block kills and
+    reaps every child still unreaped, so none outlives it.  A forked
+    child holds only the thread that forked it, not the helper threads
+    numpy's BLAS may have started; _count_window calls no BLAS routine
+    and takes no lock another thread could hold.
+    """
+    children: dict[int, int] = {}
+    try:
+        for k in range(workers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _count_share(w, jobs[k::workers])
+            except BaseException:
+                os.close(r)
+                raise
+            finally:
+                os.close(w)
+            children[pid] = r
+        total = 0
+        for pid, r in list(children.items()):
+            chunks = []
+            while chunk := os.read(r, 4096):
+                chunks.append(chunk)
+            reply = b"".join(chunks).decode(errors="replace")
+            status = os.waitpid(pid, 0)[1]
+            os.close(children.pop(pid))
+            if status != 0 or not reply.isdigit():
+                raise RuntimeError(
+                    f"counting worker {pid} failed: {reply}"
+                    if reply
+                    else f"counting worker {pid} exited without a count "
+                    f"(exit code {os.waitstatus_to_exitcode(status)})"
+                )
+            total += int(reply)
+        return total
+    finally:
+        if children:
+            # only a failed or interrupted count gets here; imported at
+            # the top, signal would cost every import of mtable 0.5 ms
+            import signal
+
+            for pid, r in children.items():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(r)
+
+
 def count_distinct_segmented(n: int) -> int:
     """M(n) by sweeping [1, n^2] in windows of SEGMENT_WINDOW values.
 
     The windows are windows of the 2-adic order of [1, n^2], and their
     rows come from _plan(n), which every process that counts a window
-    builds for itself, pool workers included; the caller of a pooled
+    builds for itself, forked workers included; the caller of a forked
     count builds none, which keeps its peak memory where it was before
     the plan.  Peak memory is one window plus the sparse rows' indices
     (see _count_window) and the plan, 32 bytes per row: 0.75 MB at
     n = 2^14 and 3.0 MB at 2^16.  The per-window counts are exact
     integers, so the total is independent of the window length and of
     where the windows are counted.  With at least POOL_MIN_WINDOWS
-    windows they go to a pool of one worker per usable CPU, at most
-    _MAX_WORKERS; with fewer windows, or one usable CPU, they are counted
-    in this process and no pool starts.  n may be at most COUNT_N_MAX.
+    windows they go to one forked worker per usable CPU, at most
+    _MAX_WORKERS, each taking every workers-th window (see _fan_out), so
+    the heavy windows at the start of each level are spread over them;
+    with fewer windows, or one usable CPU, they are counted in this
+    process and nothing is forked.  os.fork makes the fan-out POSIX
+    only.  The workers are reaped with waitpid, so their CPU time lands
+    in os.times()'s children_user and children_system of the caller.
+    n may be at most COUNT_N_MAX.
     """
     _require_count_n(n)
     jobs = [(n, lo, hi) for lo, hi in _window_ranges(1, n * n, SEGMENT_WINDOW)]
@@ -337,10 +412,7 @@ def count_distinct_segmented(n: int) -> int:
         cpus = os.cpu_count() or 1
     workers = min(cpus, _MAX_WORKERS)
     if len(jobs) >= POOL_MIN_WINDOWS and workers > 1:
-        from multiprocessing import Pool
-
-        with Pool(processes=workers) as pool:
-            return sum(pool.map(_count_window, jobs, chunksize=_POOL_CHUNK))
+        return _fan_out(jobs, workers)
     return sum(map(_count_window, jobs))
 
 

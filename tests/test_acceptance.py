@@ -274,7 +274,7 @@ def test_criterion_11_route_agreement():
         if n is not None:
             mismatch = (n, bits)
             break
-    # a pool for every count, however few its windows
+    # forked workers for every count, however few its windows
     with mock.patch.object(products, "POOL_MIN_WINDOWS", 1):
         parallel_ok = all(
             products.count_distinct_segmented(n) == _dense(n)

@@ -85,7 +85,7 @@ def test_window_length_is_not_an_argument(capsys):
 
 
 def test_parallel_is_not_an_argument():
-    # the count picks its pool from the table's size, not from the caller
+    # the count picks its fan-out from the table's size, not from the caller
     with pytest.raises(TypeError):
         products.count_distinct_segmented(300, parallel=True)
     with pytest.raises(TypeError):

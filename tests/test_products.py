@@ -3,6 +3,11 @@
 import csv
 import math
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 from bisect import bisect_left
 from functools import lru_cache
 
@@ -402,14 +407,14 @@ def test_parallel_invariant(monkeypatch):
             assert count_distinct_segmented(n) == serial
 
 
-def _no_pool(*args, **kwargs):
-    raise AssertionError("a pool was started")
+def _no_fan_out(*args, **kwargs):
+    raise AssertionError("a worker was forked")
 
 
 def test_parallel_on_one_usable_cpu_starts_no_pool(monkeypatch):
     monkeypatch.setattr(products, "POOL_MIN_WINDOWS", 1)
     monkeypatch.setattr(products.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(multiprocessing, "Pool", _no_pool)
+    monkeypatch.setattr(products, "_fan_out", _no_fan_out)
     assert count_distinct_segmented(2000) == CENSUS_COUNTS[2000]
 
 
@@ -420,24 +425,17 @@ def _first_n_with_windows(count):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The sizes of the pools that counts start; each pool maps in this
-    process."""
+    """The worker counts of the fan-outs that counts start; each fan-out
+    counts every worker's interleaved share in this process."""
     started = []
 
-    class SerialPool:
-        def __init__(self, processes):
-            started.append(processes)
+    def serial_fan_out(jobs, workers):
+        started.append(workers)
+        shares = [jobs[k::workers] for k in range(workers)]
+        assert sorted(job for share in shares for job in share) == jobs
+        return sum(sum(map(products._count_window, share)) for share in shares)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, jobs, chunksize=None):
-            return list(map(func, jobs))
-
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(products, "_fan_out", serial_fan_out)
     return started
 
 
@@ -477,7 +475,7 @@ def test_pool_has_one_worker_per_usable_cpu_up_to_eight(monkeypatch, pools):
 
 
 def test_cpu_count_fallback_without_affinity(monkeypatch, pools):
-    # a platform without os.sched_getaffinity sizes the pool from
+    # a platform without os.sched_getaffinity sizes the fan-out from
     # os.cpu_count(), and counts in this process when that is unknown
     monkeypatch.delattr(products.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(products, "POOL_MIN_WINDOWS", 1)
@@ -489,20 +487,108 @@ def test_cpu_count_fallback_without_affinity(monkeypatch, pools):
     assert pools == [4]
 
 
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Counts fork two workers, however few their windows."""
+    monkeypatch.setattr(products, "POOL_MIN_WINDOWS", 1)
+    _usable_cpus(monkeypatch, 2)
+    _assert_no_child_process()
+    yield
+    _assert_no_child_process()
+
+
 def _window_that_raises(args):
     raise RuntimeError(f"window {args} failed")
 
 
-def test_pool_leaves_no_child_process(monkeypatch):
-    monkeypatch.setattr(products, "POOL_MIN_WINDOWS", 1)
-    _usable_cpus(monkeypatch, 2)
-    assert count_distinct_segmented(2000) == CENSUS_COUNTS[2000]
-    assert multiprocessing.active_children() == []
-    # a window that raises in a worker ends the count, and the pool too
+def test_worker_error_raises_with_its_message(monkeypatch, forked):
     monkeypatch.setattr(products, "_count_window", _window_that_raises)
-    with pytest.raises(RuntimeError, match="failed"):
+    with pytest.raises(
+        RuntimeError, match=r"RuntimeError: window \(2000, 1, \d+\) failed"
+    ):
         count_distinct_segmented(2000)
-    assert multiprocessing.active_children() == []
+
+
+def test_worker_that_dies_without_a_count_raises(monkeypatch, forked):
+    # worker 0 counts its share, worker 1 exits at its first window
+    # without writing: the count raises, and does not return worker 0's sum
+    real = products._count_window
+    monkeypatch.setattr(
+        products,
+        "_count_window",
+        lambda args: os._exit(3) if args[1] > 1 else real(args),
+    )
+    with pytest.raises(RuntimeError, match=r"without a count \(exit code 3\)"):
+        count_distinct_segmented(2000)
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def _interrupt(signum, frame):
+    raise _Interrupted
+
+
+def test_pool_leaves_no_child_process(monkeypatch, forked):
+    assert count_distinct_segmented(2000) == CENSUS_COUNTS[2000]
+    _assert_no_child_process()
+    # a window that raises in a worker ends the count, and the workers too
+    with monkeypatch.context() as m:
+        m.setattr(products, "_count_window", _window_that_raises)
+        with pytest.raises(RuntimeError, match="failed"):
+            count_distinct_segmented(2000)
+    _assert_no_child_process()
+    # the workers hang; an alarm interrupts the caller while it waits for
+    # them, and the count kills and reaps both before the exception leaves
+    monkeypatch.setattr(products, "_count_window", lambda args: time.sleep(60))
+    previous = signal.signal(signal.SIGALRM, _interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        start = time.monotonic()
+        with pytest.raises(_Interrupted):
+            count_distinct_segmented(2000)
+        assert time.monotonic() - start < 30
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    _assert_no_child_process()
+
+
+_IMPORT_GUARD = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+import mtable.cli
+from mtable import products
+real, fanned = products._fan_out, []
+products._fan_out = lambda jobs, workers: fanned.append(workers) or real(jobs, workers)
+assert mtable.cli.run(["count", "--n", "16384"]) == 0
+assert fanned == [2], fanned
+print(sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing"))
+"""
+
+
+def test_forked_count_imports_no_multiprocessing():
+    # a fresh interpreter with 2 usable CPUs fans M(2^14) out and never
+    # imports multiprocessing, whose import alone takes about 5 ms
+    src = os.path.dirname(os.path.dirname(os.path.abspath(products.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    count, modules = proc.stdout.splitlines()
+    assert count.startswith("M(16384) = 59415059 ")
+    assert modules == "[]"
 
 
 def test_census_point_fields():

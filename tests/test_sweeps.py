@@ -703,6 +703,24 @@ def test_theorem_sweep_counts_four_tables_to_the_cap(monkeypatch):
     assert counted == [2, 20, 212, 3412]
 
 
+def test_theorem_sweep_evaluates_the_bound_once(monkeypatch):
+    # the floors depend on n alone: one evaluation over [2, hi], not one
+    # per count pass (four at hi = 65536)
+    real = bounds._nicolas_values
+    evaluated = []
+
+    def counting(ns, c):
+        evaluated.append((float(ns[0]), float(ns[-1]), np.size(ns)))
+        return real(ns, c)
+
+    monkeypatch.setattr(bounds, "_nicolas_values", counting)
+    counted = recorded_counts(monkeypatch, products.count_distinct_segmented)
+    hi = products.COUNT_N_MAX
+    assert bounds.verify_theorem_sweep(hi) == []
+    assert len(counted) == 4
+    assert evaluated == [(4.0, float(hi * hi), hi - 1)]
+
+
 def test_theorem_sweep_memory_stays_small():
     # a few arrays of hi entries and one count's window and plan, where a
     # bitmap over [0, hi**2] would take 64 MiB
@@ -789,7 +807,9 @@ def test_theorem_verdicts_carry_to_larger_counts(slack, data):
     square = np.array([float(n * n)])
 
     def clean(count):
-        _, _, violated, borderline = bounds._theorem(square, np.array([count]))
+        _, _, violated, borderline = bounds._theorem(
+            bounds._theorem_floors(square), np.array([count])
+        )
         return not (violated | borderline)[0]
 
     with pytest.MonkeyPatch.context() as patch:
