@@ -19,14 +19,17 @@ census add csv lines; run picks the format and prints.  A warning the
 library raises on the way is printed as one "warning: ..." line on
 stderr, as an error is printed as "error: ...".
 
-When the first argument names a command, the parser holds that one
-subparser, so a command does not pay to build the other five.  Any
-other command line (help, no arguments, an unknown command, or a root
-option such as --format before the command) gets all six, so help and
-usage errors read as they always have; the root usage line lists every
-command either way.  An argument a command does not know is reported
-with that command's usage line, an unknown root option before the
-command with the root's.
+Each command is declared once, in a table of its handler, help text and
+options.  A command line that is a command followed only by that
+command's options, spelled out in full, each value valid and every
+required option given, is read from the table directly.  Any other
+(help, no arguments, an unknown command, an abbreviated or unknown
+option, a root option such as --format before the command, a bad or
+missing value) goes to the argparse parser built from the same table,
+so help and usage errors read as they always have; argparse is imported
+only then.  An argument a command does not know is reported with that
+command's usage line, an unknown root option before the command with
+the root's.
 
 json and csv output format every float with exactly 10 fractional
 digits, so a command line produces identical bytes on every run apart
@@ -38,13 +41,13 @@ is written as vars(r), not asdict(r), which deep-copies each field.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import re
 import sys
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -294,20 +297,57 @@ def _robin_c(text: str) -> Fraction:
         value = Fraction(text)
         float(value)
     except (ValueError, ZeroDivisionError, OverflowError):
+        import argparse
+
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
     return value
 
 
-def _add_format_flag(p: argparse.ArgumentParser, root: bool = False):
-    # accepted on either side of the subcommand; SUPPRESS keeps the
-    # subparser from clobbering a value parsed at the root
-    p.add_argument(
-        "--format",
-        choices=("text", "json", "csv"),
-        default="text" if root else argparse.SUPPRESS,
-        help="output format (csv only for count and census)",
-    )
+def _opt(*strings: str, **keywords):
+    """An option as add_argument takes it: its option strings and keywords.
+    Every option spells out dest, and a flag its default, for _parse."""
+    return strings, keywords
 
+
+_FORMAT = _opt(
+    "--format", dest="format", choices=("text", "json", "csv"), default="text",
+    help="output format (csv only for count and census)",
+)
+_PARALLEL = _opt("--parallel", dest="parallel", action="store_true", default=False,
+                 help="has no effect")
+_ROBIN_C = _opt("--robin-c", dest="robin_c", type=_robin_c, default=bnd.ROBIN_C)
+
+# command -> (handler, help, options); --format is accepted by every
+# command as well as before the command
+_COMMANDS = {
+    "count": (_cmd_count, "count distinct products of one table", (
+        _opt("--n", dest="n", type=int, required=True),
+        _PARALLEL,
+    )),
+    "multiplicity": (_cmd_multiplicity, "multiplicity of one product", (
+        _opt("--n", dest="n", type=int, required=True),
+        _opt("--k", dest="k", type=int, required=True),
+    )),
+    "census": (_cmd_census, "distinct-product census over several n", (
+        _opt("--n-list", dest="n_list", required=True, help="comma-separated n values"),
+        _opt("--cache", dest="cache", default=None, help="CSV cache path (columns n,m)"),
+        _PARALLEL,
+    )),
+    "verify": (_cmd_verify, "run one verification suite", (
+        _opt("--suite", dest="suite", required=True, choices=tuple(_SUITES)),
+        _opt("--max", "--n", dest="max", type=int, default=None,
+             help="upper end of the sweep (identities: highest table size)"),
+        _ROBIN_C,
+    )),
+    "bounds": (_cmd_bounds, "bounds and bracket at one argument", (
+        _opt("--k", dest="k", type=int, required=True),
+        _ROBIN_C,
+    )),
+    "series": (_cmd_series, "square identity at one (s, n)", (
+        _opt("--s", dest="s", required=True, help="exponent, RE or RE,IM"),
+        _opt("--n", dest="n", type=int, required=True),
+    )),
+}
 
 # an argument that starts with "-" and a digit, or "-." and a digit, is
 # a value, not an option: argparse's own rule takes only plain decimals,
@@ -316,87 +356,99 @@ def _add_format_flag(p: argparse.ArgumentParser, root: bool = False):
 # starts that way.
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
-_COMMANDS = ("count", "multiplicity", "census", "verify", "bounds", "series")
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The args argparse parses from argv, read from _COMMANDS without
+    building a parser; None for any command line this does not take
+    whole, which argparse then parses or reports as it always has.
+
+    Taken: a command, then options spelled out in full as "--opt value",
+    "--opt=value" or a bare flag, each value converting with its type and
+    within its choices, and every required option given.  A value after a
+    space may start with "-" only as a negative number.  As in argparse,
+    the last occurrence of an option wins."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, options = _COMMANDS[argv[0]]
+    by_string = {s: kw for strings, kw in (_FORMAT, *options) for s in strings}
+    args = {kw["dest"]: kw.get("default") for kw in by_string.values()}
+    missing = {kw["dest"] for kw in by_string.values() if kw.get("required")}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        string, eq, text = token.partition("=")
+        kw = by_string.get(string)
+        if kw is None:
+            return None
+        if "action" in kw:  # a flag, which takes no value
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                text = next(tokens, None)
+                if text is None or text.startswith("-") and not _NEGATIVE_NUMBER.match(text):
+                    return None
+            try:
+                value = kw.get("type", str)(text)
+            except Exception as exc:
+                import argparse  # argparse reports these three and raises the rest
+
+                if isinstance(exc, (argparse.ArgumentTypeError, TypeError, ValueError)):
+                    return None
+                raise
+            if "choices" in kw and value not in kw["choices"]:
+                return None
+        args[kw["dest"]] = value
+        missing.discard(kw["dest"])
+    if missing:
+        return None
+    return SimpleNamespace(**args, command=argv[0], handler=handler)
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """A command's subparser.  It reports an argument it does not know
-    with its own usage line, as "mtable COMMAND: error: ..."; argparse
-    would hand the argument back to the root parser, which reports it
-    with the root usage line."""
+def _build_parser():
+    """The argparse parser of _COMMANDS, for help and usage errors."""
+    import argparse
 
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extras = super().parse_known_args(args, namespace)
-        if extras:
-            self.error(f"unrecognized arguments: {' '.join(extras)}")
-        return namespace, extras
+    class CommandParser(argparse.ArgumentParser):
+        """A command's subparser.  It reports an argument it does not know
+        with its own usage line, as "mtable COMMAND: error: ..."; argparse
+        would hand the argument back to the root parser, which reports it
+        with the root usage line."""
 
+        def parse_known_args(self, args=None, namespace=None):
+            namespace, extras = super().parse_known_args(args, namespace)
+            if extras:
+                self.error(f"unrecognized arguments: {' '.join(extras)}")
+            return namespace, extras
 
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The root parser with the subparser of the command argv starts
-    with, or with all of them when argv starts with anything else."""
     parser = argparse.ArgumentParser(
         prog="mtable",
         description="Multiplication-table censuses, multiplicities, and bound checks.",
     )
     parser._negative_number_matcher = _NEGATIVE_NUMBER
-    _add_format_flag(parser, root=True)
-    only = argv[0] if argv and argv[0] in _COMMANDS else None
-    # the usage line lists every command either way; with all of them
-    # built argparse lists them itself, and its error messages name the
-    # positional "command"
-    metavar = "{" + ",".join(_COMMANDS) + "}" if only else None
-    sub = parser.add_subparsers(
-        dest="command", required=True, metavar=metavar, parser_class=_CommandParser
-    )
-
-    def command(name, handler, help):
-        if only not in (None, name):
-            return None
+    format_strings, format_keywords = _FORMAT
+    parser.add_argument(*format_strings, **format_keywords)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=CommandParser)
+    for name, (handler, help, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help)
         p._negative_number_matcher = _NEGATIVE_NUMBER
-        _add_format_flag(p)
+        # SUPPRESS keeps the subparser from clobbering a value parsed at
+        # the root
+        p.add_argument(*format_strings, **format_keywords | {"default": argparse.SUPPRESS})
+        for strings, keywords in options:
+            p.add_argument(*strings, **keywords)
         p.set_defaults(handler=handler)
-        return p
-
-    if p := command("count", _cmd_count, "count distinct products of one table"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--parallel", action="store_true", help="has no effect")
-
-    if p := command("multiplicity", _cmd_multiplicity, "multiplicity of one product"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--k", type=int, required=True)
-
-    if p := command("census", _cmd_census, "distinct-product census over several n"):
-        p.add_argument("--n-list", required=True, help="comma-separated n values")
-        p.add_argument("--cache", default=None, help="CSV cache path (columns n,m)")
-        p.add_argument("--parallel", action="store_true", help="has no effect")
-
-    if p := command("verify", _cmd_verify, "run one verification suite"):
-        p.add_argument("--suite", required=True, choices=tuple(_SUITES))
-        p.add_argument(
-            "--max", "--n", dest="max", type=int, default=None,
-            help="upper end of the sweep (identities: highest table size)",
-        )
-        p.add_argument("--robin-c", type=_robin_c, default=bnd.ROBIN_C)
-
-    if p := command("bounds", _cmd_bounds, "bounds and bracket at one argument"):
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--robin-c", type=_robin_c, default=bnd.ROBIN_C)
-
-    if p := command("series", _cmd_series, "square identity at one (s, n)"):
-        p.add_argument("--s", required=True, help="exponent, RE or RE,IM")
-        p.add_argument("--n", type=int, required=True)
-
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    try:
-        args = _build_parser(argv).parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     if args.format == "csv" and args.command not in ("count", "census"):
         print("error: csv output is only available for count and census", file=sys.stderr)
         return 2

@@ -396,8 +396,12 @@ def count_distinct_segmented(n: int) -> int:
     integers, so the total is independent of the window length and of
     where the windows are counted.  With at least POOL_MIN_WINDOWS
     windows they go to one forked worker per usable CPU, at most
-    _MAX_WORKERS, each taking every workers-th window (see _fan_out), so
-    the heavy windows at the start of each level are spread over them;
+    _MAX_WORKERS, each taking every workers-th window (see _fan_out).
+    That does not spread the heavy first windows of the levels: at
+    n = 2^14, 2^15 and 2^16 every level up to level 7 starts at an even
+    window index (0, 128, 192, ..., 254 at 2^14), so worker 0 of 2 gets
+    them all, yet the two shares' serial sums differ by only about 4%
+    (0.204 s and 0.197 s at 2^14, 2 shared vCPUs);
     with fewer windows, or one usable CPU, they are counted in this
     process and nothing is forked.  os.fork makes the fan-out POSIX
     only.  The workers are reaped with waitpid, so their CPU time lands

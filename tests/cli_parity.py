@@ -131,7 +131,7 @@ OTHER = [
     ("--format", "xml", "count", "--n", "5"),
     ("--format", "json", "count", "--n", "50"),
     ("--format", "csv", "bounds", "--k", "12"),
-    # argv shapes that decide between one subparser and all of them
+    # help, a root option before the command, and stray commands
     ("-h",),
     ("verify", "-h"),
     ("--format=json", "bounds", "--k", "12"),
@@ -144,6 +144,22 @@ OTHER = [
     ("verify", "--suite", "bracket", "--max", "100", "--robin-c", "-1e3"),
     ("bounds", "--k", "12", "--robin-c", "-1/2"),
     ("series", "--s", "-1,1", "--n", "3"),
+    # shapes the table parser accepts and the ones it leaves to argparse
+    ("count", "--n", "5", "--n", "6"),
+    ("count", "--n=5"),
+    ("count", "--n", "5", "--parallel=1"),
+    ("census", "--n-list", "10", "--cache", "--parallel"),
+    ("count", "--n="),
+    ("count", "--", "--n", "5"),
+    ("count", "--n", "5", "--"),
+    ("series", "--s", "-", "--n", "3"),
+    ("bounds", "--k", "1_2"),
+    ("count", "--n", "+5"),
+    ("verify", "--suite=theorem", "--max=30"),
+    ("verify", "--suite", "theorem", "--ma", "30"),
+    ("bounds", "--k", "12", "--robin", "1"),
+    ("count", "--n", "5", "extra"),
+    ("count", "-n", "5"),
 ]
 
 

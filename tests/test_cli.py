@@ -1,17 +1,23 @@
 """Command-line behavior: formats, exit codes, flag placement."""
 
-import argparse
 import ast
+import importlib.util
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+import cli_parity
 from oracles import count_distinct_dense, grown_with_extra_count
 
 from mtable import bounds, cli, products, series
@@ -676,8 +682,7 @@ def test_golden_bytes(capsys, argv, exit_code, stdout):
 
 
 # Exact stdout, stderr and exit code of help and usage errors at 80
-# columns, as Python 3.11's argparse formats them: the root usage line
-# lists every command whether one subparser is built or all of them.
+# columns, as Python 3.11's argparse formats them.
 USAGE_GOLDEN = [
     (
         ("--help",),
@@ -875,24 +880,136 @@ def test_usage_golden_bytes(capsys, monkeypatch, argv, exit_code, stdout, stderr
     assert run(capsys, *argv) == (exit_code, stdout, stderr)
 
 
+_NO_ARGPARSE = """
+import sys
+import mtable.cli
+assert mtable.cli.run(["verify", "--suite", "divisor-bound"]) == 0
+print(sorted(m for m in ("argparse", "gettext", "locale") if m in sys.modules))
+"""
+
+
+def test_accepted_command_imports_no_argparse():
+    # a command line the option table takes whole runs without argparse,
+    # whose import and first gettext lookup (which imports locale) cost
+    # about 3 ms of every command
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_ARGPARSE],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def _assert_parsers_agree(argv):
+    # _parse either leaves argv to argparse or returns what argparse returns
+    ours = cli._parse(list(argv))
+    if ours is None:
+        return
+    try:
+        theirs = cli._build_parser().parse_args(list(argv))
+    except SystemExit as exc:
+        pytest.fail(f"_parse accepts {argv}, argparse exits {exc.code}")
+    ours, theirs = vars(ours), vars(theirs)
+    assert ours.pop("handler") is theirs.pop("handler")
+    assert ours == theirs, argv
+
+
+# argv shapes on the edge of what _parse takes; the corpus holds more
+EDGE_ARGV = [
+    ("verify", "--suite", "theorem"),
+    ("verify", "--suite", "theorem", "--n", "5", "--max", "7"),
+    ("verify", "--suite", "theorem", "--max", "7", "--n", "5"),
+    ("verify", "--suite", "bracket", "--robin-c", "-1/2", "--format", "csv"),
+    ("bounds", "--k", "12", "--robin-c=-1.7e308", "--robin-c", "1"),
+    ("bounds", "--k", "12", "--robin-c", "1/0"),
+    ("bounds", "--k=-5"),
+    ("count", "--n", "-.5"),
+    ("count", "--n", "-1"),
+    ("count", "--parallel", "--n", "5", "--parallel"),
+    ("census", "--n-list", "", "--cache", "x=y"),
+    ("census", "--n-list=10,20", "--cache="),
+    ("series", "--s", "", "--n", "3"),
+    ("series", "--s", "-x y", "--n", "3"),
+    ("series", "--s=-x", "--n", "3"),
+    ("multiplicity", "--n", "6", "--k", "12", "--format", "text", "--format", "json"),
+    ("multiplicity", "--n", "6", "--k"),
+    ("count", "--format", "xml", "--n", "5"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv, built",
-    [(("verify", "--suite", "divisor-bound"), ["verify"]), (("--help",), list(cli._COMMANDS))],
+    "argv", cli_parity.commands() + EDGE_ARGV, ids=lambda argv: " ".join(argv) or "()"
 )
-def test_one_subparser_per_invoked_command(capsys, monkeypatch, argv, built):
-    # a command line that starts with a command builds that command's
-    # subparser alone; anything else builds all six, the commands the
-    # one-command usage line lists
-    real = argparse._SubParsersAction.add_parser
-    names = []
+def test_table_parser_agrees_with_argparse(argv):
+    _assert_parsers_agree(argv)
 
-    def recording(self, name, **kwargs):
-        names.append(name)
-        return real(self, name, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
-    assert run(capsys, *argv)[0] == 0
-    assert names == built
+def _benchmark_commands(monkeypatch) -> list[tuple[str, ...]]:
+    """The argv of every invocation of perfbench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while they are built
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return [inv.argv for inv in workloads.INVOCATIONS.values()]
+
+
+def test_table_parser_takes_benchmark_and_readme_commands(monkeypatch):
+    argvs = _benchmark_commands(monkeypatch) + _readme_commands()
+    assert len(argvs) > 30
+    for argv in argvs:
+        assert cli._parse(list(argv)) is not None, argv
+        _assert_parsers_agree(argv)
+    args = cli._parse(["bounds", "--k", "12"])
+    assert args.robin_c is bounds.ROBIN_C and args.format == "text"
+    args = cli._parse(["census", "--n-list", "10"])
+    assert (args.cache, args.parallel) == (None, False)
+    assert cli._parse(["verify", "--suite", "theorem", "--n", "9"]).max == 9
+
+
+_VALUES = st.one_of(
+    st.integers(-10, 10**6).map(str),
+    st.sampled_from(["-1", "-.5", "-1/2", "-", "", "--", "-x y", "xml", "2,3", "1e3"]),
+)
+_STRAYS = st.sampled_from(["-h", "--form", "--rob", "--ma", "--k", "--parallel", "--"])
+
+
+@st.composite
+def _command_lines(draw):
+    """A command and a few of its options, each with a value that mostly
+    fits it, after a space or "="; in a quarter of them one stray token."""
+    command = draw(st.sampled_from([*cli._COMMANDS, "--format", "frobnicate"]))
+    _, _, options = cli._COMMANDS.get(command, (None, None, ()))
+    argv = [command]
+    for strings, kw in draw(st.lists(st.sampled_from((cli._FORMAT, *options)), max_size=5)):
+        string = draw(st.sampled_from(strings))
+        if "action" in kw:
+            fits = st.just(None)
+        elif "choices" in kw:
+            fits = st.sampled_from(kw["choices"])
+        else:
+            fits = st.integers(-10, 10**6).map(str)
+        value = draw(_VALUES if draw(st.sampled_from([False] * 7 + [True])) else fits)
+        if value is None:
+            argv.append(string)
+        elif draw(st.booleans()):
+            argv.append(f"{string}={value}")
+        else:
+            argv += [string, value]
+    if draw(st.sampled_from([False] * 3 + [True])):
+        argv.insert(draw(st.integers(1, len(argv))), draw(_VALUES | _STRAYS))
+    return argv
+
+
+@settings(max_examples=300)
+@given(_command_lines())
+def test_table_parser_agrees_with_argparse_on_random_lines(argv):
+    _assert_parsers_agree(argv)
 
 
 def _readme_commands() -> list[list[str]]:
