@@ -4,10 +4,12 @@ M(n) is the number of distinct values a*b with 1 <= a, b <= n.  The
 segmented counter sweeps [1, n^2] in its 2-adic order: k = 2^j * m, m
 odd, level j after level j - 1 and m rising within a level.  It takes
 fixed-size windows of that order so memory stays bounded, and its
-windows are independent: a count of at least POOL_MIN_WINDOWS windows
-deals them out to forked child processes (POSIX only) and sums their
-integers, a smaller one counts them in the calling process, and the
-count is exact either way.
+windows are independent.  A census counts the windows of every n it
+does not have cached as one job list, and one M(n) is the list of one
+n: a list of at least POOL_MIN_WINDOWS windows is dealt out to forked
+child processes (POSIX only), which reply with each window's count and
+seconds, a shorter one is counted in the calling process, the counts
+are summed by n, and they are exact either way.
 A window is one bytearray.  Its rows are (level j, odd a) pairs from a
 per-n plan; row a writes m = a*b for a range of odd b, and in its level
 those products step by a.  The bounds of all its rows come from one
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 import time
 import warnings
 from bisect import bisect_left
@@ -55,30 +58,26 @@ SEGMENT_WINDOW = 1 << 20
 
 _MAX_WORKERS = 8
 
-# count_distinct_segmented forks its workers (see _fan_out) when the
-# table spans at least this many windows (n >= 9981 at 2^20-value
-# windows) and more than one CPU is usable; at every smaller count
-# measured, some pass saw the workers win fewer than 8 rounds of 10,
-# the rule this threshold keeps.  Range of the pass medians of one
-# count in a fresh interpreter, seconds, serial / 2 forked workers, and
-# the rounds of 10 the workers won in each pass, on 2 shared vCPUs,
-# interleaved:
-#   24 windows (n = 5000)  0.026-0.027 / 0.025-0.029   3 3 5 6
-#   30 (5600)              0.028-0.036 / 0.027-0.031   7 7 9
-#   47 (7000)              0.044-0.060 / 0.036-0.044   9 9 5 9 7 10 9
-#   64 (8192)              0.056-0.085 / 0.046-0.062   10 10 10 10 10 10
-#                                                      9 6 9 10 10 10 10
-#   78 (9000)              0.067-0.086 / 0.053-0.069   9 10 6 8 10 10 6
-#                                                      10 9
-#   87 (9500)              0.079-0.101 / 0.058-0.071   8 9 9 7 10 10
-#   96 (10000)             0.087-0.128 / 0.063-0.080   10 10 10 10 10 8
-#                                                      10 10 10
-#   106 (10500)            0.089-0.118 / 0.069-0.086   10 8 10 10 10 10
-#   138 (12000)            0.166 / 0.108               8
-#   256 (2^14)             0.271 / 0.184               10
-# The workers' median is lower in 53 of the 55 passes from 30 windows
-# on, and they win at least 8 rounds of 10 in every pass from 96 on.
-POOL_MIN_WINDOWS = 96
+# A count forks its workers (see _count_tables and _fan_out) when its job
+# list, every window of every n it counts, spans at least this many
+# windows (n >= 5222 for one n at 2^20-value windows) and more than one
+# CPU is usable.  The threshold is the least measured window count from
+# which on the workers' median, pooled over every pass, is lower at
+# every measured count.  Pooled medians of one count (one census of the
+# README's n-list for "census") in a fresh interpreter, seconds, serial
+# / 2 forked workers, and the rounds the workers won, on 2 shared
+# vCPUs, serial and forked alternating, 6 or 10 passes of 10 rounds:
+#   24 windows (n = 5000)  0.0253 / 0.0260    41 of 100
+#   27 (5300)              0.0282 / 0.0276    58 of 100
+#   30 (5600)              0.0325 / 0.0289    71 of 100
+#   35 (6000)              0.0352 / 0.0321    44 of 60
+#   41 (6500)              0.0445 / 0.0385    48 of 60
+#   47 (7000)              0.0451 / 0.0422    51 of 60
+#   57 (census 10 ... 5000) 0.0537 / 0.0467   51 of 60
+#   64 (8192)              0.0631 / 0.0543    52 of 60
+# Earlier passes at 78 to 256 windows (n = 9000 to 2^14) saw the workers'
+# median lower in every pass.
+POOL_MIN_WINDOWS = 27
 
 # Largest n count_distinct_segmented and census accept.  The count grows
 # about as n**2.3: on 2 shared vCPUs M(2**16) = 911705949 took 3.4 and
@@ -307,19 +306,32 @@ def _count_window(args: tuple[int, int, int]) -> int:
     return int(np.count_nonzero(window))
 
 
+def _timed_window(job: tuple[int, int, int]) -> tuple[int, float]:
+    """_count_window(job) and the seconds it took."""
+    start = time.perf_counter()
+    count = _count_window(job)
+    return count, time.perf_counter() - start
+
+
+# one window's reply from a forked worker: its count and its seconds
+_REPLY = struct.Struct("=qd")
+
+
 def _count_share(fd: int, jobs: list[tuple[int, int, int]]):
-    """The body of a forked worker: count jobs, write the sum in decimal
-    (or the exception's type and message) to fd, and leave through
-    os._exit, exit status 0 only after a sum is written.  It never
-    returns, so the child never unwinds into its parent's stack or
-    flushes its parent's stdio buffers."""
+    """The body of a forked worker: count and time each of jobs, write
+    the (count, seconds) pairs packed as _REPLY (or the exception's type
+    and message) to fd, and leave through os._exit, exit status 0 only
+    after every pair is written; an empty share writes nothing and exits
+    0.  It never returns, so the child never unwinds into its parent's
+    stack or flushes its parent's stdio buffers."""
     status = 1
     try:
         try:
-            reply, counted = str(sum(map(_count_window, jobs))), True
+            data = b"".join(_REPLY.pack(*_timed_window(job)) for job in jobs)
+            counted = True
         except BaseException as exc:
-            reply, counted = f"{type(exc).__name__}: {exc}", False
-        data = reply.encode(errors="replace")
+            data = f"{type(exc).__name__}: {exc}".encode(errors="replace")
+            counted = False
         while data:
             data = data[os.write(fd, data) :]
         status = 0 if counted else 1
@@ -327,18 +339,21 @@ def _count_share(fd: int, jobs: list[tuple[int, int, int]]):
         os._exit(status)
 
 
-def _fan_out(jobs: list[tuple[int, int, int]], workers: int) -> int:
-    """The sum of _count_window over jobs, counted by workers forked
+def _fan_out(
+    jobs: list[tuple[int, int, int]], workers: int
+) -> list[tuple[int, float]]:
+    """_timed_window of each of jobs, in order, counted by workers forked
     children, child k taking the interleaved share jobs[k::workers].
 
     The caller counts nothing.  It reads each child's pipe to EOF, reaps
-    the child with waitpid and adds its integer; a child's error message,
-    or EOF without an integer, or a nonzero exit status, raises
-    RuntimeError.  Whatever ends the call, a finally block kills and
-    reaps every child still unreaped, so none outlives it.  A forked
-    child holds only the thread that forked it, not the helper threads
-    numpy's BLAS may have started; _count_window calls no BLAS routine
-    and takes no lock another thread could hold.
+    the child with waitpid and unpacks one (count, seconds) pair per
+    window of its share; a child's error message, a reply of any other
+    length, or a nonzero exit status raises RuntimeError.  Whatever ends
+    the call, a finally block kills and reaps every child still unreaped,
+    so none outlives it.  A forked child holds only the thread that
+    forked it, not the helper threads numpy's BLAS may have started;
+    _count_window calls no BLAS routine and takes no lock another thread
+    could hold.
     """
     children: dict[int, int] = {}
     try:
@@ -354,23 +369,24 @@ def _fan_out(jobs: list[tuple[int, int, int]], workers: int) -> int:
             finally:
                 os.close(w)
             children[pid] = r
-        total = 0
-        for pid, r in list(children.items()):
+        replies: list = [None] * len(jobs)
+        for k, (pid, r) in enumerate(list(children.items())):
             chunks = []
             while chunk := os.read(r, 4096):
                 chunks.append(chunk)
-            reply = b"".join(chunks).decode(errors="replace")
+            data = b"".join(chunks)
             status = os.waitpid(pid, 0)[1]
             os.close(children.pop(pid))
-            if status != 0 or not reply.isdigit():
+            share = range(k, len(jobs), workers)
+            if status != 0 or len(data) != _REPLY.size * len(share):
                 raise RuntimeError(
-                    f"counting worker {pid} failed: {reply}"
-                    if reply
+                    f"counting worker {pid} failed: {data.decode(errors='replace')}"
+                    if status != 0 and data
                     else f"counting worker {pid} exited without a count "
                     f"(exit code {os.waitstatus_to_exitcode(status)})"
                 )
-            total += int(reply)
-        return total
+            replies[k::workers] = _REPLY.iter_unpack(data)
+        return replies
     finally:
         if children:
             # only a failed or interrupted count gets here; imported at
@@ -381,6 +397,37 @@ def _fan_out(jobs: list[tuple[int, int, int]], workers: int) -> int:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
                 os.close(r)
+
+
+def _count_tables(ns: list[int]) -> tuple[dict[int, int], dict[int, float]]:
+    """M(n), and the seconds its windows took, for each of the distinct
+    n of ns (each at most COUNT_N_MAX, not checked here).
+
+    Every window of every n is one job of one list, n after n.  With at
+    least POOL_MIN_WINDOWS jobs they go to one forked worker per usable
+    CPU, at most _MAX_WORKERS (see _fan_out); with fewer, or one usable
+    CPU, they are counted in this process and nothing is forked.  Each
+    job is timed where it is counted, and the per-window counts and
+    seconds are summed by n here.
+    """
+    jobs = [
+        (n, lo, hi) for n in ns for lo, hi in _window_ranges(1, n * n, SEGMENT_WINDOW)
+    ]
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, _MAX_WORKERS)
+    if len(jobs) >= POOL_MIN_WINDOWS and workers > 1:
+        replies = _fan_out(jobs, workers)
+    else:
+        replies = map(_timed_window, jobs)
+    counts = dict.fromkeys(ns, 0)
+    seconds = dict.fromkeys(ns, 0.0)
+    for (n, _, _), (count, took) in zip(jobs, replies):
+        counts[n] += count
+        seconds[n] += took
+    return counts, seconds
 
 
 def count_distinct_segmented(n: int) -> int:
@@ -394,7 +441,8 @@ def count_distinct_segmented(n: int) -> int:
     (see _count_window) and the plan, 32 bytes per row: 0.75 MB at
     n = 2^14 and 3.0 MB at 2^16.  The per-window counts are exact
     integers, so the total is independent of the window length and of
-    where the windows are counted.  With at least POOL_MIN_WINDOWS
+    where the windows are counted.  This is the one-n case of the
+    census's count (_count_tables): with at least POOL_MIN_WINDOWS
     windows they go to one forked worker per usable CPU, at most
     _MAX_WORKERS, each taking every workers-th window (see _fan_out).
     That does not spread the heavy first windows of the levels: at
@@ -409,15 +457,7 @@ def count_distinct_segmented(n: int) -> int:
     n may be at most COUNT_N_MAX.
     """
     _require_count_n(n)
-    jobs = [(n, lo, hi) for lo, hi in _window_ranges(1, n * n, SEGMENT_WINDOW)]
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    workers = min(cpus, _MAX_WORKERS)
-    if len(jobs) >= POOL_MIN_WINDOWS and workers > 1:
-        return _fan_out(jobs, workers)
-    return sum(map(_count_window, jobs))
+    return _count_tables([n])[0][n]
 
 
 class _CacheError(Exception):
@@ -524,7 +564,15 @@ def census(
     always rederived.  Every
     n (at most COUNT_N_MAX) and the cache path (not a directory, and in
     a directory that exists) are checked on entry, before the cache is
-    read or any n is counted, also when every n is cached.  The cache
+    read or any n is counted, also when every n is cached.  The distinct
+    n the cache does not hold are counted together: the windows of all
+    of them are one job list, forked out once when it spans at least
+    POOL_MIN_WINDOWS windows (see _count_tables).  The elapsed of the
+    first point of each counted n is the wall time of that counting,
+    split among the counted n in proportion to the seconds their windows
+    took, so those points' elapsed add up to the counting's wall time; a
+    cached n, or a repeat of a counted one, gets the near-zero time of
+    its lookup.  The cache
     file is written only when some n was computed, under a lock on a
     sidecar file: the cache is read again there and the new entries are
     merged in, so concurrent writers keep each other's entries.  A cache
@@ -537,17 +585,23 @@ def census(
     if cache_path is not None:
         _require_cache_path(cache_path)
     cached = {} if cache_path is None else _read_cache(cache_path)
+    new = [n for n in dict.fromkeys(n_values) if n not in cached]
+    start = time.perf_counter()
+    counts, seconds = _count_tables(new)
+    wall = time.perf_counter() - start
+    total = sum(seconds.values())
+    elapsed = {
+        n: wall * took / total if total else wall / len(seconds)
+        for n, took in seconds.items()
+    }
+    cached |= counts
     out = []
-    computed = False
     for n in n_values:
         start = time.perf_counter()
-        if n in cached:
-            m = cached[n]
-        else:
-            m = cached[n] = count_distinct_segmented(n)
-            computed = True
-        out.append(TableCensus.from_count(n, m, time.perf_counter() - start))
-    if cache_path is not None and computed:
+        m = cached[n]
+        took = elapsed.pop(n) if n in elapsed else time.perf_counter() - start
+        out.append(TableCensus.from_count(n, m, took))
+    if cache_path is not None and counts:
         with _cache_lock(cache_path):
             merged = _read_cache(cache_path)
             clash = sorted(n for n, m in cached.items() if merged.get(n, m) != m)

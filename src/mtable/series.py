@@ -74,6 +74,24 @@ TRUNCATION_K_MAX = 10**7
 _BLOCK = 1 << 20
 _ROW_BLOCK = 128
 
+# The float routes of the square identity differ by rounding only, and
+# that rounding is bounded relative to S(n) = (sum of k**-Re(s) over
+# k <= n)**2, the sum of |(a*b)**-s| over the n-table, which bounds the
+# size of every route's sum.  A term x**-s = exp(-s ln x) with x <= n**2
+# is within about 2u(|s| ln(n**2) + 1)|x**-s| of exact (ln x and its
+# product with s are within a few u of exact, and exp turns that error
+# of the exponent into a relative error of the term), u = 2**-53; the
+# zeta route's terms have x <= n, and squaring doubles their relative
+# error.  The sums add at most u S per term of a sequential run of
+# numpy's reduceat (at most _ROW_BLOCK terms), per level of numpy's
+# pairwise sums (of at most n**2 terms, in blocks of 128 that numpy
+# adds 8 ways), and a few ulps for the compensated running sums.  A
+# deviation between two routes is at most the sum of their errors, so
+# it is within u S (_ROUNDING_C (|s| ln(n**2) + 1) + _ROW_BLOCK
+# + 2 log2(n) + 16), _ROUNDING_C covering the factors of the terms.
+_U = 2.0**-53
+_ROUNDING_C = 16
+
 # Reference zeta values: closed forms where available, else a partial
 # sum to this length plus the integral tail correction.
 _REFERENCE_TERMS = 10**7
@@ -182,9 +200,13 @@ def _grid_route(s: complex, n_max: int) -> np.ndarray:
     return _prefix_sums(np.concatenate(borders))
 
 
-def _zeta_route(s: complex, n_max: int) -> np.ndarray:
-    # the partial zeta sum to every n in [1, n_max]
-    return _prefix_sums(_terms(np.arange(1, n_max + 1, dtype=np.int64), s))
+def _zeta_route(s: complex, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    # the partial zeta sum to every n in [1, n_max], and the partial sum
+    # of the sizes |k**-s| of its terms (a bound's scale, so a plain
+    # cumsum): at a real s the terms are positive, their own sizes
+    terms = _terms(np.arange(1, n_max + 1, dtype=np.int64), s)
+    sums = _prefix_sums(terms)
+    return sums, sums if s.imag == 0 else np.cumsum(np.abs(terms))
 
 
 def _multiplicity_route(weights: np.ndarray, powers: np.ndarray) -> complex:
@@ -196,6 +218,15 @@ def _multiplicity_route(weights: np.ndarray, powers: np.ndarray) -> complex:
     )
 
 
+def _rounding_bound(s: complex, ns: np.ndarray) -> np.ndarray:
+    # the bound on the deviation between two float routes at s, over
+    # S(n), for each n of ns (see _ROUNDING_C)
+    log_n2 = np.log(ns * ns)
+    return _U * (
+        _ROUNDING_C * (abs(s) * log_n2 + 1) + _ROW_BLOCK + log_n2 / math.log(2) + 16
+    )
+
+
 def _identity_routes(s: complex, ns: np.ndarray, mult) -> tuple:
     # the square identity at s for the n-tables, n in the ascending array
     # ns, whose multiplicity routes are mult: arrays of (grid sum, zeta
@@ -204,7 +235,7 @@ def _identity_routes(s: complex, ns: np.ndarray, mult) -> tuple:
     # run to ns[-1], and each entry depends on the tables up to its own n
     # only, so it is the same whatever other sizes the call asks for.
     grid = _grid_route(s, int(ns[-1]))[ns - 1].astype(np.complex128)
-    zeta = _zeta_route(s, int(ns[-1]))[ns - 1]
+    zeta, sizes = (route[ns - 1] for route in _zeta_route(s, int(ns[-1])))
     zsq = (zeta * zeta).astype(np.complex128)
     mult = np.asarray(mult, dtype=np.complex128)
     deviation = np.maximum.reduce(
@@ -213,7 +244,9 @@ def _identity_routes(s: complex, ns: np.ndarray, mult) -> tuple:
     if s in (0, -1):
         tolerance = np.zeros(ns.size)
     else:
-        tolerance = 1e-9 * np.abs(zsq)
+        tolerance = np.maximum(
+            1e-9 * np.abs(zsq), _rounding_bound(s, ns) * sizes * sizes
+        )
     return grid, zsq, mult, deviation, tolerance
 
 
@@ -239,14 +272,24 @@ def verify_square_identity(s: complex, n: int) -> SeriesComparison:
 
     At s = 0 and s = -1 all three routes are exact integers and the
     deviation must be exactly 0.  Elsewhere the routes agree to within
-    1e-9 relative of the squared partial sum.  The comparison's
-    tolerance and ok fields carry that rule.  An (s, n) at which any of
-    the three sums is not finite, as when its terms overflow a float, is
-    a domain error (ValueError), not a failed identity.
+    the larger of 1e-9 relative of the squared partial sum and the
+    rounding bound of the routes (see _ROUNDING_C), which grows with
+    |s| ln(n**2) and with the size of the terms.  The comparison's
+    tolerance and ok fields carry that rule.  An (s, n) at which that
+    bound reaches S(n), the size the sums can have, leaves the sums no
+    correct digit and is rejected before any sum is evaluated; one at
+    which any of the three sums is not finite, as when its terms
+    overflow a float, is rejected after.  Both are domain errors
+    (ValueError), not failed identities.
     """
     if not 1 <= n <= IDENTITY_N_MAX:
         raise ValueError(f"n must be in [1, {IDENTITY_N_MAX}], got {n}")
     s = complex(s)
+    if s not in (0, -1) and _rounding_bound(s, np.array([n]))[0] >= 1:
+        raise ValueError(
+            f"at s = {s}, n = {n} rounding can move the sums by as much as "
+            f"the sizes of their terms add up to: |s| ln(n^2) is too large"
+        )
     counts = table_multiplicities(n)
     products = np.flatnonzero(counts)
     weights = counts[products]

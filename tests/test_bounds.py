@@ -354,7 +354,9 @@ def test_every_report_hashes(monkeypatch):
     # partial zeta sum fail the identities suite
     monkeypatch.setattr(bounds, "count_distinct_segmented", lambda n: 0)
     monkeypatch.setattr(series, "_grown_tables", grown_with_extra_count(1))
-    monkeypatch.setattr(series, "_zeta_route", lambda s, n_max: np.arange(2, n_max + 2))
+    monkeypatch.setattr(
+        series, "_zeta_route", lambda s, n_max: (np.arange(2, n_max + 2),) * 2
+    )
     theorem = bounds.verify_theorem_sweep(10)
     identities = series.verify_identities_sweep(3)
     assert [(r.argument, r.value, r.violated) for r in theorem] == [

@@ -258,9 +258,9 @@ def test_census_cache_path_that_cannot_be_written(
     # is rejected before the cache is read or any n is counted: one error
     # line, exit 2, no warning, and no lock file beside the directory
     def no_count(*args, **kwargs):
-        raise AssertionError("an n was counted")
+        raise AssertionError("a window was counted")
 
-    monkeypatch.setattr(products, "count_distinct_segmented", no_count)
+    monkeypatch.setattr(products, "_count_window", no_count)
     base = tmp_path / "base"
     base.mkdir()
     code, out, err = run(
@@ -287,6 +287,24 @@ def test_series_whose_sums_overflow_exits_2(capsys):
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
     assert err.startswith("error: the sums at s = (-300+0j), n = 50 are not finite")
+
+
+@pytest.mark.parametrize(
+    "s, n", [("0.5,1000000", "50"), ("0.5,5623.413251903491", "2000")]
+)
+def test_series_far_from_the_real_axis_passes(capsys, s, n):
+    # rounding alone moves these routes past 1e-9 of the squared partial
+    # sum, and within their rounding bound
+    code, out, err = run(capsys, "series", "--s", s, "--n", n, "--format", "text")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].endswith("-> ok")
+
+
+def test_series_swamped_by_rounding_exits_2(capsys):
+    code, out, err = run(capsys, "series", "--s", "0.5,1e16", "--n", "50")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: at s = (0.5+1e+16j), n = 50 rounding can move")
 
 
 def test_cli_calls_only_public_library_names():

@@ -4,12 +4,14 @@ import csv
 import math
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
 from bisect import bisect_left
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -393,8 +395,8 @@ def test_oversized_table_is_rejected_up_front(monkeypatch):
     for n in (COUNT_N_MAX + 1, 10**7):
         with pytest.raises(ValueError, match=str(COUNT_N_MAX)):
             count_distinct_segmented(n)
-    # census checks the whole list before it counts its first n
-    monkeypatch.setattr(products, "count_distinct_segmented", no_window)
+    # census checks the whole list before it counts its first window
+    monkeypatch.setattr(products, "_count_window", no_window)
     with pytest.raises(ValueError, match=str(COUNT_N_MAX)):
         census([10, COUNT_N_MAX + 1])
 
@@ -426,14 +428,18 @@ def _first_n_with_windows(count):
 @pytest.fixture
 def pools(monkeypatch):
     """The worker counts of the fan-outs that counts start; each fan-out
-    counts every worker's interleaved share in this process."""
+    counts every worker's interleaved share in this process and returns
+    one (count, seconds) pair per window, in the order of the jobs."""
     started = []
 
     def serial_fan_out(jobs, workers):
         started.append(workers)
         shares = [jobs[k::workers] for k in range(workers)]
-        assert sorted(job for share in shares for job in share) == jobs
-        return sum(sum(map(products._count_window, share)) for share in shares)
+        assert sorted(job for share in shares for job in share) == sorted(jobs)
+        replies = [None] * len(jobs)
+        for k, share in enumerate(shares):
+            replies[k::workers] = map(products._timed_window, share)
+        return replies
 
     monkeypatch.setattr(products, "_fan_out", serial_fan_out)
     return started
@@ -466,6 +472,18 @@ def test_pool_starts_at_the_window_threshold(monkeypatch, pools):
     assert pools == [8]
 
 
+def test_readme_states_the_fork_threshold():
+    # every value README.md gives POOL_MIN_WINDOWS, and the least n it
+    # states for it, are the constant's
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = " ".join(readme.split())
+    values = re.findall(r"POOL_MIN_WINDOWS`? = (\d+)", text)
+    stated = re.findall(r"POOL_MIN_WINDOWS` = (\d+) windows,? \(?n >= (\d+)", text)
+    assert len(stated) >= 2 and len(values) == len(stated)
+    threshold = products.POOL_MIN_WINDOWS
+    assert set(stated) == {(str(threshold), str(_first_n_with_windows(threshold)))}
+
+
 def test_pool_has_one_worker_per_usable_cpu_up_to_eight(monkeypatch, pools):
     monkeypatch.setattr(products, "POOL_MIN_WINDOWS", 1)
     for cpus in (2, 3, 8, 9, 64):
@@ -485,6 +503,92 @@ def test_cpu_count_fallback_without_affinity(monkeypatch, pools):
     monkeypatch.setattr(products.os, "cpu_count", lambda: 4)
     assert count_distinct_segmented(2000) == CENSUS_COUNTS[2000]
     assert pools == [4]
+
+
+def _windows(*ns):
+    return [
+        (n, lo, hi)
+        for n in ns
+        for lo, hi in _window_ranges(1, n * n, products.SEGMENT_WINDOW)
+    ]
+
+
+def test_census_counts_its_uncached_tables_in_one_fan_out(tmp_path, monkeypatch, pools):
+    # 10 is asked twice and 2000 is cached: the one fan-out holds every
+    # window of 10 and 5000, each once, and nothing of 2000
+    path = tmp_path / "census.csv"
+    save_cache(path, {2000: CENSUS_COUNTS[2000]})
+    monkeypatch.setattr(products, "POOL_MIN_WINDOWS", 1)
+    _usable_cpus(monkeypatch, 2)
+    fanned = []
+    fan_out = products._fan_out
+    monkeypatch.setattr(
+        products,
+        "_fan_out",
+        lambda jobs, workers: fanned.append(list(jobs)) or fan_out(jobs, workers),
+    )
+    points = census([10, 5000, 10, 2000], cache_path=path)
+    assert [p.distinct_count for p in points] == [
+        count_distinct_dense(10),
+        CENSUS_COUNTS[5000],
+        count_distinct_dense(10),
+        CENSUS_COUNTS[2000],
+    ]
+    assert pools == [2]
+    (jobs,) = fanned
+    assert sorted(jobs) == _windows(10, 5000)
+    assert load_cache(path) == {
+        10: count_distinct_dense(10), 2000: CENSUS_COUNTS[2000], 5000: CENSUS_COUNTS[5000]
+    }
+
+
+def test_small_census_forks_nothing(monkeypatch):
+    # fewer windows in all than POOL_MIN_WINDOWS: counted in this process
+    n_values = [10, 50, 100, 1000, 2000, 3000]
+    assert len(_windows(*n_values)) < products.POOL_MIN_WINDOWS
+    _usable_cpus(monkeypatch, 8)
+    monkeypatch.setattr(products, "_fan_out", _no_fan_out)
+    assert [p.distinct_count for p in census(n_values)] == [
+        CENSUS_COUNTS[n] for n in n_values
+    ]
+
+
+def test_readme_census_is_one_fan_out(monkeypatch, pools):
+    # the README's n-list spans 57 windows, none of them alone enough to
+    # fork: together they are counted in one fan-out
+    n_values = [10, 50, 100, 1000, 2000, 3000, 4000, 5000]
+    assert len(_windows(*n_values)) == 57
+    assert max(len(_windows(n)) for n in n_values) < products.POOL_MIN_WINDOWS
+    _usable_cpus(monkeypatch, 2)
+    points = census(n_values)
+    assert [p.distinct_count for p in points] == [CENSUS_COUNTS[n] for n in n_values]
+    assert pools == [2]
+
+
+def test_census_elapsed_splits_the_counting_by_window_seconds(monkeypatch):
+    # each window of 100 reports 1 s and each of 2000 (4 windows) 3 s: the
+    # counting's wall time is split 1 : 12, and the repeat of 100 gets
+    # the time of its lookup
+    real = products._count_window
+    monkeypatch.setattr(
+        products, "_timed_window", lambda job: (real(job), 1.0 if job[0] == 100 else 3.0)
+    )
+    start = time.perf_counter()
+    first, second, repeat = census([100, 2000, 100])
+    wall = time.perf_counter() - start
+    assert (first.n, second.n, repeat.n) == (100, 2000, 100)
+    assert second.elapsed == pytest.approx(12 * first.elapsed)
+    assert 0 < first.elapsed + second.elapsed <= wall
+    assert 0 <= repeat.elapsed < first.elapsed
+
+
+def test_census_elapsed_of_one_computed_point_is_the_counting_time(monkeypatch):
+    # one computed n takes the whole counting time, forked or not
+    for threshold in (1, 10**9):
+        monkeypatch.setattr(products, "POOL_MIN_WINDOWS", threshold)
+        start = time.perf_counter()
+        (point,) = census([3000])
+        assert 0 < point.elapsed <= time.perf_counter() - start
 
 
 def _assert_no_child_process():
@@ -512,6 +616,38 @@ def test_worker_error_raises_with_its_message(monkeypatch, forked):
         RuntimeError, match=r"RuntimeError: window \(2000, 1, \d+\) failed"
     ):
         count_distinct_segmented(2000)
+
+
+def test_fan_out_replies_one_count_and_time_per_window(forked):
+    jobs = _windows(10, 2000, 100)
+    replies = products._fan_out(jobs, 3)
+    assert [count for count, _ in replies] == [_count_window(job) for job in jobs]
+    assert all(seconds > 0 for _, seconds in replies)
+
+
+def test_workers_with_empty_shares_reply(monkeypatch, forked):
+    # 8 workers on 4 windows, and on 1: the children with no window reply
+    # with no pairs and exit 0
+    _usable_cpus(monkeypatch, 8)
+    assert count_distinct_segmented(2000) == CENSUS_COUNTS[2000]
+    (point,) = census([10])
+    assert point.distinct_count == count_distinct_dense(10)
+
+
+def test_batched_census_worker_error_keeps_the_cache(tmp_path, monkeypatch, forked):
+    # a window that fails in a worker ends the census with RuntimeError,
+    # reaps every child and leaves the cache file as it was
+    path = tmp_path / "census.csv"
+    census([10, 50], cache_path=path)
+    before = path.stat()
+    data = path.read_bytes()
+    monkeypatch.setattr(products, "_count_window", _window_that_raises)
+    with pytest.raises(RuntimeError, match=r"RuntimeError: window \(\d+, 1, \d+\) failed"):
+        census([10, 50, 100, 2000], cache_path=path)
+    _assert_no_child_process()
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert path.read_bytes() == data
 
 
 def test_worker_that_dies_without_a_count_raises(monkeypatch, forked):
@@ -569,13 +705,16 @@ real, fanned = products._fan_out, []
 products._fan_out = lambda jobs, workers: fanned.append(workers) or real(jobs, workers)
 assert mtable.cli.run(["count", "--n", "16384"]) == 0
 assert fanned == [2], fanned
+assert mtable.cli.run(["count", "--n", "5000"]) == 0
+assert fanned == [2], fanned
 print(sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing"))
 """
 
 
 def test_forked_count_imports_no_multiprocessing():
-    # a fresh interpreter with 2 usable CPUs fans M(2^14) out and never
-    # imports multiprocessing, whose import alone takes about 5 ms
+    # a fresh interpreter with 2 usable CPUs fans M(2^14) out, counts
+    # M(5000) in one process, and never imports multiprocessing, whose
+    # import alone takes about 5 ms
     src = os.path.dirname(os.path.dirname(os.path.abspath(products.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -586,8 +725,9 @@ def test_forked_count_imports_no_multiprocessing():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    count, modules = proc.stdout.splitlines()
+    count, small, modules = proc.stdout.splitlines()
     assert count.startswith("M(16384) = 59415059 ")
+    assert small.startswith(f"M(5000) = {CENSUS_COUNTS[5000]} ")
     assert modules == "[]"
 
 
@@ -673,14 +813,16 @@ def test_read_only_census_leaves_cache_untouched(tmp_path):
 
 
 def _census_in_step(barrier, n_values, path):
-    # count nothing until every writer has read the cache
-    real = products.count_distinct_segmented
+    # count no window until every writer has read the cache
+    real, waited = products._count_window, []
 
-    def count_after_barrier(*args, **kwargs):
-        barrier.wait(timeout=60)
-        return real(*args, **kwargs)
+    def count_after_barrier(args):
+        if not waited:
+            barrier.wait(timeout=60)
+            waited.append(True)
+        return real(args)
 
-    products.count_distinct_segmented = count_after_barrier
+    products._count_window = count_after_barrier
     census(n_values, cache_path=path)
 
 
@@ -711,16 +853,14 @@ def test_census_merges_entries_written_meanwhile(tmp_path, monkeypatch):
     # when it saves a different M(10), the cache counts as corrupt and
     # this census's entries replace it
     path = tmp_path / "census.csv"
-    real = products.count_distinct_segmented
+    real = products._count_window
     meanwhile = {}
 
-    def count_while_another_writes(*args, **kwargs):
+    def count_while_another_writes(args):
         save_cache(path, meanwhile)
-        return real(*args, **kwargs)
+        return real(args)
 
-    monkeypatch.setattr(
-        products, "count_distinct_segmented", count_while_another_writes
-    )
+    monkeypatch.setattr(products, "_count_window", count_while_another_writes)
     meanwhile.update({50: 800})
     census([10], cache_path=path)
     assert load_cache(path) == {10: 42, 50: 800}

@@ -352,3 +352,53 @@ def test_zeta_reference_summed_path():
 def test_truncation_rejects_k_max_above_cap():
     with pytest.raises(ValueError):
         series.zeta_square_truncation(2, series.TRUNCATION_K_MAX + 1)
+
+
+_FAR_FROM_THE_AXIS = [(0.5 + 1e6j, 50), (0.5 + 5623.413251903491j, 2000)]
+
+
+@pytest.mark.parametrize("s, n", _FAR_FROM_THE_AXIS)
+def test_identity_holds_far_from_the_real_axis(s, n):
+    # the routes differ by more than 1e-9 of the squared partial sum, by
+    # rounding alone: the rounding bound of the routes passes them
+    cmp = series.verify_square_identity(s, n)
+    assert cmp.max_abs_deviation > 1e-9 * abs(cmp.zeta_partial_squared)
+    assert cmp.ok is True
+    assert cmp.tolerance == pytest.approx(
+        float(series._rounding_bound(s, np.array([n]))[0])
+        * abs(series.zeta_partial(s.real, n)) ** 2
+    )
+
+
+@pytest.mark.parametrize("s, n", _FAR_FROM_THE_AXIS)
+def test_wrong_multiplicity_fails_far_from_the_real_axis(monkeypatch, s, n):
+    def one_too_many(size):
+        counts = table_multiplicities(size)
+        counts[6] += 1
+        return counts
+
+    monkeypatch.setattr(series, "table_multiplicities", one_too_many)
+    cmp = series.verify_square_identity(s, n)
+    assert cmp.ok is False
+    assert cmp.multiplicity_sum - cmp.grid_sum == pytest.approx(6**-s, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [10, 50, 200])
+def test_identity_holds_on_the_critical_line(n):
+    # Re s = 0.5, Im s = 10**(e/4) up to 10**12, where the phase of k**-s
+    # keeps fewer and fewer correct digits: every check passes
+    for e in range(49):
+        cmp = series.verify_square_identity(0.5 + 10 ** (e / 4) * 1j, n)
+        assert cmp.ok, (e, cmp.max_abs_deviation, cmp.tolerance)
+
+
+@pytest.mark.parametrize("s", [0.5 + 1e16j, 1e16, 2 + 1e15j])
+def test_identity_rejects_s_that_rounding_swamps(monkeypatch, s):
+    # the rounding bound reaches the size of the sums: a domain error,
+    # raised before any table or sum is built
+    def no_table(n):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(series, "table_multiplicities", no_table)
+    with pytest.raises(ValueError, match=r"\|s\| ln\(n\^2\) is too large"):
+        series.verify_square_identity(s, 50)
