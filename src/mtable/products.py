@@ -1,25 +1,26 @@
 """Counting distinct products in an n-by-n multiplication table.
 
-M(n) is the number of distinct values a*b with 1 <= a, b <= n.  The
-segmented counter sweeps [1, n^2] in its 2-adic order: k = 2^j * m, m
-odd, level j after level j - 1 and m rising within a level.  It takes
-fixed-size windows of that order so memory stays bounded, and its
-windows are independent.  A census counts the windows of every n it
-does not have cached as one job list, and one M(n) is the list of one
-n: a list of at least POOL_MIN_WINDOWS windows is dealt out to forked
-child processes (POSIX only), which reply with each window's count and
-seconds, a shorter one is counted in the calling process, the counts
-are summed by n, and they are exact either way.
-A window is one bytearray.  Its rows are (level j, odd a) pairs from a
-per-n plan; row a writes m = a*b for a range of odd b, and in its level
-those products step by a.  The bounds of all its rows come from one
-numpy pass; every row with at least DENSE_ROW_MIN products in it gets
-one strided slice assignment of that many ones, and the products of all
-sparser rows are written at once through a zero-copy numpy view, so
-peak memory is one window plus fewer than DENSE_ROW_MIN index entries
-per row.  Row a > 1 starts past the b that row a/p(a) already covers,
-p(a) the least prime factor of a: every m keeps its least row, and the
-writes fall to about 68% of n^2/2.
+M(n) is the number of distinct values a*b with 1 <= a, b <= n.  Write
+k = 2^j * m with m odd.  For each odd m the levels j at which 2^j * m is
+a product form one interval [0, T(m)] (see _count_window), so M(n) is
+the sum of T(m) + 1 over the odd products m <= n^2, and the segmented
+counter sweeps the odd m only, one byte per m holding T(m) + 1.  It
+takes fixed-size windows of those (n^2 + 1)/2 positions so memory stays
+bounded, and its windows are independent.  A census counts the windows
+of every n it does not have cached as one job list, and one M(n) is the
+list of one n: a list of at least POOL_MIN_WINDOWS windows is dealt out
+to forked child processes (POSIX only), which reply with each window's
+count and seconds, a shorter one is counted in the calling process, the
+counts are summed by n, and they are exact either way.
+A window is one bytearray.  Its pieces (odd x, t) come from a per-n
+plan; piece (x, t) writes the label t_x + t + 1 at m = x*y for a range
+of odd y, and those products step by x.  The bounds of all its pieces
+come from one numpy pass; every piece with at least DENSE_ROW_MIN
+products in it gets one strided slice assignment of that many label
+bytes, in ascending label, so the last write is the largest, and the
+products of all sparser pieces go through np.maximum.at on a zero-copy
+numpy view, so peak memory is one window plus fewer than DENSE_ROW_MIN
+index entries per piece.  The window's count is the sum of its bytes.
 """
 
 from __future__ import annotations
@@ -29,11 +30,9 @@ import os
 import struct
 import time
 import warnings
-from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from pathlib import Path
 from typing import Iterable
 
@@ -47,72 +46,84 @@ __all__ = [
     "save_cache",
 ]
 
-# Window length (number of positions of the 2-adic order per window) of
-# the segmented sweep.  It changes no count, only the time and the memory
-# of a window.  Median seconds of one count in a fresh interpreter at
-# 2^20 / 2^21 / 2^22, on 2 shared vCPUs, interleaved (8 rounds): serial
-# 0.344 / 0.413 / 0.444 at n = 2^14 and 0.031 / 0.033 / 0.038 at 5000,
-# 2 workers 0.238 / 0.269 / 0.293 at 2^14; serial at 2^15 (2 rounds)
-# 1.87 and 1.40 / 1.79 and 1.44 / 1.72 and 1.66.
+# Window length (number of odd-m positions per window) of the segmented
+# sweep.  It changes no count, only the time and the memory of a window.
+# Median seconds of one count in a fresh interpreter, on 2 shared vCPUs,
+# interleaved (10 rounds; 8 serial; DENSE_ROW_MIN 64), at 2^18 / 2^19 /
+# 2^20 positions: 0.271 / 0.206 / 0.170 at n = 2^14 with 2 workers,
+# serial 0.400 / 0.313 / 0.214; at 2^20 / 2^21 / 2^22: 2 workers 0.154 /
+# 0.173 / 0.190, serial 0.209 / 0.246 / 0.305 at 2^14 and 0.027 / 0.031
+# / 0.038 at 5000.  2 workers at 2^15 (4 rounds) 0.639 / 0.623 / 0.746 and at 2^16
+# (2 rounds) 3.58 / 3.41 / 3.28, peak RSS 41.3 / 46.6 / 50.2 MB.
 SEGMENT_WINDOW = 1 << 20
 
 _MAX_WORKERS = 8
 
 # A count forks its workers (see _count_tables and _fan_out) when its job
 # list, every window of every n it counts, spans at least this many
-# windows (n >= 5222 for one n at 2^20-value windows) and more than one
-# CPU is usable.  The threshold is the least measured window count from
-# which on the workers' median, pooled over every pass, is lower at
+# windows (n >= 8063 for one n at 2^20-position windows) and more than
+# one CPU is usable.  The threshold is the least measured window count
+# from which on the workers' median, pooled over every pass, is lower at
 # every measured count.  Pooled medians of one count (one census of the
 # README's n-list for "census") in a fresh interpreter, seconds, serial
 # / 2 forked workers, and the rounds the workers won, on 2 shared
-# vCPUs, serial and forked alternating, 6 or 10 passes of 10 rounds:
-#   24 windows (n = 5000)  0.0253 / 0.0260    41 of 100
-#   27 (5300)              0.0282 / 0.0276    58 of 100
-#   30 (5600)              0.0325 / 0.0289    71 of 100
-#   35 (6000)              0.0352 / 0.0321    44 of 60
-#   41 (6500)              0.0445 / 0.0385    48 of 60
-#   47 (7000)              0.0451 / 0.0422    51 of 60
-#   57 (census 10 ... 5000) 0.0537 / 0.0467   51 of 60
-#   64 (8192)              0.0631 / 0.0543    52 of 60
-# Earlier passes at 78 to 256 windows (n = 9000 to 2^14) saw the workers'
-# median lower in every pass.
-POOL_MIN_WINDOWS = 27
+# vCPUs, serial and forked alternating, 1 to 7 passes of 20 rounds:
+#   12 windows (n = 5000)   0.0187 / 0.0238     3 of 20
+#   13 (5150)               0.0209 / 0.0277     7 of 40
+#   14 (5300)               0.0211 / 0.0274     3 of 20
+#   16 (5700)               0.0236 / 0.0280     4 of 20
+#   18 (6000)               0.0352 / 0.0364     7 of 20
+#   20 (6400)               0.0317 / 0.0339     6 of 20
+#   24 (7000)               0.0314 / 0.0350    33 of 80
+#   29 (7700)               0.0334 / 0.0295    43 of 60
+#   30 (7900)               0.0360 / 0.0317    47 of 60
+#   31 (8000)               0.0378 / 0.0341    44 of 60
+#   31 (census 10 ... 5000) 0.0361 / 0.0364    85 of 140
+#   32 (8192)               0.0412 / 0.0394   103 of 140
+#   39 (9000)               0.0534 / 0.0474    50 of 60
+#   48 (10000)              0.0630 / 0.0553    70 of 80
+#   58 (11000)              0.0751 / 0.0677    56 of 60
+#   69 (12000)              0.0901 / 0.0709    57 of 60
+POOL_MIN_WINDOWS = 32
 
 # Largest n count_distinct_segmented and census accept.  The count grows
-# about as n**2.3: on 2 shared vCPUs M(2**16) = 911705949 took 3.4 and
-# 3.8 s with its 2-worker pool (6.8 s in one process), so 2**17 would
-# take about 17 s.  A larger n is rejected before any window is built
+# about as n**2.3: on 2 shared vCPUs M(2**16) = 911705949 took 3.2 and
+# 3.7 s with its 2-worker pool, so 2**17 would take about 17 s.  A larger n is rejected before any window is built
 # (at n = 10**7 the window list alone would need gigabytes).
 COUNT_N_MAX = 1 << 16
 
-# Rows with at least this many products in a window get their own strided
-# write in _count_window; the rest share one batched write.  Median
-# seconds of one serial count in a fresh interpreter, on 2 shared vCPUs,
-# the values interleaved.  For 16 / 32 / 64 / 128 (10 rounds): 0.315 /
-# 0.247 / 0.254 / 0.341 at n = 2^14 and 0.025 / 0.023 / 0.023 / 0.027
-# at 5000.  For 32 / 64 again (12 rounds): 0.289 / 0.289 and 0.028 /
-# 0.025; 32 was faster in 6 rounds at 2^14 and in 4 at 5000.  32 is not
-# faster at both sizes, so 64 stays.
-DENSE_ROW_MIN = 64
+# Pieces with at least this many products in a window get their own
+# strided write in _count_window; the rest share one np.maximum.at.
+# Median CPU seconds of every window of one count in one process, on 2
+# shared vCPUs, the values interleaved, for 32 / 48 / 64: 0.0133 /
+# 0.0135 / 0.0133 at n = 5000 (20 rounds), 0.151 / 0.149 / 0.147 at
+# 2^14 (10 rounds), 0.746 / 0.740 / 0.924 at 2^15 (4 rounds) and 4.05 /
+# 3.90 / 4.70 at 2^16 (1 round): from 2^15 on the pieces of
+# 2^20/64 < x <= 2^20/48 are dense at 48, and their strided writes cost
+# less than their batched products.
+DENSE_ROW_MIN = 48
 
-# The right-hand side of the batched write in _count_window: numpy
-# assigns a 0-d array faster than it converts the Python True each time.
-_TRUE = np.ones((), dtype=bool)
+# A window's count is the sum of its bytes, each at most
+# 2 log2(COUNT_N_MAX) + 1 = 33: as uint32 (0.17 ms per 2^20 bytes, against
+# 0.39 ms as int64) for every window of at most this many positions.
+_SUM32_WIDTH = ((1 << 32) - 1) // 33
 
-# Strided writes of fewer than _RUN_CAP products take their right-hand
-# side from _runs(); a longer row, 10% of the strided writes at n = 2^14,
-# builds its own (as fast as giving it numpy's write, in interleaved runs
-# at 2^14 and 5000).
+# _count_window's strided writes key their runs label << _LABEL_SHIFT |
+# count, one key per (label, count) for every count below 2^32.  Runs of
+# fewer than _RUN_CAP bytes are kept in _runs() for every later window of
+# the process, 0.70 MB of them at n = 2^14 and 0.96 MB at 2^16; a longer
+# one, 4% of the strided writes at 2^14, is built for its window only.
+_LABEL_SHIFT = 32
 _RUN_CAP = 512
 
 
 @lru_cache(maxsize=1)
-def _runs() -> list[bytearray]:
-    """runs[c] is a bytearray of c ones, for every c < _RUN_CAP (128 KiB
-    in all), built on first use.  A bytearray, not bytes: bytearray's
+def _runs() -> dict[int, bytearray]:
+    """The label runs of fewer than _RUN_CAP bytes, by key (see
+    _LABEL_SHIFT): a bytearray of count bytes equal to label, added by
+    _count_window on first use.  A bytearray, not bytes: bytearray's
     slice assignment copies any other right-hand side first."""
-    return [bytearray(b"\x01") * c for c in range(_RUN_CAP)]
+    return {}
 
 
 @dataclass(frozen=True)
@@ -166,144 +177,124 @@ def _require_cache_path(path: str | Path):
         raise ValueError(f"census cache directory {path.parent} does not exist")
 
 
-def _least_prime_factors(n: int) -> np.ndarray:
-    """p(a), the least prime factor of a, for every a in [0, n], as int32
-    (p(0) = 0 and p(1) = 1): one pass per prime up to isqrt(n) lowers
-    each of its multiples from p^2 on to p."""
-    lpf = np.arange(n + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(n) + 1):
-        if lpf[p] == p:
-            multiples = lpf[p * p :: p]
-            np.minimum(multiples, p, out=multiples)
-    return lpf
-
-
 @lru_cache(maxsize=1)
-def _plan(n: int) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The rows that _count_window writes for the n-table, in 2-adic order.
+def _plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pieces that _count_window writes for the n-table.
 
-    Returns (offsets, keys, steps, firsts, lasts).  offsets[j] counts the
-    k <= n^2 with 2-adic valuation below j, for j = 0, ..., L + 1 where
-    L = floor(log2 n^2), so offsets[L + 1] = n^2; level j's odd m sits at
-    position offsets[j] + (m + 1)/2.  Each row is one (level j, odd a)
-    pair with a nonempty range of odd b (see _count_window), sorted by
-    keys = j*(n + 1) + a.  Its products a*b sit at the positions firsts,
-    firsts + a, ..., lasts: steps holds a.  Fewer than 2n rows, built
-    once per n in each process, by its first window, so every window of
-    one count shares it.  Read-only, int64.
+    Returns (steps, labels, firsts, lasts), one entry per piece (odd x, t)
+    with at least one odd y in [max(x, (n >> (t + 1)) + 1), n >> t], in
+    ascending x and, for one x, ascending t (see _count_window).  steps
+    holds x, labels t_x + t + 1 with t_x = floor(log2(n/x)), and the
+    piece's products x*y sit at the positions firsts, firsts + x, ...,
+    lasts.  About n pieces, built once per n in each process, by its
+    first window, so every window of one count shares it.  Read-only,
+    int64 but for the uint8 labels.
     """
-    top = n * n
-    levels = range(top.bit_length())
-    offsets = [0, *accumulate(((top >> j) + 1) >> 1 for j in levels)]
-    # every odd a <= isqrt(top >> j) at every level j: a <= b, a*b <= top >> j;
-    # int32 up to the positions, which reach n^2, to halve the temporaries
-    sizes = np.array([(math.isqrt(top >> j) + 1) >> 1 for j in levels], np.int32)
-    j = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
-    a = np.arange(len(j), dtype=np.int32)
-    a = 2 * (a - np.repeat(sizes.cumsum(dtype=np.int32) - sizes, sizes)) + 1
-    p = _least_prime_factors(n)[a]
-    # rows 1 at every level start at b = 1; row a > 1 past lim_j(a/p)//p
-    start = np.where(a > 1, np.maximum(a, _limits(n, j, a // p) // p + 1), 1) | 1
-    stop = (_limits(n, j, a) - 1) | 1
-    keep = start <= stop
-    j, a, start, stop = j[keep], a[keep], start[keep], stop[keep]
-    base = np.array(offsets)[j]
-    plan = (
-        (j * (n + 1) + a).astype(np.int64),
-        a.astype(np.int64),
-        base + (np.multiply(a, start, dtype=np.int64) + 1) // 2,
-        base + (np.multiply(a, stop, dtype=np.int64) + 1) // 2,
-    )
+    x = np.arange(1, n + 1, 2, dtype=np.int64)
+    # t_x + 1 pieces per x, t = 0, ..., t_x: y >= x leaves t_y <= t_x
+    levels = np.frexp(n // x)[1]
+    x = np.repeat(x, levels)
+    t = np.arange(x.size) - np.repeat(levels.cumsum() - levels, levels)
+    label = t + np.repeat(levels, levels)
+    first = np.maximum(x, (n >> (t + 1)) + 1) | 1
+    last = ((n >> t) - 1) | 1
+    keep = first <= last
+    x, first, last = x[keep], first[keep], last[keep]
+    plan = (x, label[keep].astype(np.uint8), (x * first + 1) // 2, (x * last + 1) // 2)
     for array in plan:
         array.flags.writeable = False
-    return (offsets, *plan)
-
-
-def _limits(n: int, j: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """lim_j(a) = n >> (j - min(j, t)) for odd a <= n, t = floor(log2(n/a)):
-    the largest b with a*b*2^j a product of two factors <= n."""
-    t = np.frexp(n // a)[1] - 1
-    return n >> np.maximum(j - t, 0)
+    return plan
 
 
 def _count_window(args: tuple[int, int, int]) -> int:
-    """Distinct products of the n-table at positions [lo, hi] of the
-    2-adic order of [1, n^2].
+    """The products k <= n^2 of the n-table whose odd part m sits at a
+    position in [lo, hi], position (m + 1)/2.
 
-    Write k = 2^j * m with m odd.  The map k -> (j, m) is a bijection, and
-    level j's m are laid out at positions offsets[j] + (m + 1)/2 (see
-    _plan), so the levels end to end are a permutation of [1, n^2] and
-    the windows of positions count each k once.  k = x*y with x, y <= n
-    iff m = a*b, a and b odd, with 2^i * a <= n and 2^(j-i) * b <= n for
-    some i <= j.  Giving a as many of the 2s as it can take, i = min(j, t)
-    with t = floor(log2(n/a)), leaves b the most room: k is a product iff
-    b <= lim_j(a) = n >> (j - min(j, t)).  The condition is symmetric in
-    a and b, so a <= b is enough.  Row a of level j writes m = a*b for
-    the odd b in [max(a, lim_j(a/p)//p + 1), lim_j(a)], p = p(a) the
-    least prime factor of a > 1 (row 1 from b = 1): the least row of
-    every m is written, because if its b were at most lim_j(a/p)//p,
-    then (a/p, b*p) would be a pair with a smaller row.  In its level the
-    row's positions step by a.  At n = 2^14 this halves the strided calls
-    of the row order a = 1, 2, ..., n, and writes 20% less.
+    Write k = 2^j * m with m odd.  The map k -> (j, m) is a bijection, so
+    the windows of positions, each counting the products of its m at
+    every level j, count each k once.  k = x'*y' with x', y' <= n iff
+    m = x*y with x, y odd and j <= t_x + t_y, t_x = floor(log2(n/x)):
+    x' = 2^i * x <= n needs i <= t_x and y' = 2^(j-i) * y <= n needs
+    j - i <= t_y, and i = min(j, t_x) meets both when j <= t_x + t_y.  So
+    the levels j at which 2^j * m is a product are one interval [0, T(m)],
+    T(m) the largest t_x + t_y over the odd pairs x <= y <= n with
+    x*y = m (and none if there is no pair), and m counts T(m) + 1
+    products.  Piece (x, t) of the plan writes the label t_x + t + 1 at
+    m = x*y for the odd y in [max(x, (n >> (t + 1)) + 1), n >> t], the
+    y >= x with t_y = t; the pieces of one x take every y once, so the
+    largest label written at m is T(m) + 1, and every m that is no
+    product stays 0.  In the window a piece's positions step by x.
 
-    The window's rows are one slice of the plan: levels are found by
-    bisection on the offsets, and in the first and last level the rows
-    are cut to a >= ceil(m_lo/n) and a <= isqrt(m_hi), m_lo and m_hi the
-    window's m there (a position past n^2, in level L + 1, holds no
-    product).  Their bounds in the window come from one numpy pass, and
-    rows with no product in it are skipped there.  A row with at least
-    DENSE_ROW_MIN products gets one strided write into the window's
-    bytearray, buf[start:stop:step] = a run of exactly that many ones:
-    CPython runs it in its own C loop, with less overhead per call than
-    numpy's slice assignment, and raises if the run and the slice differ
-    in length.  The indices of all other rows are built with np.repeat
-    and cumsum and written at once through a numpy view of the same
-    buffer, which also counts it.  An index may repeat across rows, which
-    is harmless because every write stores True.  Those sparse indices
-    number fewer than DENSE_ROW_MIN per row, so besides the window they
-    take at most 8 * (DENSE_ROW_MIN - 1) * 2n bytes per int64 array.
+    The window's pieces are one slice of the plan, x from ceil(m_lo/n)
+    to isqrt(m_hi) for its m in [m_lo, m_hi] (a position past
+    (n^2 + 1)/2 holds no product).  Their bounds in the window come from
+    one numpy pass, and pieces with no product in it are skipped there.
+    A piece with at least DENSE_ROW_MIN products gets one strided write
+    into the window's bytearray, buf[start:stop:step] = a run of exactly
+    that many label bytes, and these writes go in ascending label: each
+    replaces what earlier ones stored, all of them labels no larger, so
+    after the last one a position holds the largest label of the dense
+    pieces that cover it.  CPython runs the write in its own C loop, with
+    less overhead per call than numpy's slice assignment, and raises if
+    the run and the slice differ in length.  The runs of fewer than
+    _RUN_CAP bytes come from _runs(), and every run a window takes is
+    checked once there: one whose first byte is not its label raises
+    ValueError.  The products of all other pieces are listed
+    with np.repeat and cumsum and written at once by np.maximum.at
+    through a numpy view of the same buffer, which keeps at each position
+    the largest of its byte and every label written there, in any order
+    (a fancy assignment would not do: numpy does not say which of
+    repeated indices wins).  Those sparse indices number fewer than
+    DENSE_ROW_MIN per piece, so besides the window they take at most
+    8 * (DENSE_ROW_MIN - 1) * n bytes per int64 array.  The count is the
+    sum of the window's bytes.
     """
     n, lo, hi = args
-    offsets, keys, row_steps, row_firsts, row_lasts = _plan(n)
+    steps, labels, firsts, lasts = _plan(n)
     buf = bytearray(hi - lo + 1)
-    # a zero-copy view for the batched write and the count; while it
-    # exists buf cannot be resized, so a step-1 write of the wrong length
-    # raises BufferError as a strided one raises ValueError
-    window = np.frombuffer(buf, dtype=bool)
-    j_lo, j_hi = bisect_left(offsets, lo) - 1, bisect_left(offsets, hi) - 1
-    m_lo, m_hi = 2 * (lo - offsets[j_lo]) - 1, 2 * (hi - offsets[j_hi]) - 1
-    # rows from (j_lo, ceil(m_lo/n)) through (j_hi, isqrt(m_hi)) in key order
-    r_lo, r_hi = np.searchsorted(
-        keys,
-        (j_lo * (n + 1) + -(-m_lo // n) - 1, j_hi * (n + 1) + math.isqrt(m_hi)),
-        side="right",
+    # a zero-copy view for np.maximum.at and the count; while it exists
+    # buf cannot be resized, so a step-1 write of the wrong length raises
+    # BufferError as a strided one raises ValueError
+    window = np.frombuffer(buf, dtype=np.uint8)
+    m_lo, m_hi = 2 * lo - 1, 2 * hi - 1
+    p_lo, p_hi = np.searchsorted(
+        steps, (-(-m_lo // n) - 1, math.isqrt(m_hi)), side="right"
     ).tolist()
-    a = row_steps[r_lo:r_hi]
-    first = row_firsts[r_lo:r_hi] - lo
-    last = np.minimum(row_lasts[r_lo:r_hi] - lo, hi - lo)
-    starts = first - a * np.minimum(first // a, 0)
-    counts = (last - starts) // a + 1
-    dense = counts >= DENSE_ROW_MIN
-    runs = _runs()
-    for start, stop, step, count in zip(
-        starts[dense].tolist(),
-        (last[dense] + 1).tolist(),
-        a[dense].tolist(),
-        counts[dense].tolist(),
+    x = steps[p_lo:p_hi]
+    label = labels[p_lo:p_hi]
+    first = firsts[p_lo:p_hi] - lo
+    last = np.minimum(lasts[p_lo:p_hi] - lo, hi - lo)
+    starts = first - x * np.minimum(first // x, 0)
+    counts = (last - starts) // x + 1
+    dense = np.flatnonzero(counts >= DENSE_ROW_MIN)
+    dense = dense[np.argsort(label[dense], kind="stable")]
+    keys = (label[dense].astype(np.int64) << _LABEL_SHIFT | counts[dense]).tolist()
+    runs, window_runs = _runs(), {}
+    for key in set(keys):
+        value, count = key >> _LABEL_SHIFT, key & (1 << _LABEL_SHIFT) - 1
+        run = runs.get(key)
+        if run is None:
+            run = bytearray((value,)) * count
+            if count < _RUN_CAP:
+                runs[key] = run
+        elif run[0] != value:
+            raise ValueError(f"a run of label {value} holds label {run[0]}")
+        window_runs[key] = run
+    for start, stop, step, key in zip(
+        starts[dense].tolist(), (last[dense] + 1).tolist(), x[dense].tolist(), keys
     ):
-        buf[start:stop:step] = (
-            runs[count] if count < _RUN_CAP else bytearray(b"\x01") * count
-        )
-    sparse = (counts > 0) & ~dense
+        buf[start:stop:step] = window_runs[key]
+    sparse = (counts > 0) & (counts < DENSE_ROW_MIN)
     if sparse.any():
-        a, counts, starts = a[sparse], counts[sparse], starts[sparse]
-        lasts = starts + a * (counts - 1)
-        # index steps: a within a row, and at a row's first product the
-        # jump from the previous row's last index (from 0 for the first)
-        steps = np.repeat(a, counts)
-        steps[np.cumsum(counts) - counts] = starts - np.concatenate(([0], lasts[:-1]))
-        window[np.cumsum(steps)] = _TRUE
-    return int(np.count_nonzero(window))
+        x, counts, starts = x[sparse], counts[sparse], starts[sparse]
+        lasts = starts + x * (counts - 1)
+        # index steps: x within a piece, and at a piece's first product
+        # the jump from the previous piece's last index (from 0 for the
+        # first)
+        index = np.repeat(x, counts)
+        index[np.cumsum(counts) - counts] = starts - np.concatenate(([0], lasts[:-1]))
+        np.maximum.at(window, np.cumsum(index), np.repeat(label[sparse], counts))
+    return int(window.sum(dtype=np.uint32 if len(buf) <= _SUM32_WIDTH else np.int64))
 
 
 def _timed_window(job: tuple[int, int, int]) -> tuple[int, float]:
@@ -411,7 +402,9 @@ def _count_tables(ns: list[int]) -> tuple[dict[int, int], dict[int, float]]:
     seconds are summed by n here.
     """
     jobs = [
-        (n, lo, hi) for n in ns for lo, hi in _window_ranges(1, n * n, SEGMENT_WINDOW)
+        (n, lo, hi)
+        for n in ns
+        for lo, hi in _window_ranges(1, (n * n + 1) // 2, SEGMENT_WINDOW)
     ]
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -431,30 +424,29 @@ def _count_tables(ns: list[int]) -> tuple[dict[int, int], dict[int, float]]:
 
 
 def count_distinct_segmented(n: int) -> int:
-    """M(n) by sweeping [1, n^2] in windows of SEGMENT_WINDOW values.
+    """M(n) by sweeping the odd m <= n^2 in windows of SEGMENT_WINDOW
+    positions.
 
-    The windows are windows of the 2-adic order of [1, n^2], and their
-    rows come from _plan(n), which every process that counts a window
-    builds for itself, forked workers included; the caller of a forked
-    count builds none, which keeps its peak memory where it was before
-    the plan.  Peak memory is one window plus the sparse rows' indices
-    (see _count_window) and the plan, 32 bytes per row: 0.75 MB at
-    n = 2^14 and 3.0 MB at 2^16.  The per-window counts are exact
-    integers, so the total is independent of the window length and of
-    where the windows are counted.  This is the one-n case of the
-    census's count (_count_tables): with at least POOL_MIN_WINDOWS
-    windows they go to one forked worker per usable CPU, at most
-    _MAX_WORKERS, each taking every workers-th window (see _fan_out).
-    That does not spread the heavy first windows of the levels: at
-    n = 2^14, 2^15 and 2^16 every level up to level 7 starts at an even
-    window index (0, 128, 192, ..., 254 at 2^14), so worker 0 of 2 gets
-    them all, yet the two shares' serial sums differ by only about 4%
-    (0.204 s and 0.197 s at 2^14, 2 shared vCPUs);
-    with fewer windows, or one usable CPU, they are counted in this
-    process and nothing is forked.  os.fork makes the fan-out POSIX
-    only.  The workers are reaped with waitpid, so their CPU time lands
-    in os.times()'s children_user and children_system of the caller.
-    n may be at most COUNT_N_MAX.
+    Each window counts the products whose odd part it holds (see
+    _count_window), from the pieces of _plan(n), which every process that
+    counts a window builds for itself, forked workers included; the
+    caller of a forked count builds none, which keeps its peak memory
+    where it was before the plan.  Peak memory is one window plus the
+    sparse pieces' indices (see _count_window), the label runs (see
+    _RUN_CAP) and the plan, 25 bytes per piece: 0.41 MB at n = 2^14 and
+    1.6 MB at 2^16.  The per-window counts are exact integers, so the
+    total is independent of the window length and of where the windows
+    are counted.  This is the one-n case of the census's count
+    (_count_tables): with at least POOL_MIN_WINDOWS windows they go to
+    one forked worker per usable CPU, at most _MAX_WORKERS, each taking
+    every workers-th window (see _fan_out).  The heavy windows are the
+    first ones, of the small m, and the interleaved shares split them:
+    at n = 2^14 the two shares' serial CPU times differ by under 1%
+    (0.127 s each, 2 shared vCPUs); with fewer windows, or one usable
+    CPU, they are counted in this process and nothing is forked.
+    os.fork makes the fan-out POSIX only.  The workers are reaped with
+    waitpid, so their CPU time lands in os.times()'s children_user and
+    children_system of the caller.  n may be at most COUNT_N_MAX.
     """
     _require_count_n(n)
     return _count_tables([n])[0][n]

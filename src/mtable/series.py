@@ -78,17 +78,21 @@ _ROW_BLOCK = 128
 # that rounding is bounded relative to S(n) = (sum of k**-Re(s) over
 # k <= n)**2, the sum of |(a*b)**-s| over the n-table, which bounds the
 # size of every route's sum.  A term x**-s = exp(-s ln x) with x <= n**2
-# is within about 2u(|s| ln(n**2) + 1)|x**-s| of exact (ln x and its
-# product with s are within a few u of exact, and exp turns that error
-# of the exponent into a relative error of the term), u = 2**-53; the
-# zeta route's terms have x <= n, and squaring doubles their relative
-# error.  The sums add at most u S per term of a sequential run of
+# is within about 2u(|s| ln x + 1)|x**-s| of exact (ln x and its product
+# with s are within a few u of exact, and exp turns that error of the
+# exponent into a relative error of the term), u = 2**-53; the zeta
+# route's terms have x <= n, and squaring doubles their relative error.
+# Over the n-table the sizes weighted by ln x add up to
+# sum |(a*b)**-s| ln(a*b) = 2 L(n) Z(n), L(n) = sum k**-Re(s) ln k and
+# Z(n) = sum k**-Re(s) over k <= n, so the terms' errors add up to
+# 2u S (|s| 2L/Z + 1), and 2L/Z, the terms' mean ln x, is at most
+# ln(n**2).  The sums add at most u S per term of a sequential run of
 # numpy's reduceat (at most _ROW_BLOCK terms), per level of numpy's
 # pairwise sums (of at most n**2 terms, in blocks of 128 that numpy
 # adds 8 ways), and a few ulps for the compensated running sums.  A
 # deviation between two routes is at most the sum of their errors, so
-# it is within u S (_ROUNDING_C (|s| ln(n**2) + 1) + _ROW_BLOCK
-# + 2 log2(n) + 16), _ROUNDING_C covering the factors of the terms.
+# it is within u S (_ROUNDING_C (|s| 2L/Z + 1) + _ROW_BLOCK + 2 log2(n)
+# + 16), _ROUNDING_C covering the factors of the terms.
 _U = 2.0**-53
 _ROUNDING_C = 16
 
@@ -220,10 +224,17 @@ def _multiplicity_route(weights: np.ndarray, powers: np.ndarray) -> complex:
 
 def _rounding_bound(s: complex, ns: np.ndarray) -> np.ndarray:
     # the bound on the deviation between two float routes at s, over
-    # S(n), for each n of ns (see _ROUNDING_C)
-    log_n2 = np.log(ns * ns)
+    # S(n), for each n of ns (see _ROUNDING_C).  Where the sizes k**-Re(s)
+    # overflow, 2L/Z is nan or inf and its bound ln(n**2) stands in; where
+    # they underflow, the terms they stand for are below any rounding.
+    logs = np.log(np.arange(1, int(ns.max()) + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sizes = np.exp(-s.real * logs)
+        mean_log = 2 * np.cumsum(sizes * logs) / np.cumsum(sizes)
+    log_n2 = 2 * logs[ns - 1]
+    mean_log = np.fmin(mean_log[ns - 1], log_n2)
     return _U * (
-        _ROUNDING_C * (abs(s) * log_n2 + 1) + _ROW_BLOCK + log_n2 / math.log(2) + 16
+        _ROUNDING_C * (abs(s) * mean_log + 1) + _ROW_BLOCK + log_n2 / math.log(2) + 16
     )
 
 
@@ -273,8 +284,9 @@ def verify_square_identity(s: complex, n: int) -> SeriesComparison:
     At s = 0 and s = -1 all three routes are exact integers and the
     deviation must be exactly 0.  Elsewhere the routes agree to within
     the larger of 1e-9 relative of the squared partial sum and the
-    rounding bound of the routes (see _ROUNDING_C), which grows with
-    |s| ln(n**2) and with the size of the terms.  The comparison's
+    rounding bound of the routes (see _ROUNDING_C), which grows with |s|
+    times the terms' mean ln x, weighted by their sizes, and with the
+    size of the terms.  The comparison's
     tolerance and ok fields carry that rule.  An (s, n) at which that
     bound reaches S(n), the size the sums can have, leaves the sums no
     correct digit and is rejected before any sum is evaluated; one at

@@ -35,6 +35,39 @@ def count_distinct_dense(n: int) -> int:
     return int(np.count_nonzero(product_bitmap(n)))
 
 
+def level_counts(n: int) -> np.ndarray:
+    """Entry (m + 1)/2, for every odd m <= n*n, is the number of products
+    of the n-table whose odd part is m, the levels j with 2^j * m in
+    product_bitmap(n) counted one level at a time (entry 0 is 0)."""
+    seen = product_bitmap(n)
+    top = n * n
+    counts = np.zeros((top + 1) // 2 + 1, dtype=np.int64)
+    for j in range(top.bit_length()):
+        m = np.arange(1, (top >> j) + 1, 2)
+        counts[(m + 1) // 2] += seen[m << j]
+    return counts
+
+
+def two_adic_room(n: int, x: int) -> int:
+    """t_x, the largest t with x * 2^t <= n, by doubling."""
+    t = 0
+    while x << (t + 1) <= n:
+        t += 1
+    return t
+
+
+def top_levels(n: int) -> dict[int, int]:
+    """T(m) for every odd product m of the n-table: the largest
+    t_x + t_y over the odd pairs x <= y <= n with x*y = m, by trial of
+    every such pair."""
+    room = {x: two_adic_room(n, x) for x in range(1, n + 1, 2)}
+    top: dict[int, int] = {}
+    for x in range(1, n + 1, 2):
+        for y in range(x, n + 1, 2):
+            top[x * y] = max(top.get(x * y, -1), room[x] + room[y])
+    return top
+
+
 def prefix_counts(n_max: int) -> np.ndarray:
     """M(n) for every n in [0, n_max] (int64, M(0) = 0), in one pass.
 

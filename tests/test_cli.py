@@ -300,6 +300,13 @@ def test_series_far_from_the_real_axis_passes(capsys, s, n):
     assert out.splitlines()[-1].endswith("-> ok")
 
 
+def test_series_at_a_large_real_s_passes(capsys):
+    # every term past k = 1 underflows, and all three routes give 1
+    code, out, err = run(capsys, "series", "--s", "1e16", "--n", "50")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "max deviation 0.000e+00 (tolerance 1.000e-09) -> ok"
+
+
 def test_series_swamped_by_rounding_exits_2(capsys):
     code, out, err = run(capsys, "series", "--s", "0.5,1e16", "--n", "50")
     assert (code, out) == (2, "")

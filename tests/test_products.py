@@ -9,7 +9,6 @@ import signal
 import subprocess
 import sys
 import time
-from bisect import bisect_left
 from functools import lru_cache
 from pathlib import Path
 
@@ -17,7 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import count_distinct_dense, prefix_counts, product_bitmap
+from oracles import (
+    count_distinct_dense,
+    level_counts,
+    prefix_counts,
+    top_levels,
+    two_adic_room,
+)
 from test_acceptance import CENSUS_COUNTS
 
 from mtable import products
@@ -27,7 +32,6 @@ from mtable.products import (
     TableCensus,
     _CacheError,
     _count_window,
-    _least_prime_factors,
     _plan,
     _window_ranges,
     census,
@@ -63,142 +67,106 @@ def test_window_ranges_partition():
 
 
 @lru_cache(maxsize=None)
-def _bitmap(n):
-    return product_bitmap(n)
-
-
-@lru_cache(maxsize=None)
-def _order(n):
-    """The 2-adic order of [1, n^2]: every k sorted by v2(k), then by k.
-    Returns the k at each position (order[p - 1] for position p) and the
-    position of each k (position[k], entry 0 unused)."""
-    k = np.arange(1, n * n + 1, dtype=np.int32)
-    order = k[np.argsort(k & -k, kind="stable")]
-    position = np.zeros(n * n + 1, dtype=np.int32)
-    position[order] = k
-    return order, position
+def _levels(n):
+    return level_counts(n)
 
 
 def window_oracle(n, lo, hi):
-    """Distinct products of the n-table at positions [lo, hi] of the
-    2-adic order, from the dense bitmap."""
-    return int(np.count_nonzero(_bitmap(n)[_order(n)[0][lo - 1 : hi]]))
+    """The products of the n-table whose odd part m sits at a position in
+    [lo, hi], position (m + 1)/2, from the dense bitmap one level at a
+    time."""
+    return int(_levels(n)[lo : hi + 1].sum())
 
 
-def least_prime_factor(a):
-    """p(a) by trial division, with p(0) = 0 and p(1) = 1."""
-    if a < 2:
-        return a
-    return next((d for d in range(2, math.isqrt(a) + 1) if a % d == 0), a)
-
-
-def limit(n, j, a):
-    """The largest b with a * b * 2^j = x * y, x = 2^i * a and y = 2^(j-i) * b
-    both at most n, by trial of every i <= j (0 if there is none)."""
-    return max((n >> (j - i) for i in range(j + 1) if a << i <= n), default=0)
+def positions(n):
+    """The number of odd-m positions of the n-table, (n^2 + 1)/2."""
+    return (n * n + 1) // 2
 
 
 @lru_cache(maxsize=None)
-def plan_rows(n):
-    """(j, a, first b, last b) for every row of the n-table in 2-adic order
-    with at least one product, sorted by j and a: row 1 of level j takes
-    the odd b from 1, row a > 1 the odd b >= a past limit(j, a/p) // p,
-    p its least prime factor by trial division, and every row stops at
-    limit(j, a)."""
-    rows = []
-    for j in range((n * n).bit_length()):
-        for a in range(1, n + 1, 2):
-            if a * a << j > n * n:
-                break
-            p = least_prime_factor(a)
-            first = 1 if a == 1 else max(a, limit(n, j, a // p) // p + 1) | 1
-            last = (limit(n, j, a) - 1) | 1
-            if first <= last:
-                rows.append((j, a, first, last))
-    return rows
+def plan_pieces(n):
+    """(x, t, first y, last y, label) for every piece of the n-table with
+    at least one product, sorted by x and t: the odd y >= x whose t_y,
+    found by doubling, is t, and the label t_x + t + 1."""
+    rooms = {y: two_adic_room(n, y) for y in range(1, n + 1, 2)}
+    pieces = []
+    for x in range(1, n + 1, 2):
+        for t in range(rooms[x] + 1):
+            ys = [y for y, room in rooms.items() if room == t and y >= x]
+            if ys:
+                pieces.append((x, t, min(ys), max(ys), rooms[x] + t + 1))
+    return pieces
 
 
-def row_counts(n, lo, hi):
-    """Products each row puts at positions [lo, hi], keyed by (j, a), for
-    every row that puts any there."""
-    position = _order(n)[1]
+def piece_counts(n, lo, hi):
+    """Products each piece puts at positions [lo, hi], keyed by (x, t),
+    for every piece that puts any there."""
     counts = {}
-    for j, a, first, last in plan_rows(n):
-        at = position[(a * np.arange(first, last + 1, 2)) << j]
+    for x, t, first, last, _ in plan_pieces(n):
+        at = (x * np.arange(first, last + 1, 2) + 1) // 2
         count = int(np.count_nonzero((lo <= at) & (at <= hi)))
         if count:
-            counts[j, a] = count
+            counts[x, t] = count
     return counts
 
 
-def position_of(n, j, a, b):
-    """The position of the product a * b * 2^j in the 2-adic order."""
-    return int(_order(n)[1][(a * b) << j])
+def position_of(x, y):
+    """The position of the odd product m = x * y."""
+    return (x * y + 1) // 2
 
 
-def test_positions_are_a_bijection():
-    # offsets[j] + (m + 1)/2 for k = 2^j * m, m odd, is the 2-adic order
-    # of [1, n^2], a permutation of it, for every n up to 300: n^2 a power
-    # of two (1, 2, 4, ...) or not
-    for n in range(1, 301):
-        top = n * n
-        offsets = _plan(n)[0]
-        assert len(offsets) == top.bit_length() + 1 and offsets[-1] == top
-        k = np.arange(1, top + 1)
-        low = k & -k
-        j = np.log2(low).astype(np.int64)
-        at = np.array(offsets)[j] + (k // low + 1) // 2
-        assert np.array_equal(np.sort(at), k), n
-        assert np.array_equal(at, _order(n)[1][1:]), n
+def test_levels_of_each_odd_m_are_one_interval():
+    # 2^j * m is a product for exactly the j in [0, T(m)], so the products
+    # with odd part m number T(m) + 1, and those counts add up to M(n):
+    # every n up to 200, n^2 a power of two (1, 2, 4, ...) or not
+    for n in range(1, 201):
+        counts = _levels(n)
+        top = top_levels(n)
+        expect = np.zeros_like(counts)
+        for m, levels in top.items():
+            expect[(m + 1) // 2] = levels + 1
+        assert np.array_equal(counts, expect), n
+        assert int(counts.sum()) == brute_count(n), n
 
 
 def test_plan_matches_trial_division():
     for n in (1, 2, 3, 12, 299, 300, 2000):
-        offsets, keys, steps, firsts, lasts = _plan(n)
-        k = np.arange(1, n * n + 1)
-        assert offsets == [
-            int(np.count_nonzero((k & -k) < (1 << j)))
-            for j in range((n * n).bit_length() + 1)
-        ], n
-        rows = plan_rows(n)
-        assert keys.tolist() == [j * (n + 1) + a for j, a, _, _ in rows], n
-        assert steps.tolist() == [a for _, a, _, _ in rows], n
-        assert firsts.tolist() == [position_of(n, j, a, b) for j, a, b, _ in rows]
-        assert lasts.tolist() == [position_of(n, j, a, b) for j, a, _, b in rows]
-        assert len(rows) < 2 * n
-        for array in keys, steps, firsts, lasts:
+        steps, labels, firsts, lasts = _plan(n)
+        pieces = plan_pieces(n)
+        assert steps.tolist() == [x for x, *_ in pieces], n
+        assert labels.tolist() == [label for *_, label in pieces], n
+        assert firsts.tolist() == [position_of(x, y) for x, _, y, _, _ in pieces]
+        assert lasts.tolist() == [position_of(x, y) for x, _, _, y, _ in pieces]
+        assert len(pieces) <= n
+        assert labels.dtype == np.uint8 and not labels.flags.writeable
+        for array in steps, firsts, lasts:
             assert array.dtype == np.int64 and not array.flags.writeable
+    # at most n pieces, and labels up to 2 log2(n) + 1, 33 at COUNT_N_MAX
+    for n in range(1, 2049):
+        assert len(_plan(n)[0]) <= n, n
+    assert int(_plan(COUNT_N_MAX)[1].max()) == 33
 
 
 def test_windows_sum_to_brute_force_at_every_width():
     # whole tables swept window by window add up to M(n) by brute force:
-    # every n up to 300 at widths 64 and 1000, widths 1 and 7 up to 48,
-    # and width 7 at 128 and 255; the windows at the top of a table span
-    # several levels, which hold from n^2/2 values down to one
-    spans = set()
+    # every n up to 300 at widths DENSE_ROW_MIN + 1 and 1000, and widths
+    # 1, 2, 7 and DENSE_ROW_MIN - 1 up to 48 and at 128 and 255
     for n in range(1, 301):
         expect = brute_count(n)
-        widths = (64, 1000)
-        if n <= 48:
-            widths = (1, 7, 64, 1000)
-        elif n in (128, 255):
-            widths = (7, 64, 1000)
-        offsets = _plan(n)[0]
+        widths = (DENSE_ROW_MIN + 1, 1000)
+        if n <= 48 or n in (128, 255):
+            widths += (1, 2, 7, DENSE_ROW_MIN - 1)
         for width in widths:
-            windows = _window_ranges(1, n * n, width)
+            windows = _window_ranges(1, positions(n), width)
             total = sum(_count_window((n, lo, hi)) for lo, hi in windows)
             assert total == expect, (n, width)
-            spans.update(
-                bisect_left(offsets, hi) - bisect_left(offsets, lo) for lo, hi in windows
-            )
-    assert max(spans) >= 5
 
 
 def test_count_window_narrow_windows():
     # width 1 (a product or a gap) and widths around the cut-off, at
     # offsets on and between products
     for n in (1, 2, 7, 60, 299):
-        top = n * n
+        top = positions(n)
         for lo in sorted({1, 2, top // 3 + 1, top // 2 + 1, max(1, top - 5), top}):
             for width in (1, 2, 5, DENSE_ROW_MIN - 1, DENSE_ROW_MIN + 1):
                 hi = lo + width - 1
@@ -207,40 +175,37 @@ def test_count_window_narrow_windows():
                 )
 
 
-def test_count_window_no_rows():
-    # no row of the window's level has a in [ceil(m_lo/n), isqrt(m_hi)]:
-    # m in [91, 99] at n = 10, [7, 7] at n = 3, [9901, 9999] at 100
+def test_count_window_no_pieces():
+    # no piece has x in [ceil(m_lo/n), isqrt(m_hi)]: m in [91, 99] at
+    # n = 10, [7, 7] at n = 3, [9901, 9999] at 100
     for n, lo, hi in ((10, 46, 50), (10, 50, 50), (3, 4, 4), (100, 4951, 5000)):
-        order = _order(n)[0]
-        m_lo, m_hi = int(order[lo - 1]), int(order[hi - 1])
-        assert m_lo % 2 == m_hi % 2 == 1 and hi <= (n * n + 1) // 2
-        assert -(-m_lo // n) > math.isqrt(m_hi)
+        m_lo, m_hi = 2 * lo - 1, 2 * hi - 1
+        assert -(-m_lo // n) > math.isqrt(m_hi) and hi <= positions(n)
         assert _count_window((n, lo, hi)) == 0
     # past the table
-    for n, lo, hi in ((3, 10, 10), (100, 10**4 + 1, 10**4 + 500)):
+    for n, lo, hi in ((3, 6, 6), (3, 10, 10), (100, 5001, 5500)):
         assert _count_window((n, lo, hi)) == 0
-    # a row in range, yet it misses the window: position 42 at n = 10 is
-    # m = 83, and row 9 of level 0 holds 81 only
-    assert _order(10)[0][41] == 83
-    assert row_counts(10, 41, 41) == {(0, 9): 1}
-    assert row_counts(10, 42, 42) == {}
+    # a piece in range, yet it misses the window: position 42 at n = 10 is
+    # m = 83, and piece (9, 0) holds 81 only
+    assert piece_counts(10, 41, 41) == {(9, 0): 1}
+    assert piece_counts(10, 42, 42) == {}
     assert _count_window((10, 42, 42)) == 0
 
 
 def test_count_window_cut_off_boundary():
     # a window holding exactly cut-off - 1 and exactly cut-off products of
-    # row 3 of level 0, up to its last one, b = 299, and past it the dense
-    # row 5 and sparse rows, so both the batched and the strided write run
+    # piece (3, 0), up to its last one, y = 299, and past it the dense
+    # piece (5, 0) and sparse pieces, so both kinds of write run
     n = 300
-    assert (0, 3, 101, 299) in plan_rows(n)
-    hi = position_of(n, 0, 3, 299) + 400
+    assert (3, 0, 151, 299, 7) in plan_pieces(n)
+    hi = position_of(3, 299) + 400
     for width in (DENSE_ROW_MIN - 1, DENSE_ROW_MIN):
-        lo = position_of(n, 0, 3, 299 - 2 * (width - 1))
-        counts = row_counts(n, lo, hi)
-        assert counts[0, 3] == width and counts[0, 5] >= DENSE_ROW_MIN
+        lo = position_of(3, 299 - 2 * (width - 1))
+        counts = piece_counts(n, lo, hi)
+        assert counts[3, 0] == width and counts[5, 0] >= DENSE_ROW_MIN
         assert {c >= DENSE_ROW_MIN for c in counts.values()} == {False, True}
         assert _count_window((n, lo, hi)) == window_oracle(n, lo, hi)
-        # the same row again, starting between two of its products
+        # the same piece again, starting between two of its products
         assert _count_window((n, lo + 1, hi)) == window_oracle(n, lo + 1, hi)
 
 
@@ -249,127 +214,174 @@ def test_count_window_mixes_both_branches():
     # that cycles with n, add up to M(n) window by window
     kinds = set()
     for n in range(1, 301):
-        top = n * n
         width = (97, 1000, 4099)[n % 3]
         total = 0
-        for lo in range(1, top + 1, width):
-            hi = min(lo + width - 1, top)
+        for lo, hi in _window_ranges(1, positions(n), width):
             got = _count_window((n, lo, hi))
             assert got == window_oracle(n, lo, hi), (n, lo, hi)
             total += got
-            if n == 300 and len(kinds) < 2:
-                kinds.update(c >= DENSE_ROW_MIN for c in row_counts(n, lo, hi).values())
+            if n == 299 and len(kinds) < 2:
+                kinds.update(c >= DENSE_ROW_MIN for c in piece_counts(n, lo, hi).values())
         assert total == count_distinct_dense(n), n
-    # strided and batched rows both occurred
+    # strided and batched pieces both occurred
     assert kinds == {False, True}
 
 
-def test_count_window_row_start_boundary():
-    # windows that start or end at the last odd b that a row's start
-    # leaves out and at its first one: odd composites with p = 3 and
-    # p = 5 and a prime, at level 0 and at a level where lim_j(a) < n;
-    # and row 1, whose boundary is its end, lim_j(1)
+def test_count_window_piece_boundary():
+    # windows that start or end at the first and the last y of a piece,
+    # where the label steps between two pieces of one x: x = 1, 3, 21 and
+    # 35 at n = 299, at the first piece of each (t = 0) and at a later one
     n = 299
-    rows = {(j, a): (first, last) for j, a, first, last in plan_rows(n)}
-    for j, a, p in ((0, 21, 3), (4, 21, 3), (0, 35, 5), (4, 35, 5), (0, 13, 13),
-                    (0, 1, 1), (9, 1, 1)):
-        assert least_prime_factor(a) == p
-        assert (limit(n, j, a) < n) == (j > 0)
-        first, last = rows[j, a]
-        if a > 1:
-            assert first > a and limit(n, j, a // p) // p in (first - 1, first - 2)
-            left_out, written = first - 2, first
-        else:
-            assert first == 1 and last == (limit(n, j, 1) - 1) | 1
-            left_out, written = last + 2, last
-        for b, count in ((left_out, None), (written, 1)):
-            x = position_of(n, j, a, b)
-            assert row_counts(n, x, x).get((j, a)) == count
-            for width in (1, 2, a + 1, DENSE_ROW_MIN, 4 * DENSE_ROW_MIN * a, 5000):
-                for lo, hi in ((x, x + width - 1), (max(1, x - width + 1), x)):
+    pieces = {(x, t): (first, last) for x, t, first, last, _ in plan_pieces(n)}
+    for x, t in ((1, 0), (1, 4), (3, 0), (3, 3), (21, 0), (21, 2), (35, 0), (35, 1)):
+        first, last = pieces[x, t]
+        for y in (first, last):
+            at = position_of(x, y)
+            assert piece_counts(n, at, at)[x, t] == 1
+            for width in (1, 2, x + 1, DENSE_ROW_MIN, 4 * DENSE_ROW_MIN * x, 5000):
+                for lo, hi in ((at, at + width - 1), (max(1, at - width + 1), at)):
                     assert _count_window((n, lo, hi)) == window_oracle(n, lo, hi), (
-                        j, a, lo, hi,
+                        x, t, lo, hi,
                     )
 
 
-def test_count_window_run_cap_boundary():
-    # a window holding exactly cap - 1, cap and cap + 1 products of a row:
-    # the strided write takes its run from the table below the cap and
-    # builds it at and above; row 3 of level 0 starts at b = 667, row 5
-    # of level 1 at b = 401
-    n, cap = 2000, products._RUN_CAP
-    rows = plan_rows(n)
-    for j, a, b in ((0, 3, 667), (1, 5, 401)):
-        assert (j, a, b, 1999) in rows
-        for width in (cap - 1, cap, cap + 1):
-            lo, hi = position_of(n, j, a, b), position_of(n, j, a, b + 2 * (width - 1))
-            assert row_counts(n, lo, hi)[j, a] == width
+def test_count_window_long_runs():
+    # a window holding 511, 512 and 513 products of one piece: runs of
+    # every length are kept apart by their label (a key of label * 512 +
+    # count once gave a run of 512 the key of another label's run of 0);
+    # pieces (3, 0) and (5, 0) at n = 4096, 1024 products each
+    n = 4096
+    pieces = {(x, t): first for x, t, first, _, _ in plan_pieces(n)}
+    for x, t in ((3, 0), (5, 0)):
+        y = pieces[x, t]
+        for width in (511, 512, 513):
+            lo, hi = position_of(x, y), position_of(x, y + 2 * (width - 1))
+            assert piece_counts(n, lo, hi)[x, t] == width
             assert _count_window((n, lo, hi)) == window_oracle(n, lo, hi)
-            # the same row again, starting between two of its products
+            # the same piece again, starting between two of its products
             assert _count_window((n, lo + 1, hi + 1)) == window_oracle(n, lo + 1, hi + 1)
 
 
-def test_count_window_row_one():
-    # row 1 is a step-1 write, a contiguous slice of the window's buffer
-    # while the numpy view of that buffer exists; it holds fewer products
-    # than the cap, more, or all of its level's: positions 1 to 1000 at
-    # level 0, and 2000001 on at level 1
+def test_count_window_step_one_pieces():
+    # the pieces of x = 1 are step-1 writes, contiguous slices of the
+    # window's buffer while the numpy view of that buffer exists; they hold
+    # fewer products than the window, or all of a piece's: (1, 0) covers
+    # positions 501 to 1000 at n = 2000, (1, 1) 251 to 500
     n = 2000
-    for lo, hi in ((1, DENSE_ROW_MIN), (1, 600), (37, 999), (1, 1000), (5, 2000),
-                   (2000001, 2000600)):
-        counts = row_counts(n, lo, hi)
-        assert max(counts[j, a] for j, a in counts if a == 1) >= DENSE_ROW_MIN
+    for lo, hi in ((501, 500 + DENSE_ROW_MIN), (501, 1000), (537, 999), (251, 1000),
+                   (5, 2000), (1, 600)):
+        counts = piece_counts(n, lo, hi)
+        assert max(c for (x, _), c in counts.items() if x == 1) >= DENSE_ROW_MIN
         assert _count_window((n, lo, hi)) == window_oracle(n, lo, hi), (lo, hi)
 
 
-def test_count_window_mixes_runs_big_rows_and_sparse_rows():
-    # a whole table swept window by window; the first window gives some
-    # rows a run from the table, some a run of their own and the rest the
-    # batched write
-    n, width, cap = 2000, 1 << 18, products._RUN_CAP
+def test_count_window_mixes_long_runs_dense_and_sparse_pieces():
+    # a whole table swept window by window; the first window has pieces of
+    # at least 512 products, dense pieces of fewer and sparse pieces
+    n, width = 4096, 1 << 18
     total = 0
-    for lo in range(1, n * n + 1, width):
-        hi = min(lo + width - 1, n * n)
+    for lo, hi in _window_ranges(1, positions(n), width):
         got = _count_window((n, lo, hi))
         assert got == window_oracle(n, lo, hi), (lo, hi)
         total += got
         if lo == 1:
             kinds = {
-                (c >= DENSE_ROW_MIN) + (c >= cap) for c in row_counts(n, lo, hi).values()
+                (c >= DENSE_ROW_MIN) + (c >= 512) for c in piece_counts(n, lo, hi).values()
             }
             assert kinds == {0, 1, 2}
-    assert total == CENSUS_COUNTS[2000]
+    assert total == count_distinct_dense(n)
 
 
-def test_count_window_run_of_wrong_length_raises(monkeypatch):
-    # every strided write checks its run's length: one product too many
-    # raises ValueError in a strided row and BufferError in row 1, whose
-    # step-1 write would otherwise resize the window
-    runs = [bytearray(b"\x01") * (c + 1) for c in range(products._RUN_CAP)]
-    monkeypatch.setattr(products, "_runs", lambda: runs)
+def test_count_window_counts_the_largest_of_repeated_sparse_labels():
+    # m = 105 at n = 100 is 3 * 35, 5 * 21 and 7 * 15, pieces (3, 1),
+    # (5, 2) and (7, 2) with labels 7, 7 and 6, written in that order;
+    # alone in a window of width 1 each piece is sparse, and the count is
+    # their largest label, T(105) + 1 = 7 (105 * 2^6 = 96 * 70), where a
+    # last write would leave 6
+    n, at = 100, position_of(3, 35)
+    labels = {(x, t): label for x, t, _, _, label in plan_pieces(n)}
+    assert piece_counts(n, at, at) == {(3, 1): 1, (5, 2): 1, (7, 2): 1}
+    assert [labels[3, 1], labels[5, 2], labels[7, 2]] == [7, 7, 6]
+    assert window_oracle(n, at, at) == 7 == top_levels(n)[105] + 1
+    assert _count_window((n, at, at)) == 7
+
+
+def test_count_window_counts_the_largest_of_dense_labels():
+    # the dense writes go in ascending label: at n = 2000 the first
+    # 2^16 positions hold m that dense pieces of different labels write,
+    # the larger label first in the plan's order at some of them, and the
+    # window's count is the sum of the largest
+    n, lo, hi = 2000, 1, 1 << 16
+    counts = piece_counts(n, lo, hi)
+    written = {}
+    for x, t, first, last, label in plan_pieces(n):
+        if counts.get((x, t), 0) >= DENSE_ROW_MIN:
+            for y in range(first, last + 1, 2):
+                if position_of(x, y) <= hi:
+                    written.setdefault(position_of(x, y), []).append(label)
+    assert any(labels[0] > labels[-1] for labels in written.values())
+    assert _count_window((n, lo, hi)) == window_oracle(n, lo, hi)
+
+
+@pytest.mark.parametrize("change", [1, -1])
+def test_one_label_off_by_one_changes_a_count(monkeypatch, change):
+    # piece (1, 0) at n = 100 writes the label t_1 + 1 = 7 at m = 51 ...
+    # 99: one label off by one moves M(100) by the change at every m where
+    # that label is the largest (19 of them), or the only largest (11: the
+    # 10 primes and 91 = 7 * 13), by trial of every odd pair x <= y with
+    # that one label changed
+    n = 100
+    steps, labels, firsts, lasts = _plan(n)
+    assert (steps[0], labels[0], firsts[0], lasts[0]) == (1, 7, 26, 50)
+    rooms = {y: two_adic_room(n, y) for y in range(1, n + 1, 2)}
+    largest = {}
+    for x in rooms:
+        for y in range(x, n + 1, 2):
+            label = rooms[x] + rooms[y] + 1 + (change if x == 1 and y > 50 else 0)
+            largest[x * y] = max(largest.get(x * y, 0), label)
+    expect = sum(largest.values())
+    assert expect - KNOWN_COUNTS[n] == change * (19 if change > 0 else 11)
+    wrong = labels.copy()
+    wrong[0] = 7 + change
+    monkeypatch.setattr(products, "_plan", lambda n: (steps, wrong, firsts, lasts))
+    assert count_distinct_segmented(n) == expect
+
+
+def test_count_window_run_of_wrong_length_or_label_raises(monkeypatch):
+    # every strided write checks its run's length, and every window the
+    # first byte of each run it takes from _runs: a run one product too
+    # long raises ValueError in a strided piece and BufferError in a
+    # step-1 piece, whose write would otherwise resize the window, and a
+    # run of another label raises ValueError
     n = 2000
-    counts = row_counts(n, 1001, 1200)
-    assert all(a > 1 for _, a in counts) and counts[0, 3] >= DENSE_ROW_MIN
+    runs = {}
+    monkeypatch.setattr(products, "_runs", lambda: runs)
+    strided, step_one = (n, 1001, 1200), (n, 501, 600)
+    counts = piece_counts(*strided)
+    assert all(x > 1 for x, _ in counts) and max(counts.values()) >= DENSE_ROW_MIN
+    dense = [p for p, c in piece_counts(*step_one).items() if c >= DENSE_ROW_MIN]
+    assert dense == [(1, 0)]
+    for window in strided, step_one:
+        assert _count_window(window) == window_oracle(*window)
+    assert runs
+    good = dict(runs)
+    for key, run in good.items():
+        runs[key] = run + run[:1]
     with pytest.raises(ValueError, match="extended slice"):
-        _count_window((n, 1001, 1200))
-    assert set(row_counts(n, 1, 100)) == {(0, 1)}
+        _count_window(strided)
     with pytest.raises(BufferError):
-        _count_window((n, 1, 100))
-
-
-def test_least_prime_factors_match_trial_division():
-    top = 1 << 16
-    expect = np.array([least_prime_factor(a) for a in range(top + 1)])
-    for n in range(1, 5001):
-        assert np.array_equal(_least_prime_factors(n), expect[: n + 1]), n
-    table = _least_prime_factors(top)
-    assert table.dtype == np.int32 and np.array_equal(table, expect)
+        _count_window(step_one)
+    for key, run in good.items():
+        runs[key] = bytearray((run[0] + 1,)) * len(run)
+    for window in strided, step_one:
+        with pytest.raises(ValueError, match="label"):
+            _count_window(window)
 
 
 @given(st.integers(1, 300), st.data())
 def test_count_window_matches_bitmap(n, data):
-    lo = data.draw(st.integers(1, n * n))
-    width = data.draw(st.integers(1, n * n - lo + 10))
+    lo = data.draw(st.integers(1, positions(n)))
+    width = data.draw(st.integers(1, positions(n) - lo + 10))
     hi = lo + width - 1
     assert _count_window((n, lo, hi)) == window_oracle(n, lo, hi)
 
@@ -421,8 +433,8 @@ def test_parallel_on_one_usable_cpu_starts_no_pool(monkeypatch):
 
 
 def _first_n_with_windows(count):
-    """The least n whose table [1, n^2] spans count windows."""
-    return math.isqrt((count - 1) * products.SEGMENT_WINDOW) + 1
+    """The least n whose (n^2 + 1)/2 odd-m positions span count windows."""
+    return math.isqrt(2 * (count - 1) * products.SEGMENT_WINDOW) + 1
 
 
 @pytest.fixture
@@ -453,14 +465,10 @@ def _usable_cpus(monkeypatch, cpus):
 
 def test_pool_starts_at_the_window_threshold(monkeypatch, pools):
     n = _first_n_with_windows(products.POOL_MIN_WINDOWS)
-    assert len(_window_ranges(1, (n - 1) ** 2, products.SEGMENT_WINDOW)) == (
-        products.POOL_MIN_WINDOWS - 1
-    )
-    assert len(_window_ranges(1, n * n, products.SEGMENT_WINDOW)) == (
-        products.POOL_MIN_WINDOWS
-    )
+    assert len(_windows(n - 1)) == products.POOL_MIN_WINDOWS - 1
+    assert len(_windows(n)) == products.POOL_MIN_WINDOWS
     _usable_cpus(monkeypatch, 16)
-    assert len(_window_ranges(1, 5000**2, products.SEGMENT_WINDOW)) == 24
+    assert len(_windows(5000)) == 12
     assert count_distinct_segmented(5000) == CENSUS_COUNTS[5000]
     count_distinct_segmented(n - 1)
     assert pools == []
@@ -509,7 +517,7 @@ def _windows(*ns):
     return [
         (n, lo, hi)
         for n in ns
-        for lo, hi in _window_ranges(1, n * n, products.SEGMENT_WINDOW)
+        for lo, hi in _window_ranges(1, positions(n), products.SEGMENT_WINDOW)
     ]
 
 
@@ -553,22 +561,36 @@ def test_small_census_forks_nothing(monkeypatch):
     ]
 
 
-def test_readme_census_is_one_fan_out(monkeypatch, pools):
-    # the README's n-list spans 57 windows, none of them alone enough to
-    # fork: together they are counted in one fan-out
+def test_readme_census_counts_in_one_process(monkeypatch):
+    # the README's n-list spans 31 windows, one fewer than the threshold:
+    # counted in this process, on any number of CPUs
     n_values = [10, 50, 100, 1000, 2000, 3000, 4000, 5000]
-    assert len(_windows(*n_values)) == 57
+    assert len(_windows(*n_values)) == 31 == products.POOL_MIN_WINDOWS - 1
+    _usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(products, "_fan_out", _no_fan_out)
+    points = census(n_values)
+    assert [p.distinct_count for p in points] == [CENSUS_COUNTS[n] for n in n_values]
+
+
+def test_census_of_small_tables_is_one_fan_out(monkeypatch, pools):
+    # the README's n-list and 6000 span 49 windows, none of the tables
+    # alone enough to fork: together they are counted in one fan-out
+    n_values = [10, 50, 100, 1000, 2000, 3000, 4000, 5000, 6000]
+    assert len(_windows(*n_values)) == 49
     assert max(len(_windows(n)) for n in n_values) < products.POOL_MIN_WINDOWS
     _usable_cpus(monkeypatch, 2)
     points = census(n_values)
-    assert [p.distinct_count for p in points] == [CENSUS_COUNTS[n] for n in n_values]
+    assert [p.distinct_count for p in points[:-1]] == [
+        CENSUS_COUNTS[n] for n in n_values[:-1]
+    ]
+    assert points[-1].distinct_count == count_distinct_dense(6000)
     assert pools == [2]
 
 
 def test_census_elapsed_splits_the_counting_by_window_seconds(monkeypatch):
-    # each window of 100 reports 1 s and each of 2000 (4 windows) 3 s: the
-    # counting's wall time is split 1 : 12, and the repeat of 100 gets
-    # the time of its lookup
+    # each window of 100 reports 1 s and each of 2000 (2 windows) 3 s: the
+    # counting's wall time is split 1 : 6, and the repeat of 100 gets the
+    # time of its lookup
     real = products._count_window
     monkeypatch.setattr(
         products, "_timed_window", lambda job: (real(job), 1.0 if job[0] == 100 else 3.0)
@@ -577,7 +599,7 @@ def test_census_elapsed_splits_the_counting_by_window_seconds(monkeypatch):
     first, second, repeat = census([100, 2000, 100])
     wall = time.perf_counter() - start
     assert (first.n, second.n, repeat.n) == (100, 2000, 100)
-    assert second.elapsed == pytest.approx(12 * first.elapsed)
+    assert second.elapsed == pytest.approx(6 * first.elapsed)
     assert 0 < first.elapsed + second.elapsed <= wall
     assert 0 <= repeat.elapsed < first.elapsed
 

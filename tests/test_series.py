@@ -392,7 +392,58 @@ def test_identity_holds_on_the_critical_line(n):
         assert cmp.ok, (e, cmp.max_abs_deviation, cmp.tolerance)
 
 
-@pytest.mark.parametrize("s", [0.5 + 1e16j, 1e16, 2 + 1e15j])
+@pytest.mark.parametrize("s", [1e16, 7.2e13, 1e300])
+def test_identity_holds_at_a_large_real_s(s):
+    # every term past k = 1 underflows to 0, so all three routes give
+    # exactly 1: the terms' sizes weight their ln x, and the bound stays
+    # far below the sums
+    cmp = series.verify_square_identity(s, 50)
+    assert (cmp.grid_sum, cmp.zeta_partial_squared, cmp.multiplicity_sum) == (1, 1, 1)
+    assert cmp.max_abs_deviation == 0 and cmp.ok is True
+    assert cmp.tolerance == 1e-9
+
+
+def test_large_real_s_still_fails_a_wrong_multiplicity(monkeypatch):
+    # one multiplicity off by one at k = 1, the one term that does not
+    # underflow: the multiplicity sum reads 2
+    def one_too_many(size):
+        counts = table_multiplicities(size)
+        counts[1] += 1
+        return counts
+
+    monkeypatch.setattr(series, "table_multiplicities", one_too_many)
+    cmp = series.verify_square_identity(1e16, 50)
+    assert cmp.multiplicity_sum == 2 and cmp.ok is False
+
+
+def test_rounding_bound_weights_each_term_by_its_own_log():
+    # over S(n), the terms' factor is |s| 2L/Z, L = sum k^-Re(s) ln k and
+    # Z = sum k^-Re(s): below |s| ln(n^2) at every n > 1, equal at n = 1
+    ns = np.array([1, 2, 50, 2000])
+    for s in (0.5 + 1e6j, 2, 3, 2 + 3j, -1.5):
+        k = np.arange(1, 2001)
+        sizes = k ** -complex(s).real
+        mean_log = 2 * np.cumsum(sizes * np.log(k)) / np.cumsum(sizes)
+        expect = series._U * (
+            series._ROUNDING_C * (abs(s) * mean_log[ns - 1] + 1)
+            + series._ROW_BLOCK + 2 * np.log2(ns) + 16
+        )
+        got = series._rounding_bound(complex(s), ns)
+        assert got == pytest.approx(expect, rel=1e-12), s
+        old = series._U * (
+            series._ROUNDING_C * (abs(s) * np.log(ns * ns) + 1)
+            + series._ROW_BLOCK + 2 * np.log2(ns) + 16
+        )
+        assert got[0] == pytest.approx(old[0]) and (got[1:] < old[1:]).all(), s
+    # sizes that overflow fall back to ln(n^2)
+    with np.errstate(over="ignore"):
+        assert series._rounding_bound(-1000 + 0j, np.array([50]))[0] == pytest.approx(
+            series._U * (series._ROUNDING_C * (1000 * np.log(2500) + 1) + 128
+                         + 2 * np.log2(50) + 16)
+        )
+
+
+@pytest.mark.parametrize("s", [0.5 + 1e16j, 2 + 1e15j, 1 + 1e15j])
 def test_identity_rejects_s_that_rounding_swamps(monkeypatch, s):
     # the rounding bound reaches the size of the sums: a domain error,
     # raised before any table or sum is built
