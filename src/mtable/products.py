@@ -53,8 +53,9 @@ __all__ = [
 # 2^20 positions: 0.271 / 0.206 / 0.170 at n = 2^14 with 2 workers,
 # serial 0.400 / 0.313 / 0.214; at 2^20 / 2^21 / 2^22: 2 workers 0.154 /
 # 0.173 / 0.190, serial 0.209 / 0.246 / 0.305 at 2^14 and 0.027 / 0.031
-# / 0.038 at 5000.  2 workers at 2^15 (4 rounds) 0.639 / 0.623 / 0.746 and at 2^16
-# (2 rounds) 3.58 / 3.41 / 3.28, peak RSS 41.3 / 46.6 / 50.2 MB.
+# / 0.038 at 5000, 2 workers 0.639 / 0.623 / 0.746 at 2^15 (4 rounds)
+# and 3.58 / 3.41 / 3.28 at 2^16 (2 rounds, peak RSS 41.3 / 46.6 /
+# 50.2 MB).
 SEGMENT_WINDOW = 1 << 20
 
 _MAX_WORKERS = 8
@@ -88,8 +89,9 @@ POOL_MIN_WINDOWS = 32
 
 # Largest n count_distinct_segmented and census accept.  The count grows
 # about as n**2.3: on 2 shared vCPUs M(2**16) = 911705949 took 3.2 and
-# 3.7 s with its 2-worker pool, so 2**17 would take about 17 s.  A larger n is rejected before any window is built
-# (at n = 10**7 the window list alone would need gigabytes).
+# 3.7 s with its 2-worker pool, so 2**17 would take about 17 s.  A
+# larger n is rejected before any window is built (at n = 10**7 the
+# window list alone would need gigabytes).
 COUNT_N_MAX = 1 << 16
 
 # Pieces with at least this many products in a window get their own
@@ -239,15 +241,15 @@ def _count_window(args: tuple[int, int, int]) -> int:
     the run and the slice differ in length.  The runs of fewer than
     _RUN_CAP bytes come from _runs(), and every run a window takes is
     checked once there: one whose first byte is not its label raises
-    ValueError.  The products of all other pieces are listed
-    with np.repeat and cumsum and written at once by np.maximum.at
-    through a numpy view of the same buffer, which keeps at each position
-    the largest of its byte and every label written there, in any order
-    (a fancy assignment would not do: numpy does not say which of
-    repeated indices wins).  Those sparse indices number fewer than
-    DENSE_ROW_MIN per piece, so besides the window they take at most
+    ValueError.  The products of all other pieces are listed with
+    np.repeat and cumsum and written at once by np.maximum.at through a
+    numpy view of the same buffer, which keeps at each position the
+    largest of its byte and every label written there, in any order (a
+    fancy assignment would not do: numpy does not say which of repeated
+    indices wins).  Those sparse indices number fewer than DENSE_ROW_MIN
+    per piece, so besides the window they take at most
     8 * (DENSE_ROW_MIN - 1) * n bytes per int64 array.  The count is the
-    sum of the window's bytes.
+    sum of the window's bytes (see _SUM32_WIDTH).
     """
     n, lo, hi = args
     steps, labels, firsts, lasts = _plan(n)
